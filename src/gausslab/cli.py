@@ -175,11 +175,12 @@ def cmd_figure(args) -> int:
     b = 1.0 / math.sqrt(7.0)
 
     weight = interval_indicator(0.0, b, coeff_cutoff)
-    batch = empirical_batch(q, weight, fast=args.fast)
+    series = as_fourier_series(weight)
+    # --fast evaluates the truncated series; meta records trunc and method
+    batch = empirical_batch(q, series if args.fast else weight, fast=args.fast)
     values = batch.values
     t_over_q = batch.grid_mass / q
 
-    series = as_fourier_series(weight)
     limit = sample_limit_law(variant, series, trunc, n_samples, args.seed)
 
     if center == "tq":
@@ -255,6 +256,8 @@ def cmd_moments(args) -> int:
         lo, hi = _parse_range(args.q_range)
         qs = list(range(lo, hi + 1))
     weight = _parse_weight(args.weight, args.trunc)
+    if args.fast:
+        weight = as_fourier_series(weight)
     window = _parse_domain(args.domain)
     try:
         k_list = [float(k) for k in args.k_list.split(",")]

@@ -10,9 +10,15 @@ no Monte Carlo is needed there) and normalizes case by case:
   q = 2 mod 4, q/2 non-sq:  g(w,p,q) / (2 g_1(2p, q/2))
   q = 2 mod 4, q/2 square:  g(w,p,q) / (eps_{q/2} sqrt(2q))
 
+The numerators g(w, p, q) of every p come from one FFT of the weight
+values binned at h^2 mod q (gauss_sums.quadratic_grid), which is exact
+for indicators; the O(q) DirectEvaluator is kept as the independent
+per-p reference for verify and the tests.
+
 The limit side samples the matching quadratic series at uniform random
-points.  Histograms, moments, and the two-sample KS distance quantify
-the agreement.
+points.  Its moments integrate the series on a prime grid, whose values
+are again one quadratic_grid call.  Histograms, moments, and the
+two-sample KS distance quantify the agreement.
 """
 
 from __future__ import annotations
@@ -26,18 +32,18 @@ import numpy as np
 from . import arith
 from .errors import EmptyInput
 from .gauss_sums import (
-    DirectEvaluator,
     SigmaClass,
     _eval_quadratic_series,
     _variant_terms,
     gauss_sum_closed,
     gauss_sum_fast_batch,
+    quadratic_grid,
     sigma_class,
     variant_for_modulus,
 )
-from .weights import WeightFunction, as_fourier_series
+from .weights import WeightFunction, as_fourier_series, evaluate_grid
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -122,11 +128,11 @@ def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = Non
         raise ValueError(f"modulus must be >= 3, got {q}")
     mod = arith.analyze_modulus(q)
     ps = _admissible_units(q, window)
-    direct = DirectEvaluator(w, q)
+    grid = evaluate_grid(w, q)
     if fast:
         numerators = gauss_sum_fast_batch(w, ps, q)
     else:
-        numerators = np.array([direct(int(p)) for p in ps.tolist()])
+        numerators = quadratic_grid(np.arange(q), grid, q)[ps % q]
 
     if mod.q_mod4 == 0:
         denoms = np.array([gauss_sum_closed(int(p), q) for p in ps.tolist()])
@@ -150,7 +156,7 @@ def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = Non
     values = numerators / denoms
     samples = [(int(p), sigma_class(int(p), mod), complex(v))
                for p, v in zip(ps.tolist(), values.tolist())]
-    return EmpiricalBatch(mod, w, samples, label, float(direct.grid_mass.real))
+    return EmpiricalBatch(mod, w, samples, label, float(grid.sum().real))
 
 
 def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
@@ -180,6 +186,8 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
                  grid_size: int | None = None) -> float:
     """k-th absolute moment of the series by periodic rectangle rule.
 
+    The series values on the grid come from one quadratic_grid call.
+
     The default grid is a prime exceeding twice the largest series
     index, which makes the k = 2 case alias-free: quadratic frequencies
     n^2 - m^2 = (n-m)(n+m) cannot vanish mod such a prime unless n = m.
@@ -192,12 +200,8 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
         grid_size = _next_prime(max(65537, 2 * n_max + 1))
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
-    total = 0.0
-    xs = np.arange(grid_size, dtype=np.float64) / grid_size
-    for lo in range(0, grid_size, _CHUNK):
-        vals = _eval_quadratic_series(ns, cs, xs[lo:lo + _CHUNK])
-        total += float(np.sum(np.abs(vals) ** k))
-    return total / grid_size
+    vals = quadratic_grid(ns, cs, grid_size)
+    return float(np.sum(np.abs(vals) ** k)) / grid_size
 
 
 def mean_square_from_coefficients(variant: str, w: WeightFunction) -> float:
@@ -235,8 +239,7 @@ def empirical_moment(q: int, w: WeightFunction, window: DomainWindow | None = No
     if fast:
         sums = gauss_sum_fast_batch(w, ps, q)
     else:
-        direct = DirectEvaluator(w, q)
-        sums = np.array([direct(int(p)) for p in ps.tolist()])
+        sums = quadratic_grid(np.arange(q), evaluate_grid(w, q), q)[ps % q]
     raw = float(np.sum(np.abs(sums) ** k)) / (mod.phi * window.measure)
     normalizer = (2 * q) ** (k / 2) if q % 2 == 0 else q ** (k / 2)
     empirical = raw / normalizer
@@ -269,7 +272,11 @@ def histogram(values, bins: int = 40, value_range: tuple[float, float] | None = 
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     if value_range is None:
-        value_range = (float(arr.min()), float(arr.max()))
+        lo, hi = float(arr.min()), float(arr.max())
+        if lo == hi:
+            # constant data: one unit-wide range centred on the value
+            lo, hi = lo - 0.5, hi + 0.5
+        value_range = (lo, hi)
     lo, hi = value_range
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")

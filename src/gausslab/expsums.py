@@ -43,7 +43,8 @@ class ExpSumReport:
 def _phase_values(m: int, n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units p, e((m p + n p-bar)/q)) with exact integer phase reduction."""
     ps, invs = arith.inverse_table(q)
-    t = (m * ps + n * invs) % q
+    # reduce first: m or n beyond int64 (or their products with units) would overflow
+    t = ((m % q) * ps + (n % q) * invs) % q
     return ps, np.exp(2j * np.pi * t / q)
 
 
@@ -113,6 +114,7 @@ def weyl_statistic(q: int | arith.Modulus, t: int | arith.UnitResidue,
     if math.gcd(t_val, mod.q) != 1:
         raise NotCoprime(f"gcd({t_val}, {mod.q}) != 1")
     ps, invs = arith.inverse_table(mod.q)
+    m, n, t_val = m % mod.q, n % mod.q, t_val % mod.q
     phases = (m * ps + n * ((t_val * invs) % mod.q)) % mod.q
     vals = np.exp(2j * np.pi * phases / mod.q)
     if class_filter is not None:

@@ -17,7 +17,9 @@ The quadratic series come in three variants keyed to q mod 4:
   G_minus(x) = sum_{n odd} c_n e(n^2 x)  (q = 2 mod 4)
 
 Evaluating these at a uniformly random point of [0, 1) gives the limit
-law of the normalized incomplete sums; `distlab` builds on that.
+law of the normalized incomplete sums; `distlab` builds on that.  On a
+rational grid t/N every such series (and, with the weight values as
+coefficients, g(w, p, q) for all p at once) is one FFT: quadratic_grid.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ class DirectEvaluator:
         self.h2 = (h * h) % q
         self.roots = np.exp(2j * np.pi * np.arange(q) / q)
         self.values = np.asarray(evaluate_grid(w, q), dtype=np.complex128)
-        self.grid_mass = complex(self.values.sum())
 
     def __call__(self, p: int) -> complex:
         t = ((p % self.q) * self.h2) % self.q
@@ -181,6 +182,78 @@ def _eval_quadratic_series(ns: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np
     for n, c in zip(ns.tolist(), cs.tolist()):
         out += c * np.exp((2j * np.pi * float(n * n)) * xs)
     return out
+
+
+def _primitive_root(p: int) -> int:
+    """Smallest generator of the unit group of the prime p."""
+    cofactors = [(p - 1) // f for f, _ in arith.factorize(p - 1)]
+    g = 2
+    while any(pow(g, c, p) == 1 for c in cofactors):
+        g += 1
+    return g
+
+
+def _power_table(g: int, p: int) -> np.ndarray:
+    """g^m mod p for m = 0..p-2, filled by doubling in log2(p) vector steps."""
+    n = p - 1
+    powers = np.empty(n, dtype=np.int64)
+    powers[0] = 1
+    filled = 1
+    while filled < n:
+        step = min(filled, n - filled)
+        powers[filled:filled + step] = powers[:step] * pow(g, filled, p) % p
+        filled += step
+    return powers
+
+
+def _rader_grid(ks: np.ndarray, cs: np.ndarray, p: int) -> np.ndarray:
+    """sum_j cs[j] e(ks[j] t / p) for t = 0..p-1, a prime p >= 3 and 0 <= ks < p.
+
+    Rader's reindexing (C. M. Rader, Proc. IEEE 56, 1968): with g a
+    primitive root, k = g^m and t = g^a give
+    kt = g^(m+a).  Binning the terms with k != 0 by their discrete log m
+    turns every t != 0 into one cyclic correlation of length p - 1: three
+    FFTs, a power of two for Fermat primes such as 65537, where numpy's
+    prime-length FFT would pad to about twice the size.  Each length-p
+    array is dropped once used, so at most three are alive at a time.
+    """
+    n = p - 1
+    powers = _power_table(_primitive_root(p), p)
+    log = np.empty(p, dtype=np.int64)
+    log[powers] = np.arange(n)
+    nonzero = ks != 0
+    binned = np.zeros(n, dtype=np.complex128)
+    np.add.at(binned, log[ks[nonzero]], cs[nonzero])
+    del log
+    spectrum = np.fft.fft(np.exp((2j * np.pi / p) * powers))
+    spectrum *= np.fft.ifft(binned, norm="forward")
+    del binned
+    correlation = np.fft.ifft(spectrum)
+    del spectrum
+    correlation += cs[~nonzero].sum()
+    out = np.empty(p, dtype=np.complex128)
+    out[0] = cs.sum()
+    out[powers] = correlation
+    return out
+
+
+def quadratic_grid(ns, cs, N: int) -> np.ndarray:
+    """sum_j cs[j] e(ns[j]^2 t / N) for every grid point t = 0..N-1.
+
+    The terms are binned at n^2 mod N (in exact integer arithmetic), which
+    leaves one unnormalized inverse DFT of length N: Rader's for prime
+    N >= 3, numpy's FFT otherwise.
+    """
+    if N < 1:
+        raise ValueError(f"grid size must be positive, got {N}")
+    r = np.asarray(ns, dtype=np.int64) % N
+    squares = r * r % N
+    cs = np.asarray(cs, dtype=np.complex128)
+    if N >= 3 and arith.factorize(N) == [(N, 1)]:
+        return _rader_grid(squares, cs, N)
+    binned = np.zeros(N, dtype=np.complex128)
+    np.add.at(binned, squares, cs)
+    return np.fft.ifft(binned, norm="forward")
 
 
 def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):

@@ -80,6 +80,14 @@ class TestFigureCommand:
         rows = [l for l in lines if not l.startswith("#") and not l.startswith("bin_lo")]
         assert sum(int(r.split(",")[2]) for r in rows) == 3336
 
+    def test_fast_interval_weight(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["figure", "fig2", "--trunc", "100", "--samples", "1000", "--fast",
+                    "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "fig2_summary.json").read_text())
+        assert summary["method"] == "fast"
+        assert summary["total_samples"] == 3336
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["figure", "fig1", "--trunc", "120", "--samples", "1000", "--seed", "3"]
@@ -112,6 +120,16 @@ class TestMomentsCommand:
         assert run(["moments"]) == 2
         assert run(["moments", "--q", "5", "--q-range", "3..9"]) == 2
 
+    def test_fast_interval_weight(self, capsys):
+        argv = ["moments", "--q", "101", "--weight", "interval:0,0.3", "--trunc", "200"]
+        assert run(argv + ["--fast"]) == 0
+        fast = capsys.readouterr().out.splitlines()[1:]
+        assert run(argv) == 0
+        direct = capsys.readouterr().out.splitlines()[1:]
+        assert len(fast) == len(direct) == 2
+        for f, d in zip(fast, direct):
+            assert f.split(",")[3] == d.split(",")[3]  # limit column
+
     def test_bad_weight_spec(self):
         assert run(["moments", "--q", "15", "--weight", "nope"]) == 2
         assert run(["moments", "--q", "15", "--weight", "interval:0.9,0.1"]) == 2
@@ -125,6 +143,12 @@ class TestExpsumCommand:
         assert out[0] == "q,m,n,re,im,abs,weil_bound,ratio"
         cols = out[1].split(",")
         assert float(cols[5]) == pytest.approx(0.3819660112501051, abs=1e-9)
+
+    def test_argument_beyond_int64(self, capsys):
+        assert run(["expsum", "--kind", "kloosterman", "--m", "10000000000000000000",
+                    "--n", "1", "--q", "7"]) == 0
+        cols = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(cols[3]) == pytest.approx(-1.6038754716096761, abs=1e-9)
 
     def test_salie_even_modulus_exit_2(self, capsys):
         assert run(["expsum", "--kind", "salie", "--m", "0", "--n", "0", "--q", "4"]) == 2

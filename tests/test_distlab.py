@@ -7,12 +7,21 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gausslab import distlab, weights
+from gausslab import arith, distlab, gauss_sums, weights
 from gausslab.errors import EmptyInput, IndicatorKind
 from gausslab.gauss_sums import G_FULL, G_MINUS, G_PLUS
 
 B7 = 1 / math.sqrt(7)
 ONE = weights.constant_weight()
+
+
+def midpoint_moment(w, k, size=10_001):
+    """Mean of |sum_n c_n e(n^2 x)|^k by the midpoint rule on a grid unrelated to limit_moment's."""
+    xs = (np.arange(size) + 0.5) / size
+    vals = np.zeros(xs.shape, dtype=complex)
+    for n, c in w.coefficients.items():
+        vals += c * np.exp(2j * np.pi * (n * n) * xs)
+    return float(np.mean(np.abs(vals) ** k))
 
 
 class TestDomainWindow:
@@ -142,14 +151,17 @@ class TestLimitMoment:
             assert abs(quad - closed) < 1e-10
 
     def test_k2_against_independent_quadrature(self):
-        # midpoint rule with an unrelated grid size as the oracle
         w = weights.fourier_weight({-2: 0.3, 1: 1.0, 3: -0.5j})
-        xs = (np.arange(10_001) + 0.5) / 10_001
-        vals = np.zeros(xs.shape, dtype=complex)
-        for k, c in w.coefficients.items():
-            vals += c * np.exp(2j * np.pi * (k * k) * xs)
-        oracle = float(np.mean(np.abs(vals) ** 2))
+        oracle = midpoint_moment(w, 2.0)
         assert distlab.limit_moment(G_FULL, w, 2.0) == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [2.0, 4.0])
+    def test_composite_grid_against_independent_quadrature(self, k):
+        # the phases n^2 are 1, 4 and 9, so |G|^k is a trigonometric polynomial
+        # of degree 4k, below both grid sizes: both rules are exact up to rounding
+        w = weights.fourier_weight({-2: 0.3, 1: 1.0, 3: -0.5j})
+        oracle = midpoint_moment(w, k)
+        assert distlab.limit_moment(G_FULL, w, k, grid_size=1000) == pytest.approx(oracle, rel=1e-12)
 
     def test_indicator_k2(self):
         w = weights.interval_indicator(0.0, B7, cutoff=1000)
@@ -170,6 +182,17 @@ class TestEmpiricalMoment:
         rep = distlab.empirical_moment(12, ONE, k=0.0)
         assert rep.empirical == pytest.approx(1.0)
         assert rep.limit == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("q", [3, 4, 6, 9, 18, 101, 1009, 5012, 5013, 5014])
+    def test_direct_route_matches_per_p_oracle(self, q):
+        w = weights.interval_indicator(0.0, B7, cutoff=32)
+        ev = gauss_sums.DirectEvaluator(w, q)
+        sums = np.array([ev(p) for p in arith.units(q).tolist()])
+        for k in (1.0, 2.0):
+            normalizer = (2 * q) ** (k / 2) if q % 2 == 0 else q ** (k / 2)
+            oracle = float(np.sum(np.abs(sums) ** k)) / (len(sums) * normalizer)
+            rep = distlab.empirical_moment(q, w, k=k)
+            assert rep.empirical == pytest.approx(oracle, rel=1e-12)
 
     def test_series_weight_gap_shrinks(self):
         rng = np.random.default_rng(73)
@@ -206,6 +229,15 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             distlab.histogram([], bins=10, value_range=(0, 1))
+
+    def test_constant_data_gets_unit_range(self):
+        h = distlab.histogram([0.5] * 10, bins=4)
+        assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0
+        assert h.total == 10 and h.below == 0 and h.above == 0
+
+    def test_explicit_empty_range_rejected(self):
+        with pytest.raises(ValueError):
+            distlab.histogram([0.5] * 10, bins=4, value_range=(0.5, 0.5))
 
 
 class TestKSDistance:

@@ -21,6 +21,27 @@ def brute_kloosterman(m, n, q):
     return total
 
 
+class TestHugeArguments:
+    # m, n and t are reduced mod q before any int64 arithmetic
+    @pytest.mark.parametrize("big", [2**62, 10**19])
+    def test_sums_match_reduced(self, big):
+        for kind, q in (("kloosterman", 7), ("salie", 7), ("twisted", 8)):
+            got = expsums.expsum_report(kind, big, 1, q).value
+            assert got == pytest.approx(expsums.expsum_report(kind, big % q, 1, q).value, abs=1e-12)
+            got = expsums.expsum_report(kind, 3, big + 1, q).value
+            assert got == pytest.approx(expsums.expsum_report(kind, 3, (big + 1) % q, q).value, abs=1e-12)
+
+    def test_kloosterman_2_62_value(self):
+        assert expsums.kloosterman(2**62, 1, 7) == pytest.approx(brute_kloosterman(2**62, 1, 7), abs=1e-12)
+        assert expsums.kloosterman(2**62, 1, 7).real == pytest.approx(-2.692, abs=1e-3)
+
+    @pytest.mark.parametrize("big", [2**62, 10**19])
+    def test_weyl_statistic_matches_reduced(self, big):
+        t = big + 1 if math.gcd(big + 1, 11) == 1 else big + 2
+        got = expsums.weyl_statistic(11, t, big, big + 3)
+        assert got == pytest.approx(expsums.weyl_statistic(11, t % 11, big % 11, (big + 3) % 11), abs=1e-12)
+
+
 class TestKloosterman:
     @pytest.mark.parametrize("q", [1, 2, 5, 12, 36, 101])
     def test_zero_frequencies_give_totient(self, q):

@@ -164,6 +164,45 @@ class TestLimitSeries:
         assert np.max(np.abs(fast - slow)) < 1e-9 * scale
 
 
+class TestQuadraticGrid:
+    @staticmethod
+    def brute(ns, cs, N):
+        # the definition term by term, phases reduced mod N in Python ints
+        t = np.arange(N)
+        out = np.zeros(N, dtype=complex)
+        for n, c in zip(ns, cs):
+            out += c * np.exp(2j * np.pi * ((n * n % N) * t % N) / N)
+        return out
+
+    @pytest.mark.parametrize("N", [2, 3, 101, 65537, 4, 1000, 5012])
+    def test_matches_brute_force(self, N):
+        rng = np.random.default_rng(N)
+        # n and N - n, n + N, 2N + n collide at n^2 mod N; indices exceed N
+        ns = [0, 1, N - 1, N + 1, 2 * N + 1, 7, 3 * N + 7] + rng.integers(0, 5 * N, 5).tolist()
+        cs = (rng.normal(size=len(ns)) + 1j * rng.normal(size=len(ns))).tolist()
+        expected = self.brute(ns, cs, N)
+        got = gs.quadratic_grid(np.array(ns), np.array(cs), N)
+        assert got.shape == (N,)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.sum(np.abs(cs))
+
+    @pytest.mark.parametrize("kind", ["series", "indicator"])
+    def test_all_p_numerators_match_direct(self, kind):
+        # one call gives g(w, p, q) for every p; exact for indicators too
+        rng = np.random.default_rng(41)
+        if kind == "series":
+            w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                                        for k in range(-9, 10)})
+        else:
+            w = weights.interval_indicator(0.0, 1 / math.sqrt(7), cutoff=16)
+        for q in [*range(3, 201), 5012, 5013, 5014]:
+            ps = arith.units(q)
+            ev = gs.DirectEvaluator(w, q)
+            direct = np.array([ev(p) for p in ps.tolist()])
+            grid = gs.quadratic_grid(np.arange(q), weights.evaluate_grid(w, q), q)
+            scale = max(1.0, float(np.max(np.abs(direct))))
+            assert np.max(np.abs(grid[ps % q] - direct)) < 1e-13 * q * scale, q
+
+
 class TestCompletingTheSquare:
     @pytest.mark.parametrize("q", [4, 8, 12, 16, 20])
     def test_even_shift(self, q):
