@@ -7,7 +7,6 @@ experiments for quadratic exponential sums with periodic weights.
 
 from .arith import (
     Modulus,
-    UnitResidue,
     analyze_modulus,
     epsilon,
     find_nonresidue_witness,
@@ -45,16 +44,15 @@ from .gauss_sums import (
     G_FULL,
     G_MINUS,
     G_PLUS,
-    GaussSumValue,
+    ModulusCase,
     SigmaClass,
-    gauss_sum,
     gauss_sum_closed,
     gauss_sum_direct,
     gauss_sum_fast,
     limit_series,
+    modulus_case,
     reduce_noncoprime,
     sigma_class,
-    variant_for_modulus,
 )
 from .weights import (
     WeightFunction,

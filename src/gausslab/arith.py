@@ -3,8 +3,12 @@
 Everything downstream (Gauss sums, Kloosterman sums, class statistics)
 reduces to the primitives in this module: gcd, modular inverses, the
 Jacobi symbol, the quartic unit factor of odd integers, and factored
-modulus metadata.  All functions are pure and operate on Python ints;
-moduli stay well inside 64 bits at desk scale.
+modulus metadata.  All functions are pure.
+
+The scalar functions take Python ints of any size.  The array forms
+(residues, inverses, jacobi_array) answer one int exactly through them,
+and an integer array with int64 arithmetic and no per-entry loop; arrays
+refuse moduli above INT64_ROOT, whose residue products would wrap.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvenArgument, EvenModulus, IsSquare, NotCoprime
+
+# largest n with n * n < 2**63: residues below it multiply without leaving int64
+INT64_ROOT = math.isqrt(2**63 - 1)
+# primes below this read Legendre symbols from a table of squares (at most 512 KiB)
+SQUARES_TABLE_MAX = 1 << 16
 
 
 def gcd(a: int, b: int) -> int:
@@ -100,7 +109,7 @@ class Modulus:
     """A modulus q with the derived quantities used throughout.
 
     phi is Euler's totient, tau the divisor count; q_mod4 and is_square
-    select the normalization and class scheme for value distributions.
+    are the residue type that gauss_sums.modulus_case splits on.
     """
 
     q: int
@@ -143,20 +152,6 @@ def find_nonresidue_witness(q: int, max_attempts: int = 10**6) -> int:
     raise RuntimeError(f"no witness for q={q} below r={r}")
 
 
-@dataclass(frozen=True)
-class UnitResidue:
-    """A residue p in [1, q] coprime to q."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1 or not (1 <= self.p <= self.q):
-            raise ValueError(f"residue {self.p} outside [1, {self.q}]")
-        if math.gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
-
-
 def units(q: int) -> np.ndarray:
     """Residues in [1, q] coprime to q, ascending."""
     if q < 1:
@@ -172,5 +167,74 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     which is the correct exponent convention e(0) = 1.
     """
     ps = units(q)
-    invs = np.array([pow(int(p), -1, q) for p in ps], dtype=np.int64)
-    return ps, invs
+    return ps, inverses(ps, q)
+
+
+def residues(values, q: int):
+    """values mod q: an exact int for an int, else an int64 array (for q <= INT64_ROOT)."""
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
+    if isinstance(values, int):
+        return values % q
+    if q > INT64_ROOT:
+        raise ValueError(f"residue arrays need q <= {INT64_ROOT}, got {q}; pass one int at a time")
+    return (np.asarray(values) % q).astype(np.int64, copy=False)
+
+
+def unit_residues(values, q: int):
+    """residues(values, q), each required to be a unit of q (NotCoprime otherwise)."""
+    ps = residues(values, q)
+    shared = math.gcd(ps, q) if isinstance(ps, int) else np.gcd(ps, q).max(initial=1)
+    if shared != 1:
+        raise NotCoprime(f"a residue shares the factor {shared} with {q}")
+    return ps
+
+
+def inverses(a, m: int):
+    """Inverses mod m, in [0, m), of a unit or an array of units of m.
+
+    An array uses Euler's theorem, a^-1 = a^(phi(m) - 1) mod m, by
+    square and multiply; m = 1 gives the zero residue.
+    """
+    if isinstance(a, int):
+        return 0 if m == 1 else mod_inverse(a, m)
+    return _power_mod(unit_residues(a, m), analyze_modulus(m).phi - 1, m)
+
+
+def _power_mod(base: np.ndarray, exponent: int, m: int) -> np.ndarray:
+    """base ** exponent mod m entrywise, by square and multiply; needs m <= INT64_ROOT."""
+    result = np.ones_like(base) % m
+    while exponent:
+        if exponent & 1:
+            result = result * base % m
+        base = base * base % m
+        exponent >>= 1
+    return result
+
+
+def jacobi_array(a, n: int):
+    """Jacobi symbols (a/n) of an int or an integer array over one odd n >= 1.
+
+    Arrays multiply (a/p)^e over the factorization of n; (a/p) comes from
+    a table of the squares mod p for p < SQUARES_TABLE_MAX, else from
+    Euler's criterion a^((p-1)/2) mod p.
+    """
+    if n % 2 == 0:
+        raise EvenModulus(f"modulus must be odd, got {n}")
+    if isinstance(a, int):
+        return jacobi(a, n)
+    a = residues(a, n)
+    out = np.ones(a.shape, dtype=np.int64)
+    for p, e in factorize(n):
+        r = a % p
+        if e % 2 == 0:
+            out[r == 0] = 0
+        elif p < SQUARES_TABLE_MAX:
+            table = np.full(p, -1, dtype=np.int64)
+            table[np.arange(p) ** 2 % p] = 1
+            table[0] = 0
+            out *= table[r]
+        else:
+            euler = _power_mod(r, (p - 1) // 2, p)  # 0, 1 or p - 1
+            out *= np.where(euler == p - 1, -1, euler)
+    return out

@@ -293,15 +293,12 @@ def cmd_expsum(args) -> int:
         qs = [args.q]
     rows = []
     for q in qs:
-        if args.kind == "twisted" and q % 4 != 0:
+        try:
+            rep = expsum_report(args.kind, args.m, args.n, q)
+        except BadModulus:
             if sweep:
-                continue
-            raise BadModulus(f"twisted sum needs q = 0 mod 4, got {q}")
-        if args.kind == "salie" and q % 2 == 0:
-            if sweep:
-                continue
-            raise BadModulus(f"Salie sum needs odd q, got {q}")
-        rep = expsum_report(args.kind, args.m, args.n, q)
+                continue  # a sweep skips the moduli the sum kind is not defined for
+            raise
         rows.append((q, args.m, args.n, float(rep.value.real), float(rep.value.imag),
                      float(abs(rep.value)), float(rep.weil_bound), float(rep.ratio)))
     meta = {"command": "expsum", "kind": args.kind, "m": args.m, "n": args.n}
@@ -358,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--bins", type=int, default=40)
     p.add_argument("--center", choices=["tq", "phihat0", "none"], default=None)
-    meth = p.add_mutually_exclusive_group()
-    meth.add_argument("--fast", action="store_true")
-    meth.add_argument("--direct", action="store_true")
+    p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("moments", help="empirical vs limit moments")
@@ -372,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=4000)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    meth = p.add_mutually_exclusive_group()
-    meth.add_argument("--fast", action="store_true")
-    meth.add_argument("--direct", action="store_true")
+    p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("expsum", help="exponential sums with Weil bounds")

@@ -2,13 +2,9 @@
 
 The finite side enumerates every admissible p deterministically (the
 empirical law over the whole unit group is the sampling distribution;
-no Monte Carlo is needed there) and normalizes case by case:
-
-  q = 0 mod 4:              g(w,p,q) / g_1(p,q)
-  q odd,  non-square:       g(w,p,q) / g_1(p,q)
-  q odd,  square:           g(w,p,q) / (eps_q sqrt(q))
-  q = 2 mod 4, q/2 non-sq:  g(w,p,q) / (2 g_1(2p, q/2))
-  q = 2 mod 4, q/2 square:  g(w,p,q) / (eps_{q/2} sqrt(2q))
+no Monte Carlo is needed there) and divides by the normalizer D(p) of
+gauss_sums.modulus_case: g_1(p,q), or 2 g_1(2p, q/2) for q = 2 mod 4,
+which is the constant eps_q sqrt(q) (eps_{q/2} sqrt(2q)) for square q (q/2).
 
 The numerators g(w, p, q) of every p come from one FFT of the weight
 values binned at h^2 mod q (gauss_sums.quadratic_grid), which is exact
@@ -24,8 +20,10 @@ two-sample KS distance quantify the agreement.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -35,11 +33,9 @@ from .gauss_sums import (
     SigmaClass,
     _eval_quadratic_series,
     _variant_terms,
-    gauss_sum_closed,
     gauss_sum_fast_batch,
+    modulus_case,
     quadratic_grid,
-    sigma_class,
-    variant_for_modulus,
 )
 from .weights import WeightFunction, as_fourier_series, evaluate_grid
 
@@ -91,21 +87,20 @@ class DomainWindow:
 
 @dataclass
 class EmpiricalBatch:
-    """Normalized values over the admissible units of one modulus."""
+    """Normalized values over the admissible units of one modulus, sorted by p."""
 
     modulus: arith.Modulus
     weight: WeightFunction
-    samples: list[tuple[int, SigmaClass, complex]]
+    residues: np.ndarray
+    classes: list[SigmaClass]
+    values: np.ndarray
     normalization: str
     grid_mass: float  # sum of weight values on the grid h/q; counts the kept terms for indicators
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, _, v in self.samples], dtype=np.complex128)
-
-    @property
-    def residues(self) -> np.ndarray:
-        return np.array([p for p, _, _ in self.samples], dtype=np.int64)
+    def samples(self) -> list[tuple[int, SigmaClass, complex]]:
+        """(p, sigma class, normalized value) per admissible unit."""
+        return list(zip(self.residues.tolist(), self.classes, self.values.tolist()))
 
 
 def _admissible_units(q: int, window: DomainWindow | None) -> np.ndarray:
@@ -133,30 +128,10 @@ def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = Non
         numerators = gauss_sum_fast_batch(w, ps, q)
     else:
         numerators = quadratic_grid(np.arange(q), grid, q)[ps % q]
-
-    if mod.q_mod4 == 0:
-        denoms = np.array([gauss_sum_closed(int(p), q) for p in ps.tolist()])
-        label = "g_phi(p,q)/g_1(p,q)"
-    elif mod.q_mod4 % 2 == 1:
-        if mod.is_square:
-            denoms = np.full(ps.shape, arith.epsilon(q) * math.sqrt(q))
-            label = "g_phi(p,q)/(eps_q sqrt(q))"
-        else:
-            denoms = np.array([gauss_sum_closed(int(p), q) for p in ps.tolist()])
-            label = "g_phi(p,q)/g_1(p,q)"
-    else:
-        q0 = q // 2
-        if arith.is_perfect_square(q0):
-            denoms = np.full(ps.shape, arith.epsilon(q0) * math.sqrt(2 * q))
-            label = "g_phi(p,q)/(eps_{q/2} sqrt(2q))"
-        else:
-            denoms = np.array([2.0 * gauss_sum_closed(2 * int(p), q0) for p in ps.tolist()])
-            label = "g_phi(p,q)/(2 g_1(2p,q/2))"
-
-    values = numerators / denoms
-    samples = [(int(p), sigma_class(int(p), mod), complex(v))
-               for p, v in zip(ps.tolist(), values.tolist())]
-    return EmpiricalBatch(mod, w, samples, label, float(grid.sum().real))
+    case = modulus_case(q, ps)
+    classes = list(map(partial(SigmaClass, case.class_kind), case.classes.tolist()))
+    return EmpiricalBatch(mod, w, ps, classes, numerators / case.normalizers, case.label,
+                          float(grid.sum().real))
 
 
 def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
@@ -227,8 +202,8 @@ def empirical_moment(q: int, w: WeightFunction, window: DomainWindow | None = No
     """Normalized empirical k-th moment next to its limit value.
 
     The empirical side is (1/(phi(q)|D|)) sum |g(w,p,q)|^k over the
-    admissible units, divided by (2q)^{k/2} for even q and q^{k/2} for
-    odd q.  The limit side integrates the matching series variant; for
+    admissible units, divided by |D(p)|^k: (2q)^{k/2} for even q and
+    q^{k/2} for odd q.  The limit side integrates the matching series variant; for
     indicator weights that series is the stored truncated one.
     """
     if k < 0:
@@ -241,10 +216,9 @@ def empirical_moment(q: int, w: WeightFunction, window: DomainWindow | None = No
     else:
         sums = quadratic_grid(np.arange(q), evaluate_grid(w, q), q)[ps % q]
     raw = float(np.sum(np.abs(sums) ** k)) / (mod.phi * window.measure)
-    normalizer = (2 * q) ** (k / 2) if q % 2 == 0 else q ** (k / 2)
-    empirical = raw / normalizer
-    variant = variant_for_modulus(q)
-    limit = limit_moment(variant, as_fourier_series(w), k)
+    case = modulus_case(q)
+    empirical = raw / case.norm_sq ** (k / 2)
+    limit = limit_moment(case.variant, as_fourier_series(w), k)
     gap = abs(empirical - limit) / max(limit, 1e-12)
     return MomentReport(k, empirical, limit, gap)
 
@@ -311,20 +285,10 @@ def ks_distance(a, b) -> float:
 def discrete_factor_counts(q: int) -> dict[complex, Fraction]:
     """Exact frequencies of the normalized complete sum over the units.
 
-    q = 0 mod 4: g_1(p,q)/sqrt(q) = (1+i) eps_p^{-1} (q/p), values
-    among +-1 +- i.  q odd: g_1(p,q)/(eps_q sqrt(q)) = (p/q).  Even
-    q = 2 mod 4 uses the halved modulus, g_1(2p, q/2)/(eps_{q/2}
-    sqrt(q/2)) = (2p / (q/2)).  All values are computed exactly from
-    integer data, so the returned frequencies are exact fractions.
+    These are the factors of modulus_case, computed exactly from integer
+    data: (1+i) eps_p^{-1} (q/p) = g_1(p,q)/sqrt(q) for q = 0 mod 4,
+    (p/q) for odd q and (2p/(q/2)) for q = 2 mod 4.
     """
-    mod = arith.analyze_modulus(q)
-    counts: dict[complex, int] = {}
-    for p in arith.units(q).tolist():
-        if mod.q_mod4 == 0:
-            val = (1 + 1j) * arith.epsilon(p).conjugate() * arith.jacobi(q, p)
-        elif mod.q_mod4 % 2 == 1:
-            val = complex(arith.jacobi(p, q))
-        else:
-            val = complex(arith.jacobi(2 * p, q // 2))
-        counts[val] = counts.get(val, 0) + 1
-    return {v: Fraction(c, mod.phi) for v, c in counts.items()}
+    factors = modulus_case(q, arith.units(q)).factors
+    counts = Counter(factors.astype(np.complex128).tolist())
+    return {v: Fraction(c, factors.size) for v, c in counts.items()}

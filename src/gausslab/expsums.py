@@ -6,22 +6,25 @@ All three run over the unit group of q with p-bar the inverse of p:
   S_theta(m, n, q) = sum_p eps_p (q/p)  e((m p + n p-bar)/q)   (q = 0 mod 4)
   S(m, n, q)       = sum_p (p/q)        e((m p + n p-bar)/q)   (q odd)
 
-Each satisfies |sum| <= gcd(m, n, q)^{1/2} q^{1/2} tau(q).  The Weyl
-statistic divides a class-restricted sum by phi(q); its decay in q is
-what makes the pairs (p/q, t p-bar/q) equidistribute, and the exact
-class counts here are the base case of that argument.
+Each satisfies |sum| <= gcd(m, n, q)^{1/2} q^{1/2} tau(q) (Iwaniec and
+Kowalski, Analytic Number Theory, ch. 11); the twists are the characters
+of gauss_sums.modulus_case.  The Weyl statistic divides a class-restricted
+sum by phi(q); its decay in q is what makes the pairs (p/q, t p-bar/q)
+equidistribute, and the exact class counts here are the base case of
+that argument.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import arith
 from .errors import BadModulus, NotCoprime
-from .gauss_sums import SigmaClass, sigma_class
+from .gauss_sums import SigmaClass, modulus_case
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ def _phase_values(m: int, n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kloosterman(m: int, n: int, q: int) -> complex:
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
     _, vals = _phase_values(m, n, q)
     return complex(vals.sum())
 
@@ -60,8 +61,7 @@ def twisted_kloosterman(m: int, n: int, q: int) -> complex:
     if q % 4 != 0:
         raise BadModulus(f"twisted sum needs q = 0 mod 4, got {q}")
     ps, vals = _phase_values(m, n, q)
-    twist = np.array([arith.epsilon(int(p)) * arith.jacobi(q, int(p)) for p in ps.tolist()])
-    return complex((twist * vals).sum())
+    return complex((modulus_case(q, ps).characters * vals).sum())
 
 
 def salie(m: int, n: int, q: int) -> complex:
@@ -69,8 +69,7 @@ def salie(m: int, n: int, q: int) -> complex:
     if q % 2 == 0:
         raise BadModulus(f"Salie sum needs odd q, got {q}")
     ps, vals = _phase_values(m, n, q)
-    twist = np.array([arith.jacobi(int(p), q) for p in ps.tolist()], dtype=np.float64)
-    return complex((twist * vals).sum())
+    return complex((modulus_case(q, ps).characters * vals).sum())
 
 
 def weil_bound(m: int, n: int, q: int, tau: int | None = None) -> float:
@@ -99,8 +98,8 @@ def weil_check(report: ExpSumReport, slack: float = 1e-6) -> bool:
     return abs(report.value) <= report.weil_bound + slack
 
 
-def weyl_statistic(q: int | arith.Modulus, t: int | arith.UnitResidue,
-                   m: int, n: int, class_filter: SigmaClass | None = None) -> complex:
+def weyl_statistic(q: int | arith.Modulus, t: int, m: int, n: int,
+                   class_filter: SigmaClass | None = None) -> complex:
     """(1/phi(q)) sum over p (optionally one sigma-class) of e((m p + n t p-bar)/q).
 
     Must decay as q grows for (m, n) != (0, 0); the Weil bounds give the
@@ -108,18 +107,14 @@ def weyl_statistic(q: int | arith.Modulus, t: int | arith.UnitResidue,
     filter keeps only a quarter or half of the units.
     """
     mod = q if isinstance(q, arith.Modulus) else arith.analyze_modulus(q)
-    t_val = t.p if isinstance(t, arith.UnitResidue) else int(t)
     if (m, n) == (0, 0):
         raise ValueError("(m, n) = (0, 0) is the trivial statistic")
-    if math.gcd(t_val, mod.q) != 1:
-        raise NotCoprime(f"gcd({t_val}, {mod.q}) != 1")
-    ps, invs = arith.inverse_table(mod.q)
-    m, n, t_val = m % mod.q, n % mod.q, t_val % mod.q
-    phases = (m * ps + n * ((t_val * invs) % mod.q)) % mod.q
-    vals = np.exp(2j * np.pi * phases / mod.q)
+    if math.gcd(t, mod.q) != 1:
+        raise NotCoprime(f"gcd({t}, {mod.q}) != 1")
+    ps, vals = _phase_values(m, n * t, mod.q)
     if class_filter is not None:
-        mask = np.array([sigma_class(int(p), mod) == class_filter for p in ps.tolist()])
-        vals = vals[mask]
+        case = modulus_case(mod.q, ps)
+        vals = vals[(case.class_kind == class_filter.kind) & (case.classes == class_filter.value)]
     return complex(vals.sum() / mod.phi)
 
 
@@ -133,15 +128,10 @@ def class_counts(q: int | arith.Modulus, by_mod4: bool = False) -> dict:
     and non-squares alike.
     """
     mod = q if isinstance(q, arith.Modulus) else arith.analyze_modulus(q)
-    counts: dict = {}
+    if by_mod4 and mod.q_mod4 != 0:
+        raise BadModulus(f"mod-4 classes need q = 0 mod 4, got {mod.q}")
+    case = modulus_case(mod.q, arith.units(mod.q))
     if by_mod4:
-        if mod.q_mod4 != 0:
-            raise BadModulus(f"mod-4 classes need q = 0 mod 4, got {mod.q}")
-        for p in arith.units(mod.q).tolist():
-            key = 1 if p % 4 == 1 else -1
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-    for p in arith.units(mod.q).tolist():
-        key = sigma_class(p, mod).value
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        # the character eps_p (q/p) squares to eps_p^2: +1 for p = 1 and -1 for p = 3 mod 4
+        return dict(Counter((case.characters * case.characters).real.astype(np.int64).tolist()))
+    return dict(Counter(case.classes.tolist()))

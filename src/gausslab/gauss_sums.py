@@ -7,7 +7,7 @@ g(w, p, q) = sum_{h=0}^{q-1} w(h/q) e_q(p h^2) with e_q(x) = exp(2 pi i x / q).
 * closed: the classical complete sum (w = 1) in terms of the Jacobi
   symbol and the quartic unit factor;
 * fast: O(#coefficients) evaluation of the incomplete sum through the
-  functional equations, as the complete sum times a quadratic Fourier
+  functional equations, as a normalizer D(p) times a quadratic Fourier
   series evaluated at a rational point built from a modular inverse.
 
 The quadratic series come in three variants keyed to q mod 4:
@@ -20,17 +20,22 @@ Evaluating these at a uniformly random point of [0, 1) gives the limit
 law of the normalized incomplete sums; `distlab` builds on that.  On a
 rational grid t/N every such series (and, with the weight values as
 coefficients, g(w, p, q) for all p at once) is one FFT: quadratic_grid.
+
+modulus_case is the one place that splits on q mod 4 and on whether q
+(or q/2) is a square; the closed form, the fast path, the sigma classes,
+`distlab` and `expsums` all read their case from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import arith
-from .errors import IndicatorKind, NotCoprime
+from .errors import IndicatorKind
 from .weights import (
     FOURIER,
     WeightFunction,
@@ -44,13 +49,85 @@ G_MINUS = "G_minus"
 VARIANTS = (G_PLUS, G_FULL, G_MINUS)
 
 
-def variant_for_modulus(q: int) -> str:
-    """The series variant whose law matches the normalized sums mod q."""
+# ---------------------------------------------------------------------------
+# case dispatch
+# ---------------------------------------------------------------------------
+
+# characters of odd p: eps_p and (-1)^((p-1)/2) by p mod 4, (2/p) by p mod 8
+_EPS = np.array([0, 1, 0, 1j])
+_MINUS_ONE = np.array([0, 1, 0, -1])
+_TWO = np.array([0, 1, 0, -1, 0, -1, 0, 1])
+
+
+class ModulusCase(NamedTuple):
+    """The case of one modulus, at one unit p (an int) or an array of units."""
+
+    variant: str  # the series whose law the normalized sums follow
+    label: str  # how g(w,p,q)/D(p) is written
+    norm_sq: int  # |D(p)|^2 exactly: 2q for even q, q for odd q
+    class_kind: str  # the SigmaClass kind of every unit
+    units: object  # p mod q
+    complete: object  # the complete sum g_1(p, q); 0 for q = 2 mod 4
+    normalizers: object  # D(p)
+    factors: object  # D(p) without its constant: (1+i) eps_p^-1 (q/p), (p/q) or (2p/(q/2))
+    characters: object  # the twist eps_p (q/p), (p/q) or (2p/(q/2))
+    classes: object  # sigma-class values; None for kind "none"
+    point_map: tuple[int, int]  # (a, q') of the fast-path point x_p = -inv(a p mod q')/q'
+
+    def points(self):
+        """The fast-path points x_p in [0, 1)."""
+        a, modulus = self.point_map
+        invs = arith.inverses(a * self.units, modulus)
+        return (-np.asarray(invs, dtype=np.float64) / modulus) % 1.0
+
+
+def modulus_case(q: int, ps=()) -> ModulusCase:
+    """The paper's case analysis of q, at p (an int, exact for any q) or an int64 array.
+
+    q = 0 mod 4:  G_plus,  D(p) = (1+i) eps_p^{-1} (q/p) sqrt(q),   x_p = -inv(p, q)/q,
+                  class eps_p (q/p) ("quarter"), or p mod 4 ("mod4") for square q
+    q odd:        G_full,  D(p) = eps_q (p/q) sqrt(q),              x_p = -inv(4p, q)/q,
+                  class (p/q) ("half"), or none for square q
+    q = 2 mod 4:  G_minus, D(p) = 2 eps_{q/2} (2p/(q/2)) sqrt(q/2), x_p = -inv(8p, q/2)/(q/2),
+                  class (2p/(q/2)) ("half"), or none for square q/2
+
+    Every p must be a unit of q (NotCoprime otherwise).
+    """
+    ps = arith.unit_residues(ps, q)
     if q % 4 == 0:
-        return G_PLUS
+        # (q/p) by reciprocity, with q = 2^k m and m odd: (2/p)^k (p/m) (-1)^((m-1)/2 (p-1)/2)
+        k = (q & -q).bit_length() - 1
+        m = q >> k
+        jac = (_TWO[ps % 8] ** (k % 2) * arith.jacobi_array(ps, m)
+               * _MINUS_ONE[ps % 4] ** (m // 2 % 2))
+        eps = _EPS[ps % 4]
+        characters = eps * jac
+        factors = (1 + 1j) * np.conj(eps) * jac
+        normalizers = factors * math.sqrt(q)
+        if arith.is_perfect_square(q):
+            kind, classes = "mod4", 2 * (ps % 4 == 1) - 1
+        else:
+            kind, classes = "quarter", characters
+        return ModulusCase(G_PLUS, "g_phi(p,q)/g_1(p,q)", 2 * q, kind, ps,
+                           normalizers, normalizers, factors, characters, classes, (1, q))
     if q % 2 == 1:
-        return G_FULL
-    return G_MINUS
+        jac = arith.jacobi_array(ps, q)
+        normalizers = arith.epsilon(q) * jac * math.sqrt(q)
+        if arith.is_perfect_square(q):
+            kind, label, classes = "none", "g_phi(p,q)/(eps_q sqrt(q))", np.full(np.shape(ps), None)
+        else:
+            kind, label, classes = "half", "g_phi(p,q)/g_1(p,q)", jac
+        return ModulusCase(G_FULL, label, q, kind, ps, normalizers, normalizers, jac, jac,
+                           classes, (4, q))
+    q0 = q // 2
+    jac = arith.jacobi_array(2 * ps, q0)
+    normalizers = 2.0 * (arith.epsilon(q0) * jac * math.sqrt(q0))
+    if arith.is_perfect_square(q0):
+        kind, label, classes = "none", "g_phi(p,q)/(eps_{q/2} sqrt(2q))", np.full(np.shape(ps), None)
+    else:
+        kind, label, classes = "half", "g_phi(p,q)/(2 g_1(2p,q/2))", jac
+    return ModulusCase(G_MINUS, label, 2 * q, kind, ps, np.zeros_like(normalizers), normalizers,
+                       jac, jac, classes, (8, q0))
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +166,13 @@ def gauss_sum_direct(w: WeightFunction, p: int, q: int) -> complex:
 # ---------------------------------------------------------------------------
 
 def gauss_sum_closed(p: int, q: int) -> complex:
-    """The complete sum (weight 1) for gcd(p, q) = 1.
+    """The complete sum (weight 1) for gcd(p, q) = 1; exact in p and q of any size.
 
     (1+i) eps_p^{-1} (q/p) sqrt(q)  if q = 0 mod 4,
     eps_q (p/q) sqrt(q)             if q odd,
     0                               if q = 2 mod 4.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
-    p %= q
-    if q % 4 == 0:
-        return (1 + 1j) * arith.epsilon(p).conjugate() * arith.jacobi(q, p) * math.sqrt(q)
-    if q % 2 == 1:
-        return arith.epsilon(q) * arith.jacobi(p, q) * math.sqrt(q)
-    return 0j
+    return complex(modulus_case(q, p).complete)
 
 
 def reduce_noncoprime(w: WeightFunction, p: int, q: int):
@@ -273,56 +341,30 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
 # functional-equation fast path
 # ---------------------------------------------------------------------------
 
-def _inv(a: int, m: int) -> int:
-    # inverse mod 1 is the zero residue: e(0) = 1
-    if m == 1:
-        return 0
-    return pow(a, -1, m)
+def gauss_sum_fast_batch(w: WeightFunction, ps, q: int):
+    """Functional-equation evaluation for an array of units p at once (or one int p).
 
-
-def gauss_sum_fast_batch(w: WeightFunction, ps, q: int) -> np.ndarray:
-    """Functional-equation evaluation for many p at once.
-
-    Cost O(#coefficients + #p) after the per-p modular inverses; see
-    gauss_sum_fast for the scalar contract.
+    Cost O(#coefficients + #p) after the modular inverses; see
+    gauss_sum_fast for the contract.
     """
     if w.kind != FOURIER:
         raise IndicatorKind(
             "fast evaluation needs a finite Fourier series; "
             "convert indicators with as_fourier_series() first"
         )
-    ps = np.asarray(ps, dtype=np.int64)
-    for p in ps.tolist():
-        if math.gcd(int(p), q) != 1:
-            raise NotCoprime(f"gcd({p}, {q}) != 1")
-    if q % 4 == 0:
-        invs = np.array([_inv(int(p), q) for p in ps.tolist()], dtype=np.int64)
-        xs = (-invs.astype(np.float64) / q) % 1.0
-        g1 = np.array([gauss_sum_closed(int(p), q) for p in ps.tolist()])
-        return g1 * limit_series(G_PLUS, w, xs)
-    if q % 2 == 1:
-        invs = np.array([_inv(4 * int(p), q) for p in ps.tolist()], dtype=np.int64)
-        xs = (-invs.astype(np.float64) / q) % 1.0
-        g1 = np.array([gauss_sum_closed(int(p), q) for p in ps.tolist()])
-        return g1 * limit_series(G_FULL, w, xs)
-    q0 = q // 2
-    invs = np.array([_inv(8 * int(p), q0) for p in ps.tolist()], dtype=np.int64)
-    xs = (-invs.astype(np.float64) / q0) % 1.0
-    g1 = np.array([gauss_sum_closed(2 * int(p), q0) for p in ps.tolist()])
-    return 2.0 * g1 * limit_series(G_MINUS, w, xs)
+    case = modulus_case(q, ps)
+    return case.normalizers * limit_series(case.variant, w, case.points())
 
 
 def gauss_sum_fast(w: WeightFunction, p: int, q: int) -> complex:
     """Incomplete sum via the functional equations, O(#coefficients).
 
     Equal to the direct sum for finite-series weights and coprime (p, q):
-      q = 0 mod 4:  g_1(p, q)      * G_plus (-inv(p, q)   / q)
-      q odd:        g_1(p, q)      * G_full (-inv(4p, q)  / q)
-      q = 2 mod 4:  2 g_1(2p, q/2) * G_minus(-inv(8p, q/2)/ (q/2))
+    D(p) G(x_p) with the normalizer, series and point of modulus_case.
     Raw indicators are refused (IndicatorKind): the caller must opt in
     to a truncated series so the truncation error stays visible.
     """
-    return complex(gauss_sum_fast_batch(w, [p], q)[0])
+    return complex(gauss_sum_fast_batch(w, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -345,58 +387,10 @@ class SigmaClass:
     def label(self) -> str:
         if self.kind == "none":
             return ""
-        v = complex(self.value)
-        if v == 1:
-            return "1"
-        if v == -1:
-            return "-1"
-        if v == 1j:
-            return "i"
-        if v == -1j:
-            return "-i"
-        return str(self.value)
+        return {1: "1", -1: "-1", 1j: "i", -1j: "-i"}.get(complex(self.value), str(self.value))
 
 
 def sigma_class(p: int, q: int | arith.Modulus) -> SigmaClass:
-    """Class of p per the modulus's residue type; requires gcd(p, q) = 1."""
-    if isinstance(q, arith.Modulus):
-        mod_q, square = q.q, q.is_square
-    else:
-        mod_q, square = q, arith.is_perfect_square(q)
-    if math.gcd(p, mod_q) != 1:
-        raise NotCoprime(f"gcd({p}, {mod_q}) != 1")
-    if mod_q % 4 == 0:
-        if square:
-            return SigmaClass("mod4", 1 if p % 4 == 1 else -1)
-        return SigmaClass("quarter", complex(arith.epsilon(p) * arith.jacobi(mod_q, p)))
-    if mod_q % 2 == 1:
-        if square:
-            return SigmaClass("none", None)
-        return SigmaClass("half", arith.jacobi(p, mod_q))
-    half = mod_q // 2
-    if arith.is_perfect_square(half):
-        return SigmaClass("none", None)
-    return SigmaClass("half", arith.jacobi(2 * p, half))
-
-
-@dataclass(frozen=True)
-class GaussSumValue:
-    """An evaluated sum with its provenance."""
-
-    value: complex
-    p: int
-    q: int
-    method: str  # "direct" | "closed" | "fast"
-
-
-def gauss_sum(w: WeightFunction, p: int, q: int, method: str = "direct") -> GaussSumValue:
-    """Evaluate by the named method and record the provenance."""
-    if method == "direct":
-        v = gauss_sum_direct(w, p, q)
-    elif method == "closed":
-        v = gauss_sum_closed(p, q)
-    elif method == "fast":
-        v = gauss_sum_fast(w, p, q)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return GaussSumValue(v, p, q, method)
+    """Class of p per the modulus's residue type (modulus_case); requires gcd(p, q) = 1."""
+    case = modulus_case(q.q if isinstance(q, arith.Modulus) else q, p)
+    return SigmaClass(case.class_kind, np.asarray(case.classes).tolist())

@@ -98,13 +98,6 @@ def as_fourier_series(w: WeightFunction) -> WeightFunction:
     return WeightFunction(FOURIER, dict(w.coefficients), None, w.cutoff)
 
 
-def coefficient_arrays(w: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (indices, values) arrays of the stored coefficients."""
-    ks = np.array(sorted(w.coefficients), dtype=np.int64)
-    cs = np.array([w.coefficients[int(k)] for k in ks], dtype=np.complex128)
-    return ks, cs
-
-
 def evaluate(w: WeightFunction, x):
     """Value of the weight at x (scalar or array), period one.
 

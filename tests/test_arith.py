@@ -196,20 +196,6 @@ class TestNonresidueWitness:
             assert arith.jacobi(q, smaller) != -1
 
 
-class TestUnitResidue:
-    def test_valid(self):
-        u = arith.UnitResidue(3, 8)
-        assert (u.p, u.q) == (3, 8)
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            arith.UnitResidue(2, 8)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            arith.UnitResidue(9, 8)
-
-
 class TestUnits:
     def test_small(self):
         assert arith.units(8).tolist() == [1, 3, 5, 7]

@@ -167,11 +167,6 @@ class TestWeylStatistic:
             mx = max(abs(expsums.weyl_statistic(mod, t, 1, 1)) for t in ts)
             assert mx <= 4 * mod.tau / math.sqrt(q)
 
-    def test_accepts_unit_residue(self):
-        u = arith.UnitResidue(3, 20)
-        assert expsums.weyl_statistic(20, u, 1, 1) == pytest.approx(
-            expsums.weyl_statistic(20, 3, 1, 1))
-
 
 class TestClassCounts:
     def test_q8(self):

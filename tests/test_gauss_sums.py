@@ -343,16 +343,3 @@ class TestSymmetricWeights:
             gf = gs.limit_series(gs.G_FULL, w, float(x))
             assert abs(gp4 - gf) < 1e-9
 
-
-class TestGaussSumRecord:
-    def test_methods_agree(self):
-        w = weights.fourier_weight({0: 1.0, 1: 0.5j})
-        a = gs.gauss_sum(w, 3, 8, "direct")
-        c = gs.gauss_sum(w, 3, 8, "fast")
-        assert a.method == "direct" and c.method == "fast"
-        assert a.value == pytest.approx(c.value, abs=1e-10)
-        assert gs.gauss_sum(ONE, 3, 8, "closed").value == pytest.approx(
-            gs.gauss_sum_closed(3, 8))
-
-    def test_closed_zero_for_2_mod_4(self):
-        assert gs.gauss_sum(ONE, 1, 6, "closed").value == 0
