@@ -153,6 +153,7 @@ def _parse_range(spec: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     result = run_suite(args.suite)
     print(result.summary())
+    print(f"{result.name}: worst gap/allowed {result.worst:.6g}")
     if result.failures:
         print("violations:")
         for line in result.failures[:50]:

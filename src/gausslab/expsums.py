@@ -43,57 +43,64 @@ class ExpSumReport:
         return abs(self.value) / self.weil_bound if self.weil_bound else math.inf
 
 
-def _phase_values(m: int, n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units p, e((m p + n p-bar)/q)) with exact integer phase reduction."""
+WEIL_SLACK = 1e-6  # float slack of the Weil check, in weil_check and the verify suite
+
+
+def _phase_values(m, n, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units p, e((m p + n p-bar)/q)), a row per pair for arrays m, n; both reduced mod q first."""
     ps, invs = arith.inverse_table(q)
-    # reduce first: m or n beyond int64 (or their products with units) would overflow
-    t = ((m % q) * ps + (n % q) * invs) % q
+    t = (np.multiply.outer(arith.residues(m, q), ps)
+         + np.multiply.outer(arith.residues(n, q), invs)) % q
     return ps, np.exp(2j * np.pi * t / q)
 
 
-def kloosterman(m: int, n: int, q: int) -> complex:
-    _, vals = _phase_values(m, n, q)
-    return complex(vals.sum())
+def _unit_sum(m, n, q: int, twisted: bool):
+    """The sum over the units, twisted by modulus_case's character or not: one value per pair."""
+    ps, vals = _phase_values(m, n, q)
+    total = (modulus_case(q, ps).characters * vals if twisted else vals).sum(axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
-def twisted_kloosterman(m: int, n: int, q: int) -> complex:
+def kloosterman(m, n, q: int):
+    """K(m, n, q) for ints m, n, or for every pair of the broadcast arrays m, n."""
+    return _unit_sum(m, n, q, False)
+
+
+def twisted_kloosterman(m, n, q: int):
     """Kloosterman sum twisted by eps_p (q/p); defined for q = 0 mod 4."""
     if q % 4 != 0:
         raise BadModulus(f"twisted sum needs q = 0 mod 4, got {q}")
-    ps, vals = _phase_values(m, n, q)
-    return complex((modulus_case(q, ps).characters * vals).sum())
+    return _unit_sum(m, n, q, True)
 
 
-def salie(m: int, n: int, q: int) -> complex:
+def salie(m, n, q: int):
     """Kloosterman sum twisted by (p/q); defined for odd q."""
     if q % 2 == 0:
         raise BadModulus(f"Salie sum needs odd q, got {q}")
-    ps, vals = _phase_values(m, n, q)
-    return complex((modulus_case(q, ps).characters * vals).sum())
+    return _unit_sum(m, n, q, True)
 
 
-def weil_bound(m: int, n: int, q: int, tau: int | None = None) -> float:
-    """gcd(m, n, q)^{1/2} q^{1/2} tau(q)."""
+SUMS = {"kloosterman": kloosterman, "twisted": twisted_kloosterman, "salie": salie}
+
+
+def weil_bound(m, n, q: int, tau: int | None = None):
+    """gcd(m, n, q)^{1/2} q^{1/2} tau(q), for ints m, n or arrays of them."""
     if tau is None:
         tau = arith.analyze_modulus(q).tau
-    g = math.gcd(math.gcd(m, n), q)
-    return math.sqrt(g) * math.sqrt(q) * tau
+    if isinstance(m, int) and isinstance(n, int):
+        return math.sqrt(math.gcd(m, n, q)) * math.sqrt(q) * tau
+    g = np.gcd(np.gcd(arith.residues(m, q), arith.residues(n, q)), q)
+    return np.sqrt(g) * math.sqrt(q) * tau
 
 
 def expsum_report(kind: str, m: int, n: int, q: int) -> ExpSumReport:
     """Evaluate the named sum and attach its bound."""
-    if kind == "kloosterman":
-        value = kloosterman(m, n, q)
-    elif kind == "twisted":
-        value = twisted_kloosterman(m, n, q)
-    elif kind == "salie":
-        value = salie(m, n, q)
-    else:
+    if kind not in SUMS:
         raise ValueError(f"unknown sum kind {kind!r}")
-    return ExpSumReport(kind, m, n, q, value, weil_bound(m, n, q))
+    return ExpSumReport(kind, m, n, q, SUMS[kind](m, n, q), weil_bound(m, n, q))
 
 
-def weil_check(report: ExpSumReport, slack: float = 1e-6) -> bool:
+def weil_check(report: ExpSumReport, slack: float = WEIL_SLACK) -> bool:
     """True iff the value respects its Weil bound up to float slack."""
     return abs(report.value) <= report.weil_bound + slack
 

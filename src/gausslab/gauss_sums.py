@@ -135,11 +135,12 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
 # ---------------------------------------------------------------------------
 
 class DirectEvaluator:
-    """Reusable O(q) evaluator for one weight and modulus.
+    """Reusable O(q) evaluator for one weight and modulus: the per-p oracle.
 
     Precomputes the weight values on the grid h/q and the q-th roots of
-    unity; each call is a table lookup plus a dot product, so sweeping
-    over many p costs O(q) per sum with no transcendental calls.
+    unity; each sum is a gather of roots[p h^2 mod q] plus a dot product
+    with the weight values, with no transcendental calls.  It never goes
+    through quadratic_grid or the fast path, so it can check both.
     """
 
     def __init__(self, w: WeightFunction, q: int):
@@ -151,9 +152,16 @@ class DirectEvaluator:
         self.roots = np.exp(2j * np.pi * np.arange(q) / q)
         self.values = np.asarray(evaluate_grid(w, q), dtype=np.complex128)
 
-    def __call__(self, p: int) -> complex:
-        t = ((p % self.q) * self.h2) % self.q
-        return complex(self.values @ self.roots[t])
+    def __call__(self, p):
+        """g(w, p, q) for one p (a complex; exact for an int of any size) or an int64 array."""
+        ps = arith.residues(p, self.q)
+        flat = np.ravel(ps)
+        out = np.empty(flat.shape, dtype=np.complex128)
+        rows = max(1, (1 << 13) // self.q)  # 2^15-phase blocks took 1 MB more, no faster
+        for start in range(0, flat.size, rows):
+            t = np.multiply.outer(flat[start:start + rows], self.h2) % self.q
+            out[start:start + rows] = self.roots[t] @ self.values
+        return complex(out[0]) if np.ndim(ps) == 0 else out.reshape(ps.shape)
 
 
 def gauss_sum_direct(w: WeightFunction, p: int, q: int) -> complex:
@@ -165,14 +173,16 @@ def gauss_sum_direct(w: WeightFunction, p: int, q: int) -> complex:
 # complete sum, closed form
 # ---------------------------------------------------------------------------
 
-def gauss_sum_closed(p: int, q: int) -> complex:
+def gauss_sum_closed(p, q: int):
     """The complete sum (weight 1) for gcd(p, q) = 1; exact in p and q of any size.
 
     (1+i) eps_p^{-1} (q/p) sqrt(q)  if q = 0 mod 4,
     eps_q (p/q) sqrt(q)             if q odd,
     0                               if q = 2 mod 4.
+    One p gives a complex, an array of units an array.
     """
-    return complex(modulus_case(q, p).complete)
+    complete = modulus_case(q, p).complete
+    return complex(complete) if np.ndim(complete) == 0 else complete
 
 
 def reduce_noncoprime(w: WeightFunction, p: int, q: int):

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .expsums import class_counts, expsum_report, weil_check
+from .errors import BadModulus
+from .expsums import SUMS, WEIL_SLACK, class_counts, weil_bound
 from .gauss_sums import (
     DirectEvaluator,
     gauss_sum_closed,
-    gauss_sum_direct,
     gauss_sum_fast_batch,
     reduce_noncoprime,
 )
@@ -32,6 +32,9 @@ class SuiteResult:
     name: str
     checked: int
     failures: list[str] = field(default_factory=list)
+    # largest ratio of a gap to what its check allows (|sum| / (bound + slack) for
+    # weil); above 1 is a violation, and an exact identity reads 0 or inf
+    worst: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -40,19 +43,22 @@ class SuiteResult:
     def summary(self) -> str:
         return f"{self.name}: {self.checked} checks, {len(self.failures)} violations"
 
+    def record(self, failed, ratios, describe) -> None:
+        """Count one check per entry of failed; describe(i) names the i-th violation."""
+        self.checked += len(failed)
+        self.worst = max(self.worst, float(np.max(ratios, initial=0.0)))
+        self.failures.extend(describe(i) for i in np.flatnonzero(failed))
+
 
 def closed_form_suite(q_max: int = 512, tol: float = 1e-6) -> SuiteResult:
     """Direct O(q) summation against the closed form, weight 1, all units."""
-    one = constant_weight()
     res = SuiteResult("closed_form", 0)
     for q in range(1, q_max + 1):
-        ev = DirectEvaluator(one, q)
+        ps = arith.units(q)
+        gaps = np.abs(DirectEvaluator(constant_weight(), q)(ps) - gauss_sum_closed(ps, q))
         scale = tol * math.sqrt(q)
-        for p in arith.units(q).tolist():
-            res.checked += 1
-            gap = abs(ev(p) - gauss_sum_closed(p, q))
-            if gap >= scale:
-                res.failures.append(f"p={p} q={q} |direct-closed|={gap:.3e}")
+        res.record(~(gaps < scale), gaps / scale,
+                   lambda i: f"p={ps[i]} q={q} |direct-closed|={gaps[i]:.3e}")
     return res
 
 
@@ -67,44 +73,34 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, n_p: int = 5,
     rng = np.random.default_rng(seed)
     res = SuiteResult("functional_eq", 0)
     for _ in range(n_weights):
-        coeffs = {int(k): complex(rng.normal(), rng.normal())
-                  for k in range(-support, support + 1)}
-        w = fourier_weight(coeffs)
+        w = fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                            for k in range(-support, support + 1)})
         for q in range(3, q_max + 1):
             ps = arith.units(q)
             if len(ps) > n_p:
-                ps = rng.choice(ps, n_p, replace=False)
-            ps = np.sort(np.asarray(ps, dtype=np.int64))
-            ev = DirectEvaluator(w, q)
-            fasts = gauss_sum_fast_batch(w, ps, q)
+                ps = np.sort(rng.choice(ps, n_p, replace=False))
+            gaps = np.abs(gauss_sum_fast_batch(w, ps, q) - DirectEvaluator(w, q)(ps))
             scale = tol * math.sqrt(q)
-            for p, fval in zip(ps.tolist(), fasts.tolist()):
-                res.checked += 1
-                gap = abs(ev(int(p)) - fval)
-                if gap >= scale:
-                    res.failures.append(f"p={p} q={q} |fast-direct|={gap:.3e}")
+            res.record(~(gaps < scale), gaps / scale,
+                       lambda i: f"p={ps[i]} q={q} |fast-direct|={gaps[i]:.3e}")
     return res
 
 
 def weil_suite(q_max: int = 1000, mn_max: int = 4) -> SuiteResult:
     """Weil bound for all three sum kinds over a full (q, m, n) sweep."""
     res = SuiteResult("weil", 0)
-    mns = [(m, n) for m in range(mn_max + 1) for n in range(mn_max + 1)]
+    ms, ns = np.divmod(np.arange((mn_max + 1) ** 2), mn_max + 1)
     for q in range(1, q_max + 1):
-        kinds = ["kloosterman"]
-        if q % 4 == 0:
-            kinds.append("twisted")
-        if q % 2 == 1:
-            kinds.append("salie")
-        for kind in kinds:
-            for m, n in mns:
-                res.checked += 1
-                report = expsum_report(kind, m, n, q)
-                if not weil_check(report):
-                    res.failures.append(
-                        f"{kind} m={m} n={n} q={q} "
-                        f"|value|={abs(report.value):.6f} bound={report.weil_bound:.6f}"
-                    )
+        bounds = weil_bound(ms, ns, q, arith.analyze_modulus(q).tau)
+        allowed = bounds + WEIL_SLACK
+        for kind, sum_kind in SUMS.items():
+            try:
+                sizes = np.abs(sum_kind(ms, ns, q))
+            except BadModulus:  # twisted sums need q = 0 mod 4, Salie sums odd q
+                continue
+            res.record(~(sizes <= allowed), sizes / allowed,
+                       lambda i: f"{kind} m={ms[i]} n={ns[i]} q={q} "
+                                 f"|value|={sizes[i]:.6f} bound={bounds[i]:.6f}")
     return res
 
 
@@ -118,21 +114,17 @@ def class_count_suite(q_max: int = 2000) -> SuiteResult:
     res = SuiteResult("class_counts", 0)
     for q in range(3, q_max + 1):
         mod = arith.analyze_modulus(q)
+        checks = []  # (label, counts, number of classes)
         if mod.q_mod4 == 0:
-            res.checked += 1
-            counts = class_counts(mod, by_mod4=True)
-            if sorted(counts.values()) != [mod.phi // 2] * 2:
-                res.failures.append(f"q={q} mod4 counts {counts}")
+            checks.append(("mod4", class_counts(mod, by_mod4=True), 2))
             if not mod.is_square:
-                res.checked += 1
-                counts = class_counts(mod)
-                if len(counts) != 4 or set(counts.values()) != {mod.phi // 4}:
-                    res.failures.append(f"q={q} quarter counts {counts}")
+                checks.append(("quarter", class_counts(mod), 4))
         elif mod.q_mod4 % 2 == 1 and not mod.is_square:
-            res.checked += 1
-            counts = class_counts(mod)
-            if len(counts) != 2 or set(counts.values()) != {mod.phi // 2}:
-                res.failures.append(f"q={q} half counts {counts}")
+            checks.append(("half", class_counts(mod), 2))
+        for label, counts, k in checks:
+            bad = sorted(counts.values()) != [mod.phi // k] * k
+            res.record([bad], [math.inf if bad else 0.0],
+                       lambda _: f"q={q} {label} counts {counts}")
     return res
 
 
@@ -140,31 +132,27 @@ def reduction_suite(q_max: int = 200, tol: float = 1e-8,
                     seed: int = 20260810) -> SuiteResult:
     """Non-coprime reduction identity checked by direct summation twice."""
     rng = np.random.default_rng(seed)
-    coeffs = {int(k): complex(rng.normal(), rng.normal()) for k in range(-6, 7)}
-    w = fourier_weight(coeffs)
+    w = fourier_weight({int(k): complex(rng.normal(), rng.normal()) for k in range(-6, 7)})
     res = SuiteResult("reduction", 0)
     for q in range(2, q_max + 1):
-        ev = DirectEvaluator(w, q)
-        for p in range(1, q + 1):
-            if math.gcd(p, q) == 1:
-                continue
-            res.checked += 1
-            w2, p2, q2 = reduce_noncoprime(w, p, q)
-            gap = abs(ev(p) - gauss_sum_direct(w2, p2, q2))
-            if gap >= tol * q:
-                res.failures.append(f"p={p} q={q} gap={gap:.3e}")
+        ps = np.arange(1, q + 1, dtype=np.int64)
+        rs = np.gcd(ps, q)
+        ps, rs = ps[rs > 1], rs[rs > 1]
+        reduced = np.empty(ps.shape, dtype=np.complex128)
+        for r in sorted(set(rs.tolist())):
+            # every p of the group shares gcd(p, q) = r, so one reduction serves them all
+            w2, _, q2 = reduce_noncoprime(w, r, q)
+            group = rs == r
+            reduced[group] = DirectEvaluator(w2, q2)(ps[group] // r)
+        gaps = np.abs(DirectEvaluator(w, q)(ps) - reduced)
+        res.record(~(gaps < tol * q), gaps / (tol * q),
+                   lambda i: f"p={ps[i]} q={q} gap={gaps[i]:.3e}")
     return res
 
 
 def run_suite(name: str, **overrides) -> SuiteResult:
-    if name == "closed_form":
-        return closed_form_suite(**overrides)
-    if name == "functional_eq":
-        return functional_eq_suite(**overrides)
-    if name == "weil":
-        return weil_suite(**overrides)
-    if name == "class_counts":
-        return class_count_suite(**overrides)
-    if name == "reduction":
-        return reduction_suite(**overrides)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    suites = dict(zip(SUITES, (closed_form_suite, functional_eq_suite, weil_suite,
+                               class_count_suite, reduction_suite)))
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return suites[name](**overrides)

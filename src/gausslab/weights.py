@@ -9,14 +9,11 @@ fast evaluation paths can use them after an explicit conversion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadInterval
-
-TWO_PI = 2.0 * math.pi
 
 FOURIER = "fourier"
 INDICATOR = "indicator"
@@ -120,20 +117,16 @@ def evaluate(w: WeightFunction, x):
 def evaluate_grid(w: WeightFunction, q: int) -> np.ndarray:
     """Values at the rational grid h/q, h = 0..q-1.
 
-    Dense series are folded mod q and evaluated with one inverse FFT;
-    sparse ones by direct accumulation.  Indicators are exact 0/1.
+    A series of any support is folded mod q (c_k added into bin k mod q)
+    and evaluated with one inverse FFT, in O(#coefficients + q log q);
+    evaluate() stays the pointwise reference.  Indicators are exact 0/1.
     """
     if w.kind == INDICATOR:
-        a, b = w.interval
-        h = np.arange(q, dtype=np.float64) / q
-        return ((h >= a) & (h < b)).astype(np.complex128)
-    if len(w.coefficients) > 4 * int(math.sqrt(q)) and len(w.coefficients) > 64:
-        binned = np.zeros(q, dtype=np.complex128)
-        for k, c in w.coefficients.items():
-            binned[k % q] += c
-        # value at h/q is sum_k c_k e(kh/q) = q * ifft(binned)[h]
-        return np.fft.ifft(binned) * q
-    return evaluate(w, np.arange(q, dtype=np.float64) / q)
+        return evaluate(w, np.arange(q, dtype=np.float64) / q)
+    binned = np.zeros(q, dtype=np.complex128)
+    np.add.at(binned, [k % q for k in w.coefficients], list(w.coefficients.values()))
+    # value at h/q is sum_k c_k e(kh/q) = q * ifft(binned)[h]
+    return np.fft.ifft(binned) * q
 
 
 def reduce_weight(w: WeightFunction, r: int) -> WeightFunction:

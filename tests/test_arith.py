@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausslab import arith
 from gausslab.errors import EvenArgument, EvenModulus, IsSquare, NotCoprime
@@ -135,6 +138,19 @@ class TestEpsilon:
             assert arith.epsilon(a) ** 2 in (1 + 0j, -1 + 0j)
 
 
+SMALL_PRIMES = list(sympy.primerange(2, 10**5))
+
+
+@st.composite
+def near_2_62(draw):
+    """n <= 2^62 close to it: a drawn product s >= 10^9 of primes below 10^5, times
+    the largest prime below 2^62 / s, so trial division stops below 10^5."""
+    s = 1
+    while s < 10**9:
+        s *= draw(st.sampled_from(SMALL_PRIMES))
+    return s * sympy.prevprime(2**62 // s + 1)
+
+
 class TestAnalyzeModulus:
     def test_5012(self):
         m = arith.analyze_modulus(5012)
@@ -166,6 +182,16 @@ class TestAnalyzeModulus:
             m = arith.analyze_modulus(q)
             assert m.phi == sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
             assert m.tau == sum(1 for d in range(1, q + 1) if q % d == 0)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10**6) | near_2_62())
+    def test_matches_sympy(self, n):
+        m = arith.analyze_modulus(n)
+        assert m.factorization == tuple(sorted(sympy.factorint(n).items()))
+        assert m.phi == sympy.totient(n)
+        assert m.tau == sympy.divisor_count(n)
+        assert m.is_square == sympy.integer_nthroot(n, 2)[1]
+        assert m.q_mod4 == n % 4
 
     def test_phi_recomputable_from_factorization(self):
         for q in (2, 36, 5012, 5013, 5014):

@@ -4,9 +4,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gausslab import cli
+from gausslab import cli, verify
 
 
 def run(argv):
@@ -40,6 +41,89 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify_mod, "class_counts", corrupted)
         assert run(["verify", "class_counts"]) == 1
         assert "violations" in capsys.readouterr().out
+
+    def test_worst_margin_on_its_own_line(self, capsys):
+        assert run(["verify", "reduction"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "reduction: 7868 checks, 0 violations"
+        assert lines[1].startswith("reduction: worst gap/allowed ")
+        assert 0 < float(lines[1].rsplit(" ", 1)[1]) < 1
+
+    def test_weil_worst_matches_scalar_reports(self):
+        from gausslab.expsums import WEIL_SLACK, expsum_report
+
+        result = verify.weil_suite(q_max=40, mn_max=3)
+        kinds = lambda q: ["kloosterman"] + ["twisted"] * (q % 4 == 0) + ["salie"] * (q % 2)
+        reports = [expsum_report(kind, m, n, q) for q in range(1, 41) for kind in kinds(q)
+                   for m in range(4) for n in range(4)]
+        assert result.checked == len(reports)
+        assert result.worst == pytest.approx(
+            max(abs(r.value) / (r.weil_bound + WEIL_SLACK) for r in reports), rel=1e-12)
+
+
+class TestBatchedSuiteFaults:
+    """One wrong value at one known tuple gives exactly one violation, named by that tuple.
+
+    The batched suites compare whole arrays per modulus; each test moves one
+    entry of one array, so a masking or indexing slip cannot hide it.
+    """
+
+    @staticmethod
+    def bump(values, ps, q, at):
+        """values with 10 added where (p, q) == at."""
+        if q != at[1]:
+            return values
+        values = np.array(values, dtype=np.complex128)
+        values[np.asarray(ps) == at[0]] += 10
+        return values
+
+    def check(self, suite, sizes, prefix, capsys):
+        result = verify.run_suite(suite, **sizes)
+        assert len(result.failures) == 1, result.failures
+        assert result.failures[0].startswith(prefix)
+        assert result.worst > 1
+        assert run(["verify", suite]) == 1
+        listed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert len(listed) == 1 and listed[0].startswith(f"  {prefix}")
+
+    def test_closed_form(self, monkeypatch, capsys):
+        real = verify.gauss_sum_closed
+        monkeypatch.setattr(verify, "gauss_sum_closed",
+                            lambda ps, q: self.bump(real(ps, q), ps, q, (5, 12)))
+        self.check("closed_form", {"q_max": 20}, "p=5 q=12 |direct-closed|=", capsys)
+
+    def test_functional_eq(self, monkeypatch, capsys):
+        real = verify.gauss_sum_fast_batch
+        seen = {}
+
+        def faulty(w, ps, q):
+            # only the first weight of the seeded draw is hit, in both runs
+            values = real(w, ps, q)
+            return self.bump(values, ps, q, (7, 12)) if w == seen.setdefault("first", w) else values
+
+        monkeypatch.setattr(verify, "gauss_sum_fast_batch", faulty)
+        self.check("functional_eq", {"q_max": 20, "n_weights": 3}, "p=7 q=12 |fast-direct|=", capsys)
+
+    def test_weil(self, monkeypatch, capsys):
+        real = verify.SUMS["kloosterman"]
+
+        def faulty(ms, ns, q):
+            values = real(ms, ns, q)
+            pair = np.flatnonzero((ms == 2) & (ns == 3))
+            return self.bump(values, np.arange(len(ms)), q, (pair[0], 7))
+
+        monkeypatch.setitem(verify.SUMS, "kloosterman", faulty)
+        self.check("weil", {"q_max": 20}, "kloosterman m=2 n=3 q=7 |value|=", capsys)
+
+    def test_reduction(self, monkeypatch, capsys):
+        outer = self
+
+        class Faulty(verify.DirectEvaluator):
+            def __call__(self, p):
+                return outer.bump(super().__call__(p), p, self.q, (8, 12))
+
+        monkeypatch.setattr(verify, "DirectEvaluator", Faulty)
+        self.check("reduction", {"q_max": 30}, "p=8 q=12 gap=", capsys)
 
 
 class TestFigureCommand:

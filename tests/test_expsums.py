@@ -11,14 +11,22 @@ from gausslab.errors import BadModulus, NotCoprime
 from gausslab.gauss_sums import sigma_class
 
 
-def brute_kloosterman(m, n, q):
+def brute_kloosterman(m, n, q, twist=lambda p: 1):
     total = 0j
     for p in range(1, q + 1):
         if math.gcd(p, q) != 1:
             continue
         p_bar = pow(p, -1, q) if q > 1 else 0
-        total += cmath.exp(2j * cmath.pi * ((m * p + n * p_bar) % q) / q)
+        total += twist(p) * cmath.exp(2j * cmath.pi * ((m * p + n * p_bar) % q) / q)
     return total
+
+
+# the twists of the twisted and Salie sums, from the scalar symbols
+BRUTE_TWISTS = {
+    "kloosterman": lambda q: lambda p: 1,
+    "twisted": lambda q: lambda p: arith.epsilon(p) * arith.jacobi(q, p),
+    "salie": lambda q: lambda p: arith.jacobi(p, q),
+}
 
 
 class TestHugeArguments:
@@ -40,6 +48,47 @@ class TestHugeArguments:
         t = big + 1 if math.gcd(big + 1, 11) == 1 else big + 2
         got = expsums.weyl_statistic(11, t, big, big + 3)
         assert got == pytest.approx(expsums.weyl_statistic(11, t % 11, big % 11, (big + 3) % 11), abs=1e-12)
+
+
+class TestArrayForms:
+    """Arrays m, n give one value per pair, equal to the scalar calls and brute force."""
+
+    BIG = [2**62, 2**62 + 5, -(2**62), 10**19]  # reduced mod q before int64 arithmetic
+    MS = [0, 1, -3, 4, *BIG, 7, 2]
+    NS = [0, 2, 4, -1, 3, 1, *BIG]
+
+    @pytest.mark.parametrize("kind,q", [("kloosterman", 1), ("kloosterman", 2), ("kloosterman", 30),
+                                        ("twisted", 4), ("twisted", 24), ("twisted", 36),
+                                        ("salie", 9), ("salie", 45), ("salie", 101)])
+    def test_matches_scalar_and_brute_force(self, kind, q):
+        fn = expsums.SUMS[kind]
+        got = fn(np.array(self.MS, dtype=object), np.array(self.NS, dtype=object), q)
+        assert got.shape == (len(self.MS),)
+        for value, m, n in zip(got.tolist(), self.MS, self.NS):
+            assert value == pytest.approx(fn(m, n, q), abs=1e-9)
+            assert value == pytest.approx(brute_kloosterman(m, n, q, BRUTE_TWISTS[kind](q)), abs=1e-9)
+
+    def test_int64_arrays_near_2_62(self):
+        ms = np.array([2**62, 2**62 + 1, 3], dtype=np.int64)
+        ns = np.array([1, 2**62 - 7, -(2**62)], dtype=np.int64)
+        got = expsums.kloosterman(ms, ns, 97)
+        assert got.tolist() == pytest.approx(
+            [brute_kloosterman(int(m), int(n), 97) for m, n in zip(ms, ns)], abs=1e-9)
+
+    def test_broadcasts_one_int_against_an_array(self):
+        got = expsums.salie(3, np.arange(5), 15 * 7)
+        assert got.tolist() == pytest.approx([expsums.salie(3, n, 105) for n in range(5)], abs=1e-9)
+
+    @pytest.mark.parametrize("q", [1, 2, 12, 36, 105, 997])
+    def test_weil_bound_matches_scalar(self, q):
+        ms, ns = np.divmod(np.arange(81), 9)
+        tau = arith.analyze_modulus(q).tau
+        expected = [expsums.weil_bound(m, n, q) for m, n in zip(ms.tolist(), ns.tolist())]
+        assert expsums.weil_bound(ms, ns, q).tolist() == expected
+        assert expsums.weil_bound(ms, ns, q, tau).tolist() == expected
+        big = np.array(self.BIG, dtype=object)
+        assert expsums.weil_bound(big, big + 6, q).tolist() == [
+            expsums.weil_bound(b, b + 6, q) for b in self.BIG]
 
 
 class TestKloosterman:

@@ -40,7 +40,48 @@ class TestDirect:
                 assert abs(gs.gauss_sum_direct(w, p, q)) <= bound + 1e-9
 
 
+class TestDirectArray:
+    """An array of p gives, entry by entry, the per-int O(q) sums."""
+
+    W = weights.fourier_weight({-5: 0.3 - 1j, 0: 1.0, 2: 0.5j, 7: -0.25})
+
+    # q = 1009 takes many blocks of rows; q = 1 and 2 are the degenerate grids
+    @pytest.mark.parametrize("q", [1, 2, 7, 12, 1009])
+    def test_matches_int_calls_and_definition(self, q):
+        ev = gs.DirectEvaluator(self.W, q)
+        ps = np.arange(-3, 2 * q + 3, dtype=np.int64)  # units, non-units, negatives
+        got = ev(ps)
+        assert got.shape == ps.shape
+        assert np.max(np.abs(got - [ev(p) for p in ps.tolist()])) < 1e-12 * q
+        # the definition, with the weight from its pointwise series and exact phases
+        h = np.arange(q)
+        phases = np.exp(2j * np.pi * (np.multiply.outer(ps, h * h) % q) / q)
+        assert np.max(np.abs(got - phases @ weights.evaluate(self.W, h / q))) < 1e-11 * q
+
+    def test_keeps_the_array_shape(self):
+        ev = gs.DirectEvaluator(self.W, 30)
+        ps = np.arange(12, dtype=np.int64).reshape(3, 4)
+        assert ev(ps).shape == (3, 4)
+        assert ev(ps)[2, 1] == pytest.approx(ev(9), abs=1e-12)
+
+    def test_numpy_scalar_gives_complex(self):
+        ev = gs.DirectEvaluator(self.W, 1009)
+        got = ev(np.int64(17))
+        assert type(got) is complex
+        assert got == pytest.approx(ev(17), abs=1e-12)
+
+    def test_python_int_exact_beyond_int64(self):
+        ev = gs.DirectEvaluator(self.W, 1009)
+        assert ev(2**70 + 3) == ev((2**70 + 3) % 1009)
+
+
 class TestClosed:
+    def test_array_matches_scalar(self):
+        for q in range(1, 301):
+            ps = arith.units(q)
+            got = gs.gauss_sum_closed(ps, q)
+            assert got.tolist() == [gs.gauss_sum_closed(p, q) for p in ps.tolist()], q
+
     def test_q4(self):
         assert gs.gauss_sum_closed(1, 4) == pytest.approx(2 + 2j)
 

@@ -150,6 +150,16 @@ class TestGridEvaluation:
         direct = weights.evaluate(w, np.arange(q) / q)
         assert np.max(np.abs(grid - direct)) < 1e-9
 
+    @pytest.mark.parametrize("q", [1, 2, 7, 400])
+    def test_sparse_series_matches_direct(self, q):
+        # negative keys and keys >= q fold into the bins k mod q
+        coeffs = {-403: 0.5j, -7: 1 - 2j, -1: 0.25, 0: 3.0, 2: -1j, 400: 0.75 + 0.5j, 1203: -0.5}
+        w = weights.fourier_weight(coeffs)
+        grid = weights.evaluate_grid(w, q)
+        direct = weights.evaluate(w, np.arange(q) / q)
+        assert grid.shape == (q,)
+        assert np.max(np.abs(grid - direct)) < 1e-11
+
     def test_indicator_grid(self):
         w = weights.interval_indicator(0.0, 0.5, cutoff=4)
         grid = weights.evaluate_grid(w, 4)
