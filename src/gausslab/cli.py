@@ -26,7 +26,7 @@ import numpy as np
 
 from . import arith
 from .errors import BadInterval, BadModulus, EmptyInput, EvenModulus, IndicatorKind, NotCoprime
-from .expsums import expsum_report, weyl_statistic
+from .expsums import expsum_report, weyl_statistics
 from .distlab import (
     DomainWindow,
     empirical_batch,
@@ -63,12 +63,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_row(row) -> str:
+    return ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
+
+
+def _write_lines(path: Path, meta: dict, header: list[str], lines) -> None:
+    """A CSV file of the metadata comments, the header and already formatted data lines."""
+    text = [f"# {k}={v}" for k, v in meta.items()]
+    text.append(",".join(header))
+    text.extend(lines)
+    path.write_text("\n".join(text) + "\n")
+
+
 def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, meta, header, map(_csv_row, rows))
+
+
+def _limit_lines(limit: np.ndarray, variant: str):
+    """Data lines of the limit CSV, formatted a column at a time.
+
+    The same bytes as _csv_row on (re, im) rows, or (im,) rows for
+    G_minus, whose real and imaginary parts share one law.
+    """
+    if variant == G_MINUS:
+        return map(repr, limit.imag.tolist())
+    return map("{!r},{!r}".format, limit.real.tolist(), limit.imag.tolist())
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -91,7 +110,7 @@ def _emit_table(args, meta: dict, header: list[str], rows) -> None:
     else:
         print(",".join(header))
         for row in rows:
-            print(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
+            print(_csv_row(row))
 
 
 def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
@@ -220,17 +239,12 @@ def cmd_figure(args) -> int:
     _write_csv(out_dir / f"{which}_hist_re.csv", meta, ["bin_lo", "bin_hi", "count", "density"], re_rows)
     _write_csv(out_dir / f"{which}_hist_im.csv", meta, ["bin_lo", "bin_hi", "count", "density"], im_rows)
 
-    if variant == G_MINUS:
-        # real and imaginary parts share one law; one component suffices
-        limit_rows = [(float(v),) for v in limit.imag.tolist()]
-        _write_csv(out_dir / f"{which}_limit.csv", meta, ["im"], limit_rows)
-        ks_re = ks_distance(values.real, limit.imag)
-        ks_im = ks_distance(values.imag, limit.imag)
-    else:
-        limit_rows = list(zip(limit.real.tolist(), limit.imag.tolist()))
-        _write_csv(out_dir / f"{which}_limit.csv", meta, ["re", "im"], limit_rows)
-        ks_re = ks_distance(values.real, limit.real)
-        ks_im = ks_distance(values.imag, limit.imag)
+    limit_header = ["im"] if variant == G_MINUS else ["re", "im"]
+    _write_lines(out_dir / f"{which}_limit.csv", meta, limit_header, _limit_lines(limit, variant))
+    # G_minus: real and imaginary parts share one law; one component suffices
+    limit_re = limit.imag if variant == G_MINUS else limit.real
+    ks_re = ks_distance(values.real, limit_re)
+    ks_im = ks_distance(values.imag, limit.imag)
 
     summary = dict(meta)
     summary.update({
@@ -309,7 +323,6 @@ def cmd_expsum(args) -> int:
 
 def cmd_equidist(args) -> int:
     q = args.q
-    mod = arith.analyze_modulus(q)
     if args.t == "all":
         ts = arith.units(q).tolist()
     elif args.t.startswith("random:"):
@@ -323,12 +336,10 @@ def cmd_equidist(args) -> int:
             ts = [int(args.t)]
         except ValueError as exc:
             raise CommandError(f"bad --t value {args.t!r} (all | random:N | integer)") from exc
-    rows = []
-    max_abs = 0.0
-    for t in ts:
-        val = weyl_statistic(mod, t, args.m, args.n)
-        max_abs = max(max_abs, abs(val))
-        rows.append((q, t, args.m, args.n, float(val.real), float(val.imag), float(abs(val))))
+    vals = weyl_statistics(q, ts, args.m, args.n)
+    rows = [(q, t, args.m, args.n, float(v.real), float(v.imag), float(abs(v)))
+            for t, v in zip(ts, vals.tolist())]
+    max_abs = max((row[-1] for row in rows), default=0.0)
     meta = {"command": "equidist", "q": q, "m": args.m, "n": args.n, "t": args.t, "seed": args.seed}
     _emit_table(args, meta, ["q", "t", "m", "n", "re", "im", "abs"], rows)
     print(f"max |statistic| = {max_abs!r}")

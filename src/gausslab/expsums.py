@@ -125,6 +125,24 @@ def weyl_statistic(q: int | arith.Modulus, t: int, m: int, n: int,
     return complex(vals.sum() / mod.phi)
 
 
+def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
+    """weyl_statistic(q, t, m, n) for every unit t of the array ts, from one FFT.
+
+    With f[p-bar] = e(m p / q) on the units and 0 elsewhere,
+    sum_p e((m p + n t p-bar)/q) = F[n t mod q] for F the unnormalized
+    inverse DFT of f, so every t reads one entry of F.  weyl_statistic's
+    O(phi(q)) sum per t stays the reference.
+    """
+    if (m, n) == (0, 0):
+        raise ValueError("(m, n) = (0, 0) is the trivial statistic")
+    ts = arith.unit_residues(np.asarray(ts), q)
+    ps, invs = arith.inverse_table(q)
+    f = np.zeros(q, dtype=np.complex128)
+    f[invs] = np.exp(2j * np.pi * (arith.residues(m, q) * ps % q) / q)
+    spectrum = np.fft.ifft(f, norm="forward")
+    return spectrum[arith.residues(n, q) * ts % q] / ps.size
+
+
 def class_counts(q: int | arith.Modulus, by_mod4: bool = False) -> dict:
     """Exact sizes of the sigma-classes of the unit group.
 

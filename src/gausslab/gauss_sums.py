@@ -17,8 +17,12 @@ The quadratic series come in three variants keyed to q mod 4:
   G_minus(x) = sum_{n odd} c_n e(n^2 x)  (q = 2 mod 4)
 
 Evaluating these at a uniformly random point of [0, 1) gives the limit
-law of the normalized incomplete sums; `distlab` builds on that.  On a
-rational grid t/N every such series (and, with the weight values as
+law of the normalized incomplete sums; `distlab` builds on that.  At
+many points a dense series is summed by Horner's rule, with the ratio
+of consecutive terms re-seeded from an exact phase every 256 terms
+(error below 1e-11 at the figure truncations); the evaluator works
+point by point, so its bits do not depend on how the points are split.
+On a rational grid t/N every such series (and, with the weight values as
 coefficients, g(w, p, q) for all p at once) is one FFT: quadratic_grid.
 
 modulus_case is the one place that splits on q mod 4 and on whether q
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -231,35 +236,71 @@ def _variant_terms(coefficients: dict[int, complex], variant: str,
     return ns, cs
 
 
-def _eval_quadratic_series(ns: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_j cs[j] e(ns[j]^2 x) for a vector of x.
+# Exact phases: x = hi / 2^26 + lo with hi an int64, so k * hi mod 2^26 is exact
+# for every int64 k (a wrapped product keeps its low bits) and k * lo < k / 2^26
+# carries the only rounding.
+_PHASE_BITS = 26
+_RESEED = 256  # Horner steps between exact re-seeds of the term ratio
 
-    Sparse supports go through direct complex exponentials.  Dense
-    supports on an arithmetic progression (the folded indicator series)
-    use the two-multiply recurrence for quadratic phases, which turns
-    the evaluation into streaming vector multiplies.
+
+def _exact_phases(k: int, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """e(k x) for x = hi / 2^26 + lo, with k x reduced mod 1 before rounding."""
+    frac = (k * hi & ((1 << _PHASE_BITS) - 1)) / float(1 << _PHASE_BITS) + k * lo
+    return np.exp(2j * np.pi * frac)
+
+
+def _horner_progression(a: int, d: int, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_j cs[j] e((a + j d)^2 x) by Horner's rule from the last term.
+
+    Consecutive terms differ by the ratio e(d (2a + (2j+1) d) x), and each
+    ratio is the next one times e(-2 d^2 x), so a step is three in-place
+    passes: acc *= ratio, acc += c_j, ratio *= step.  Every _RESEED steps
+    the ratio is recomputed from its exact phase, which bounds the drift
+    of the repeated products; at the figure truncations (2500-4000 terms)
+    the error against exact phases is below 1e-11.
     """
+    xs = xs % 1.0  # e(n^2 x) has period 1; keeps hi within int64 for any x
+    scaled = np.floor(xs * float(1 << _PHASE_BITS))
+    hi = scaled.astype(np.int64)
+    lo = xs - scaled / float(1 << _PHASE_BITS)
+    step = _exact_phases(-2 * d * d, hi, lo)
+    coeffs = cs.tolist()
+    last = len(coeffs) - 1
+    acc = np.full(xs.shape, coeffs[last], dtype=np.complex128)
+    for j in range(last - 1, -1, -1):
+        if (last - 1 - j) % _RESEED == 0:
+            ratio = _exact_phases(d * (2 * a + (2 * j + 1) * d), hi, lo)
+        else:
+            ratio *= step
+        acc *= ratio
+        if coeffs[j] != 0:
+            acc += coeffs[j]
+    acc *= _exact_phases(a * a, hi, lo)
+    return acc
+
+
+def _exp_terms(ns: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_j cs[j] e(ns[j]^2 x), one complex exponential per term."""
     out = np.zeros(xs.shape, dtype=np.complex128)
-    m = int(ns.size)
-    if m == 0:
-        return out
-    if m > 2 and xs.size > 512:
-        d = int(ns[1] - ns[0])
-        if d > 0 and np.all(np.diff(ns) == d):
-            a = int(ns[0])
-            tp = 2j * np.pi
-            cur = np.exp(tp * float(a * a) * xs)
-            step = np.exp(tp * float(2 * a * d + d * d) * xs)
-            mult = np.exp(tp * float(2 * d * d) * xs)
-            for c in cs.tolist():
-                if c != 0:
-                    out += c * cur
-                cur *= step
-                step *= mult
-            return out
     for n, c in zip(ns.tolist(), cs.tolist()):
         out += c * np.exp((2j * np.pi * float(n * n)) * xs)
     return out
+
+
+def _series_kernel(ns: np.ndarray, cs: np.ndarray, size: int):
+    """The evaluator of sum_j cs[j] e(ns[j]^2 x) for a set of `size` points.
+
+    Dense supports on an arithmetic progression (the folded indicator
+    series) at more than 512 points go through Horner's rule; sparse
+    supports and small point sets through direct complex exponentials.
+    Both evaluators are elementwise in x, so once the choice is made for
+    the whole point set, any split of the points gives the same bits.
+    """
+    if ns.size > 2 and size > 512:
+        d = int(ns[1] - ns[0])
+        if d > 0 and np.all(np.diff(ns) == d):
+            return partial(_horner_progression, int(ns[0]), d, cs)
+    return partial(_exp_terms, ns, cs)
 
 
 def _primitive_root(p: int) -> int:
@@ -343,7 +384,7 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
     ns, cs = _variant_terms(w.coefficients, variant, cutoff)
     xs = np.asarray(x, dtype=np.float64)
     scalar = xs.ndim == 0
-    out = _eval_quadratic_series(ns, cs, np.atleast_1d(xs))
+    out = _series_kernel(ns, cs, xs.size)(np.atleast_1d(xs))
     return complex(out[0]) if scalar else out
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import cli, verify
+from gausslab import arith, cli, expsums, verify
 
 
 def run(argv):
@@ -181,6 +181,19 @@ class TestFigureCommand:
                      "fig1_hist_im.csv", "fig1_summary.json"):
             assert file_hash(a / name) == file_hash(b / name), name
 
+    @pytest.mark.parametrize("variant", ["G_plus", "G_minus"])
+    def test_limit_lines_match_row_writer(self, tmp_path, variant):
+        parts = [1e-05, 1e16, -0.0, 5e-324, 1.0, -1.0, 0.1, -2.5e-300, 123456.789]
+        limit = np.array(parts) + 1j * np.array(parts[::-1])
+        meta = {"command": "figure", "variant": variant}
+        if variant == "G_minus":
+            header, rows = ["im"], [(float(v),) for v in limit.imag.tolist()]
+        else:
+            header, rows = ["re", "im"], list(zip(limit.real.tolist(), limit.imag.tolist()))
+        cli._write_csv(tmp_path / "rows.csv", meta, header, rows)
+        cli._write_lines(tmp_path / "lines.csv", meta, header, cli._limit_lines(limit, variant))
+        assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
 
 class TestMomentsCommand:
     def test_constant_odd_q(self, capsys):
@@ -264,6 +277,31 @@ class TestEquidistCommand:
 
     def test_bad_t(self):
         assert run(["equidist", "--q", "11", "--t", "sometimes", "--m", "1", "--n", "0"]) == 2
+
+    @staticmethod
+    def rows(path):
+        return [l.split(",") for l in path.read_text().splitlines()
+                if not l.startswith("#") and not l.startswith("q,")]
+
+    @pytest.mark.parametrize("m,n", [(2**62 + 3, 2**62 - 1), (0, 2**62 + 11)])
+    def test_all_t_match_per_t_statistic(self, tmp_path, m, n):
+        path = tmp_path / "e.csv"
+        for q in list(range(1, 201)) + [4000, 4001]:
+            assert run(["equidist", "--q", str(q), "--t", "all", "--m", str(m), "--n", str(n),
+                        "--out", str(path)]) == 0
+            rows = self.rows(path)
+            ts = [int(r[1]) for r in rows]
+            assert ts == arith.units(q).tolist()
+            mod = arith.analyze_modulus(q)
+            stride = 1 if q <= 200 else 40  # the per-t oracle is O(phi(q)) a call
+            for t, r in zip(ts[::stride], rows[::stride]):
+                want = expsums.weyl_statistic(mod, t, m, n)
+                assert abs(complex(float(r[4]), float(r[5])) - want) <= 1e-12, (q, t)
+
+    def test_single_t_errors(self):
+        assert run(["equidist", "--q", "12", "--t", "4", "--m", "1", "--n", "1"]) == 2
+        assert run(["equidist", "--q", "12", "--t", "5", "--m", "0", "--n", "0"]) == 2
+        assert run(["equidist", "--q", "12", "--t", "5", "--m", "1", "--n", "1"]) == 0
 
 
 class TestWeightParsing:

@@ -131,6 +131,45 @@ class TestSampleLimitLaw:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("variant,trunc", [(G_PLUS, 4000), (G_FULL, 4000), (G_MINUS, 5000)])
+    def test_matches_exact_phases_at_figure_truncations(self, variant, trunc):
+        # rng.random gives x = k / 2^53, so n^2 x mod 1 = (n^2 k mod 2^53) / 2^53
+        # exactly in Python ints, and each e(n^2 x) is rounded only once
+        coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
+        vals = distlab.sample_limit_law(variant, w, trunc, 1000, seed=17)
+        xs = np.random.default_rng(17).random(1000)[::10]
+        ns, cs = gauss_sums._variant_terms(w.coefficients, variant, trunc)
+        squares = np.array([n * n for n in ns.tolist()], dtype=object)
+        exact = np.empty(xs.size, dtype=complex)
+        for i, x in enumerate(xs.tolist()):
+            k = int(x * 2**53)
+            assert k == x * 2**53
+            frac = ((squares * k) % 2**53).astype(np.float64) / 2**53
+            exact[i] = np.sum(cs * np.exp(2j * np.pi * frac))
+        assert np.max(np.abs(vals[::10] - exact)) <= 1e-11
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_bits_do_not_depend_on_core_count(self, monkeypatch, cores):
+        monkeypatch.setattr(distlab, "_usable_cores", lambda: cores)
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 300))
+        ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 300)
+        for n in (1, 511, 512, 513, 1025, 50_000):
+            xs = np.random.default_rng(23).random(n)
+            whole = gauss_sums._series_kernel(ns, cs, n)(xs)
+            assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 300, n, seed=23), whole), n
+
+    def test_bits_do_not_depend_on_piece_size(self, monkeypatch):
+        # one-point pieces would multiply in place through another numpy loop
+        monkeypatch.setattr(distlab, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(distlab, "_CHUNK", 1)
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
+        ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 50)
+        for n in (513, 1025):
+            xs = np.random.default_rng(29).random(n)
+            whole = gauss_sums._series_kernel(ns, cs, n)(xs)
+            assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 50, n, seed=29), whole), n
+
 
 class TestLimitMoment:
     def test_k0(self):
