@@ -35,7 +35,7 @@ from .distlab import (
     ks_distance,
     sample_limit_law,
 )
-from .gauss_sums import G_FULL, G_MINUS, G_PLUS
+from .gauss_sums import G_MINUS, G_PLUS, modulus_case
 from .verify import SUITES, run_suite
 from .weights import (
     WeightFunction,
@@ -48,10 +48,10 @@ from .weights import (
 USAGE_ERROR = 2
 
 FIGURES = {
-    # which: (q, variant, series truncation, limit samples, center)
-    "fig1": (5012, G_PLUS, 4000, 300_000, "tq"),
-    "fig2": (5013, G_FULL, 4000, 300_000, "tq"),
-    "fig3": (5014, G_MINUS, 5000, 500_000, "none"),
+    # which: (q, series truncation, limit samples, center); the variant is modulus_case(q)'s
+    "fig1": (5012, 4000, 300_000, "tq"),
+    "fig2": (5013, 4000, 300_000, "tq"),
+    "fig3": (5014, 5000, 500_000, "none"),
 }
 
 
@@ -185,11 +185,14 @@ def cmd_verify(args) -> int:
 
 def cmd_figure(args) -> int:
     which = args.which
-    q, variant, trunc_default, samples_default, center_default = FIGURES[which]
-    trunc = args.trunc or trunc_default
+    q, trunc_default, samples_default, center_default = FIGURES[which]
+    trunc = trunc_default if args.trunc is None else args.trunc
+    n_samples = samples_default if args.samples is None else args.samples
+    if trunc < 1 or n_samples < 1:
+        raise CommandError(f"--trunc and --samples must be positive, got {trunc} and {n_samples}")
+    variant = modulus_case(q).variant
     # the even-index series at truncation K reads coefficients up to 2K
     coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
-    n_samples = args.samples or samples_default
     center = args.center or center_default
     bins = args.bins
     b = 1.0 / math.sqrt(7.0)

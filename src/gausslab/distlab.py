@@ -12,11 +12,12 @@ for indicators; the O(q) DirectEvaluator is kept as the independent
 per-p reference for verify and the tests.
 
 The limit side samples the matching quadratic series at uniform random
-points, by Horner's rule with exact-phase re-seeding (error below 1e-11
-at the figure truncations), in pieces spread over the usable cores; the
-values are bit-identical for any core count.  Its moments integrate the
-series on a prime grid, whose values
-are again one quadratic_grid call.  Histograms, moments, and the
+points with the series evaluator of the fast path (exact phases, Horner's
+rule for dense series; error below 1e-11 at the figure truncations), in
+pieces spread over the usable cores.  A point gets the same bits alone
+as in any piece, so the values do not depend on the core count or the
+piece size.  Its moments integrate the series on a prime grid, whose
+values are again one quadratic_grid call.  Histograms, moments, and the
 two-sample KS distance quantify the agreement.
 """
 
@@ -35,7 +36,7 @@ from . import arith
 from .errors import EmptyInput
 from .gauss_sums import (
     SigmaClass,
-    _series_kernel,
+    _quadratic_series,
     _variant_terms,
     gauss_sum_fast_batch,
     modulus_case,
@@ -154,8 +155,8 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     The points are cut into equal contiguous pieces, a multiple of the
     usable cores with at most _CHUNK points each, and worker threads
     evaluate them (numpy releases the GIL inside each array pass).  The
-    evaluator is chosen once for the whole sample set and is elementwise
-    in x, so the values are bit-identical for any core count.
+    evaluator gives every point the same bits alone as in any batch, so
+    the values do not depend on the core count or the piece size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -164,12 +165,9 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     rng = np.random.default_rng(seed)
     xs = rng.random(n_samples)
     ns, cs = _variant_terms(w.coefficients, variant, cutoff)
-    kernel = _series_kernel(ns, cs, n_samples)
     cores = _usable_cores()
     pieces = cores * -(-n_samples // (cores * _CHUNK))
-    # at least two points a piece: numpy multiplies a one-element array in
-    # place through another loop, which can round differently
-    pieces = max(1, min(pieces, n_samples // 2))
+    kernel = partial(_quadratic_series, ns, cs)
     with ThreadPoolExecutor(max_workers=cores) as pool:
         return np.concatenate(list(pool.map(kernel, np.array_split(xs, pieces))))
 

@@ -8,7 +8,8 @@ g(w, p, q) = sum_{h=0}^{q-1} w(h/q) e_q(p h^2) with e_q(x) = exp(2 pi i x / q).
   symbol and the quartic unit factor;
 * fast: O(#coefficients) evaluation of the incomplete sum through the
   functional equations, as a normalizer D(p) times a quadratic Fourier
-  series evaluated at a rational point built from a modular inverse.
+  series evaluated at a rational point t/q' built from a modular inverse,
+  with every phase k t mod q' reduced exactly in integers.
 
 The quadratic series come in three variants keyed to q mod 4:
 
@@ -17,13 +18,20 @@ The quadratic series come in three variants keyed to q mod 4:
   G_minus(x) = sum_{n odd} c_n e(n^2 x)  (q = 2 mod 4)
 
 Evaluating these at a uniformly random point of [0, 1) gives the limit
-law of the normalized incomplete sums; `distlab` builds on that.  At
-many points a dense series is summed by Horner's rule, with the ratio
-of consecutive terms re-seeded from an exact phase every 256 terms
-(error below 1e-11 at the figure truncations); the evaluator works
-point by point, so its bits do not depend on how the points are split.
-On a rational grid t/N every such series (and, with the weight values as
-coefficients, g(w, p, q) for all p at once) is one FFT: quadratic_grid.
+law of the normalized incomplete sums; `distlab` builds on that.  One
+evaluator, _quadratic_series, serves the limit law and the fast path.
+It reads every e(k x) from an exact phase of its points: a float x is
+split into its top 26 bits and a remainder, a fast-path point t/q' is
+reduced as k t mod q'.  A support on an arithmetic progression (every
+folded indicator series) is summed by Horner's rule, re-seeded from an
+exact phase every 256 terms; any other support takes one phase per term.
+Nothing switches on the number of points, and a point gets the same bits
+alone as in any batch.  Over all units of q = 5012/5013/5014 at the
+figure truncations the fast path is within 1.4e-12/2.6e-12/6.6e-13
+sqrt(q) of the direct sum; at random float points the series errs below
+1e-11.  On a rational grid t/N every such series (and, with the weight
+values as coefficients, g(w, p, q) for all p at once) is one FFT:
+quadratic_grid.
 
 modulus_case is the one place that splits on q mod 4 and on whether q
 (or q/2) is a square; the closed form, the fast path, the sigma classes,
@@ -34,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -77,13 +84,12 @@ class ModulusCase(NamedTuple):
     factors: object  # D(p) without its constant: (1+i) eps_p^-1 (q/p), (p/q) or (2p/(q/2))
     characters: object  # the twist eps_p (q/p), (p/q) or (2p/(q/2))
     classes: object  # sigma-class values; None for kind "none"
-    point_map: tuple[int, int]  # (a, q') of the fast-path point x_p = -inv(a p mod q')/q'
+    point_map: tuple[int, int]  # (a, q') of the fast-path point x_p = t_p/q'
 
     def points(self):
-        """The fast-path points x_p in [0, 1)."""
+        """The numerators t_p = -inv(a p mod q') mod q' of the fast-path points x_p = t_p/q'."""
         a, modulus = self.point_map
-        invs = arith.inverses(a * self.units, modulus)
-        return (-np.asarray(invs, dtype=np.float64) / modulus) % 1.0
+        return -arith.inverses(a * self.units, modulus) % modulus
 
 
 def modulus_case(q: int, ps=()) -> ModulusCase:
@@ -217,90 +223,79 @@ def _variant_terms(coefficients: dict[int, complex], variant: str,
         raise ValueError(f"unknown variant {variant!r}")
     folded: dict[int, complex] = {}
     for k, c in coefficients.items():
-        if variant == G_PLUS:
-            if k % 2 != 0:
-                continue
-            n = k // 2
-        elif variant == G_MINUS:
-            if k % 2 == 0:
-                continue
-            n = k
-        else:
-            n = k
-        if cutoff is not None and abs(n) > cutoff:
-            continue
-        key = abs(n)
-        folded[key] = folded.get(key, 0j) + complex(c)
-    ns = np.array(sorted(folded), dtype=np.int64)
-    cs = np.array([folded[int(n)] for n in ns], dtype=np.complex128)
-    return ns, cs
+        if variant == G_FULL or (k % 2 == 1) == (variant == G_MINUS):
+            n = abs(k) // 2 if variant == G_PLUS else abs(k)
+            if cutoff is None or n <= cutoff:
+                folded[n] = folded.get(n, 0j) + complex(c)
+    ns = sorted(folded)
+    return np.array(ns, dtype=np.int64), np.array([folded[n] for n in ns], dtype=np.complex128)
 
 
-# Exact phases: x = hi / 2^26 + lo with hi an int64, so k * hi mod 2^26 is exact
-# for every int64 k (a wrapped product keeps its low bits) and k * lo < k / 2^26
-# carries the only rounding.
+# Exact phases.  A float point is split as x = hi / 2^26 + lo with hi an int64,
+# so k * hi mod 2^26 is exact for every int64 k (a wrapped product keeps its
+# low bits) and k * lo < k / 2^26 carries the only rounding.  A rational point
+# t/N is reduced as k t mod N in integers, which rounds nothing before e().
 _PHASE_BITS = 26
 _RESEED = 256  # Horner steps between exact re-seeds of the term ratio
 
 
-def _exact_phases(k: int, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """e(k x) for x = hi / 2^26 + lo, with k x reduced mod 1 before rounding."""
-    frac = (k * hi & ((1 << _PHASE_BITS) - 1)) / float(1 << _PHASE_BITS) + k * lo
-    return np.exp(2j * np.pi * frac)
+def _phases(x, N: int | None = None):
+    """The function k -> e(k x) over a point set, with k x reduced mod 1 before rounding.
 
-
-def _horner_progression(a: int, d: int, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_j cs[j] e((a + j d)^2 x) by Horner's rule from the last term.
-
-    Consecutive terms differ by the ratio e(d (2a + (2j+1) d) x), and each
-    ratio is the next one times e(-2 d^2 x), so a step is three in-place
-    passes: acc *= ratio, acc += c_j, ratio *= step.  Every _RESEED steps
-    the ratio is recomputed from its exact phase, which bounds the drift
-    of the repeated products; at the figure truncations (2500-4000 terms)
-    the error against exact phases is below 1e-11.
+    x is a float array, or, given N, the numerators t of the points t/N:
+    one int (exact in Python ints for any N) or an int64 array (for
+    N <= arith.INT64_ROOT, so k t mod N cannot wrap).  The phases are
+    always an array, so one point runs through the same loops as many.
     """
-    xs = xs % 1.0  # e(n^2 x) has period 1; keeps hi within int64 for any x
+    if N is not None:
+        if isinstance(x, int):
+            return lambda k: np.exp(2j * np.pi * np.array([k % N * x % N / N]))
+        return lambda k: np.exp(2j * np.pi * (k % N * x % N / N))
+    xs = np.asarray(x, dtype=np.float64) % 1.0  # e(k x) has period 1; keeps hi within int64
     scaled = np.floor(xs * float(1 << _PHASE_BITS))
     hi = scaled.astype(np.int64)
     lo = xs - scaled / float(1 << _PHASE_BITS)
-    step = _exact_phases(-2 * d * d, hi, lo)
-    coeffs = cs.tolist()
+    mask = (1 << _PHASE_BITS) - 1
+    return lambda k: np.exp(2j * np.pi * ((k * hi & mask) / float(1 << _PHASE_BITS) + k * lo))
+
+
+def _quadratic_series(ns: np.ndarray, cs: np.ndarray, x, N: int | None = None) -> np.ndarray:
+    """sum_j cs[j] e(ns[j]^2 x) at every point of _phases(x, N), as an array.
+
+    A support on an arithmetic progression a + j d (every folded indicator
+    series) is summed by Horner's rule from the last term: consecutive
+    terms differ by the ratio e(d (2a + (2j+1) d) x), and each ratio is the
+    next one times e(-2 d^2 x), so a step is two products and one sum.
+    Every _RESEED steps the ratio is recomputed from its exact phase, which
+    bounds the drift of the repeated products.  Any other support (a sparse
+    series) takes one exact phase per term.  The choice depends on the
+    support only.  Products go to a separate buffer, never into an input:
+    numpy multiplies a one-element array in place through another loop,
+    which can round differently.  So a point gets the same bits alone as in
+    any batch.
+    """
+    phase = _phases(x, N)
+    terms, coeffs = ns.tolist(), cs.tolist()
+    d = terms[1] - terms[0] if len(terms) > 1 else 1
+    if not terms or terms != list(range(terms[0], terms[-1] + 1, d)):
+        out = np.zeros_like(phase(0))
+        for n, c in zip(terms, coeffs):
+            out += c * phase(n * n)
+        return out
+    a = terms[0]
+    step = phase(-2 * d * d)
     last = len(coeffs) - 1
-    acc = np.full(xs.shape, coeffs[last], dtype=np.complex128)
+    acc = np.full(step.shape, coeffs[last], dtype=np.complex128)
+    spare = np.empty_like(acc)
     for j in range(last - 1, -1, -1):
         if (last - 1 - j) % _RESEED == 0:
-            ratio = _exact_phases(d * (2 * a + (2 * j + 1) * d), hi, lo)
+            ratio = phase(d * (2 * a + (2 * j + 1) * d))
         else:
-            ratio *= step
-        acc *= ratio
+            ratio, spare = np.multiply(ratio, step, out=spare), ratio
+        acc, spare = np.multiply(acc, ratio, out=spare), acc
         if coeffs[j] != 0:
             acc += coeffs[j]
-    acc *= _exact_phases(a * a, hi, lo)
-    return acc
-
-
-def _exp_terms(ns: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_j cs[j] e(ns[j]^2 x), one complex exponential per term."""
-    out = np.zeros(xs.shape, dtype=np.complex128)
-    for n, c in zip(ns.tolist(), cs.tolist()):
-        out += c * np.exp((2j * np.pi * float(n * n)) * xs)
-    return out
-
-
-def _series_kernel(ns: np.ndarray, cs: np.ndarray, size: int):
-    """The evaluator of sum_j cs[j] e(ns[j]^2 x) for a set of `size` points.
-
-    Dense supports on an arithmetic progression (the folded indicator
-    series) at more than 512 points go through Horner's rule; sparse
-    supports and small point sets through direct complex exponentials.
-    Both evaluators are elementwise in x, so once the choice is made for
-    the whole point set, any split of the points gives the same bits.
-    """
-    if ns.size > 2 and size > 512:
-        d = int(ns[1] - ns[0])
-        if d > 0 and np.all(np.diff(ns) == d):
-            return partial(_horner_progression, int(ns[0]), d, cs)
-    return partial(_exp_terms, ns, cs)
+    return np.multiply(acc, phase(a * a), out=spare)
 
 
 def _primitive_root(p: int) -> int:
@@ -379,13 +374,14 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
     """Truncated quadratic series of the weight at x (scalar or array).
 
     The truncation is on the series index: terms with |n| > cutoff are
-    dropped; cutoff None keeps the weight's full finite support.
+    dropped; cutoff None keeps the weight's full finite support.  Each
+    e(n^2 x) is read from an exact phase (_quadratic_series), and a scalar
+    gives the same bits as the same x inside an array of any size.
     """
     ns, cs = _variant_terms(w.coefficients, variant, cutoff)
     xs = np.asarray(x, dtype=np.float64)
-    scalar = xs.ndim == 0
-    out = _series_kernel(ns, cs, xs.size)(np.atleast_1d(xs))
-    return complex(out[0]) if scalar else out
+    out = _quadratic_series(ns, cs, np.atleast_1d(xs))
+    return complex(out[0]) if xs.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +400,10 @@ def gauss_sum_fast_batch(w: WeightFunction, ps, q: int):
             "convert indicators with as_fourier_series() first"
         )
     case = modulus_case(q, ps)
-    return case.normalizers * limit_series(case.variant, w, case.points())
+    ns, cs = _variant_terms(w.coefficients, case.variant)
+    series = _quadratic_series(ns, cs, case.points(), case.point_map[1])
+    values = np.atleast_1d(case.normalizers) * series
+    return values[0] if np.ndim(case.units) == 0 else values
 
 
 def gauss_sum_fast(w: WeightFunction, p: int, q: int) -> complex:

@@ -25,7 +25,6 @@ class WeightFunction:
 
     coefficients holds the finite Fourier data for both kinds: for an
     indicator it is the truncated analytic series up to the cutoff.
-    Finite support makes sum k^2 |c_k| finite automatically.
     """
 
     kind: str
@@ -38,10 +37,6 @@ class WeightFunction:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == INDICATOR and self.interval is None:
             raise ValueError("indicator weight needs an interval")
-
-    def coefficient_norm(self, power: int = 2) -> float:
-        """sum |k|^power |c_k| over the stored support."""
-        return sum(abs(k) ** power * abs(c) for k, c in self.coefficients.items())
 
     @property
     def mean(self) -> complex:

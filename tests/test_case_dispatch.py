@@ -5,6 +5,7 @@ and DirectEvaluator's O(q) complete sums are the oracles; none of them
 goes through the array code under test.
 """
 
+import cmath
 import importlib
 import importlib.util
 import math
@@ -110,7 +111,7 @@ class TestModulusCase:
         for q in range(1, 301):
             ps = arith.units(q)
             a, modulus = {0: (1, q), 2: (8, q // 2)}.get(q % 4, (4, q))
-            expected = [0.0 if modulus == 1 else (-pow(a * p, -1, modulus) / modulus) % 1.0
+            expected = [0 if modulus == 1 else -pow(a * p, -1, modulus) % modulus
                         for p in ps.tolist()]
             assert gs.modulus_case(q, ps).points().tolist() == expected, q
 
@@ -122,7 +123,8 @@ class TestModulusCase:
                 one = gs.modulus_case(q, int(ps[i]))
                 assert complex(one.normalizers) == case.normalizers[i]
                 assert np.asarray(one.classes).tolist() == case.classes.tolist()[i]
-                assert float(one.points()) == case.points()[i]
+                assert isinstance(one.points(), int)
+                assert one.points() == case.points()[i]
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -144,6 +146,20 @@ class TestLargeModuli:
         q = 4 * (2**89 - 1)
         assert gs.sigma_class(7, q).value == arith.epsilon(7) * arith.jacobi(q, 7)
         assert gs.gauss_sum_fast(ONE, 7, q) == pytest.approx(gs.gauss_sum_closed(7, q))
+
+    @pytest.mark.parametrize("coefficients", [
+        {0: 1.0, 2: 0.5, -2: 0.25j, 4: -0.3, 6: 0.2 + 0.1j},  # n = 0..3, a progression
+        {2: 1.0, -10: 0.5j, 14: 0.3, 3: 7.0},  # n = 1, 5, 7; odd k do not enter G_plus
+    ])
+    def test_weight_beyond_int64(self, coefficients):
+        # D(p) sum_n c_2n e(n^2 t/q) with t = -inv(p) mod q, in Python ints and cmath
+        q, p = 4 * (2**89 - 1), 7
+        w = weights.fourier_weight(coefficients)
+        t = -pow(p, -1, q) % q
+        series = sum(c * cmath.exp(2j * math.pi * ((k // 2) ** 2 * t % q) / q)
+                     for k, c in w.coefficients.items() if k % 2 == 0)
+        d = (1 + 1j) * arith.epsilon(p).conjugate() * arith.jacobi(q, p) * math.sqrt(q)
+        assert abs(gs.gauss_sum_fast(w, p, q) - d * series) <= 1e-12 * math.sqrt(q)
 
     def test_arrays_refuse_instead_of_wrapping(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,14 @@ class TestFigureCommand:
         rows = [l for l in lines if not l.startswith("#") and not l.startswith("bin_lo")]
         assert sum(int(r.split(",")[2]) for r in rows) == 3336
 
+    @pytest.mark.parametrize("flag", ["--samples", "--trunc"])
+    def test_zero_is_a_usage_error(self, tmp_path, capsys, flag):
+        # 0 must not fall back to the preset (300000 samples, truncation 4000)
+        out = tmp_path / "out"
+        assert run(["figure", "fig2", flag, "0", "--out-dir", str(out)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fast_interval_weight(self, tmp_path):
         out = tmp_path / "out"
         assert run(["figure", "fig2", "--trunc", "100", "--samples", "1000", "--fast",

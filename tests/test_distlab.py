@@ -156,18 +156,18 @@ class TestSampleLimitLaw:
         ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 300)
         for n in (1, 511, 512, 513, 1025, 50_000):
             xs = np.random.default_rng(23).random(n)
-            whole = gauss_sums._series_kernel(ns, cs, n)(xs)
+            whole = gauss_sums._quadratic_series(ns, cs, xs)
             assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 300, n, seed=23), whole), n
 
     def test_bits_do_not_depend_on_piece_size(self, monkeypatch):
-        # one-point pieces would multiply in place through another numpy loop
+        # one-point pieces, which an in-place product would round differently
         monkeypatch.setattr(distlab, "_usable_cores", lambda: 2)
         monkeypatch.setattr(distlab, "_CHUNK", 1)
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
         ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 50)
         for n in (513, 1025):
             xs = np.random.default_rng(29).random(n)
-            whole = gauss_sums._series_kernel(ns, cs, n)(xs)
+            whole = gauss_sums._quadratic_series(ns, cs, xs)
             assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 50, n, seed=29), whole), n
 
 

@@ -179,6 +179,18 @@ class TestLimitSeries:
         assert gs.limit_series(gs.G_PLUS, w, 0.25) == pytest.approx(
             cmath.exp(2j * cmath.pi * 0.25))
 
+    @pytest.mark.parametrize("variant", gs.VARIANTS)
+    def test_point_alone_equals_point_in_batch(self, variant):
+        # a progression support (Horner) and a sparse one (one phase per term)
+        dense = weights.as_fourier_series(weights.interval_indicator(0.0, 0.3, 600))
+        sparse = weights.fourier_weight({1: 1.0, -3: 0.5j, 10: 0.25, 27: -1j})
+        xs = np.random.default_rng(53).random(1000)
+        for w in (dense, sparse):
+            batch = gs.limit_series(variant, w, xs)
+            for i in range(0, 1000, 37):
+                assert gs.limit_series(variant, w, xs[i]) == batch[i], i
+                assert gs.limit_series(variant, w, xs[i:i + 2])[0] == batch[i], i
+
     def test_recurrence_matches_direct_eval(self):
         rng = np.random.default_rng(31)
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
@@ -295,6 +307,28 @@ class TestFast:
         ev = gs.DirectEvaluator(w, q)
         for p in arith.units(q).tolist():
             assert abs(gs.gauss_sum_fast(w, p, q) - ev(p)) < 1e-8 * math.sqrt(q)
+
+    @pytest.mark.parametrize("q,trunc", [(5012, 4000), (5013, 4000), (5014, 5000)])
+    def test_all_units_at_figure_moduli(self, q, trunc):
+        # the figure weights; the points t_p/q' are read exactly, not rounded to floats
+        cutoff = 2 * trunc if q % 4 == 0 else trunc
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, 1 / math.sqrt(7), cutoff))
+        ps = arith.units(q)
+        fast = gs.gauss_sum_fast_batch(w, ps, q)
+        assert np.max(np.abs(fast - gs.DirectEvaluator(w, q)(ps))) <= 5e-12 * math.sqrt(q)
+
+    @pytest.mark.parametrize("q", [5, 12, 50, 98, 5012, 5013, 5014])
+    def test_int_p_equals_p_in_batch(self, q):
+        rng = np.random.default_rng(q)
+        dense = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                                        for k in range(-40, 41)})
+        sparse = weights.fourier_weight({2: 1.0, -5: 0.5j, 14: 0.25, 31: -1j})
+        ps = arith.units(q)
+        for w in (dense, sparse):
+            batch = gs.gauss_sum_fast_batch(w, ps, q)
+            for i in range(0, len(ps), max(1, len(ps) // 17)):
+                assert gs.gauss_sum_fast_batch(w, int(ps[i]), q) == batch[i], (q, i)
+                assert gs.gauss_sum_fast(w, int(ps[i]), q) == batch[i], (q, i)
 
     def test_edge_moduli(self):
         w = weights.fourier_weight({-3: 1 + 2j, 0: 0.5, 1: -1j, 5: 0.25})

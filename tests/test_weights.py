@@ -173,7 +173,6 @@ class TestConversion:
         assert s.kind == weights.FOURIER
         assert s.coefficients == w.coefficients
 
-    def test_coefficient_norm_finite(self):
+    def test_indicator_mean_is_interval_length(self):
         w = weights.interval_indicator(0.0, 0.5, cutoff=64)
-        assert w.coefficient_norm(2) < math.inf
         assert w.mean == pytest.approx(0.5)
