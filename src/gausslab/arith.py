@@ -6,9 +6,9 @@ Jacobi symbol, the quartic unit factor of odd integers, and factored
 modulus metadata.  All functions are pure.
 
 The scalar functions take Python ints of any size.  The array forms
-(residues, inverses, jacobi_array) answer one int exactly through them,
-and an integer array with int64 arithmetic and no per-entry loop; arrays
-refuse moduli above INT64_ROOT, whose residue products would wrap.
+(residues, inverses, jacobi_array) answer one Python or numpy int exactly
+through them, and an integer array with int64 arithmetic and no per-entry
+loop; arrays refuse moduli above INT64_ROOT, whose products would wrap.
 """
 
 from __future__ import annotations
@@ -171,11 +171,11 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def residues(values, q: int):
-    """values mod q: an exact int for an int, else an int64 array (for q <= INT64_ROOT)."""
+    """values mod q: an exact int for a Python or numpy int, else an int64 array."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    if isinstance(values, int):
-        return values % q
+    if isinstance(values, (int, np.integer)):
+        return int(values) % q
     if q > INT64_ROOT:
         raise ValueError(f"residue arrays need q <= {INT64_ROOT}, got {q}; pass one int at a time")
     return (np.asarray(values) % q).astype(np.int64, copy=False)
@@ -196,8 +196,8 @@ def inverses(a, m: int):
     An array uses Euler's theorem, a^-1 = a^(phi(m) - 1) mod m, by
     square and multiply; m = 1 gives the zero residue.
     """
-    if isinstance(a, int):
-        return 0 if m == 1 else mod_inverse(a, m)
+    if isinstance(a, (int, np.integer)):
+        return 0 if m == 1 else mod_inverse(int(a), m)
     return _power_mod(unit_residues(a, m), analyze_modulus(m).phi - 1, m)
 
 
@@ -221,8 +221,8 @@ def jacobi_array(a, n: int):
     """
     if n % 2 == 0:
         raise EvenModulus(f"modulus must be odd, got {n}")
-    if isinstance(a, int):
-        return jacobi(a, n)
+    if isinstance(a, (int, np.integer)):
+        return jacobi(int(a), n)
     a = residues(a, n)
     out = np.ones(a.shape, dtype=np.int64)
     for p, e in factorize(n):

@@ -188,13 +188,14 @@ def cmd_figure(args) -> int:
     q, trunc_default, samples_default, center_default = FIGURES[which]
     trunc = trunc_default if args.trunc is None else args.trunc
     n_samples = samples_default if args.samples is None else args.samples
-    if trunc < 1 or n_samples < 1:
-        raise CommandError(f"--trunc and --samples must be positive, got {trunc} and {n_samples}")
+    bins = args.bins
+    if trunc < 1 or n_samples < 1 or bins < 1:
+        raise CommandError(f"--trunc, --samples and --bins must be positive, "
+                           f"got {trunc}, {n_samples} and {bins}")
     variant = modulus_case(q).variant
     # the even-index series at truncation K reads coefficients up to 2K
     coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
     center = args.center or center_default
-    bins = args.bins
     b = 1.0 / math.sqrt(7.0)
 
     weight = interval_indicator(0.0, b, coeff_cutoff)

@@ -45,7 +45,7 @@ class SuiteResult:
 
     def record(self, failed, ratios, describe) -> None:
         """Count one check per entry of failed; describe(i) names the i-th violation."""
-        self.checked += len(failed)
+        self.checked += np.size(failed)
         self.worst = max(self.worst, float(np.max(ratios, initial=0.0)))
         self.failures.extend(describe(i) for i in np.flatnonzero(failed))
 
@@ -68,21 +68,32 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, n_p: int = 5,
     """Fast functional-equation path against direct summation.
 
     Random finite-series weights with the given support, every modulus
-    up to q_max (all three classes mod 4), a few random units each.
+    up to q_max (all three classes mod 4), a few random units each.  The
+    weights and their units are drawn first, weight by weight; then each
+    modulus makes one fast call and one direct call for all weights, with
+    a (weights, units) array of p, and violations are listed q by q.  The
+    direct side stays the O(q) definition for every (weight, p).
     """
     rng = np.random.default_rng(seed)
+    qs = range(3, q_max + 1)
+    phis = [arith.analyze_modulus(q).phi for q in qs]
+    # picks[i][w] indexes the units of qs[i] checked for weight w; choosing
+    # from phi draws what choosing from the units array draws
+    picks = [np.empty((n_weights, min(n_p, phi)), dtype=np.int64) for phi in phis]
+    weights = []
+    for w in range(n_weights):
+        weights.append(fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                                       for k in range(-support, support + 1)}))
+        for phi, picked in zip(phis, picks):
+            picked[w] = (np.sort(rng.choice(phi, n_p, replace=False)) if phi > n_p
+                         else np.arange(phi))
     res = SuiteResult("functional_eq", 0)
-    for _ in range(n_weights):
-        w = fourier_weight({int(k): complex(rng.normal(), rng.normal())
-                            for k in range(-support, support + 1)})
-        for q in range(3, q_max + 1):
-            ps = arith.units(q)
-            if len(ps) > n_p:
-                ps = np.sort(rng.choice(ps, n_p, replace=False))
-            gaps = np.abs(gauss_sum_fast_batch(w, ps, q) - DirectEvaluator(w, q)(ps))
-            scale = tol * math.sqrt(q)
-            res.record(~(gaps < scale), gaps / scale,
-                       lambda i: f"p={ps[i]} q={q} |fast-direct|={gaps[i]:.3e}")
+    for q, picked in zip(qs, picks):
+        ps = arith.units(q)[picked]
+        gaps = np.abs(gauss_sum_fast_batch(weights, ps, q) - DirectEvaluator(weights, q)(ps))
+        scale = tol * math.sqrt(q)
+        res.record(~(gaps < scale), gaps / scale,
+                   lambda j: f"p={ps.flat[j]} q={q} |fast-direct|={gaps.flat[j]:.3e}")
     return res
 
 

@@ -109,19 +109,30 @@ def evaluate(w: WeightFunction, x):
     return complex(out[0]) if scalar else out
 
 
-def evaluate_grid(w: WeightFunction, q: int) -> np.ndarray:
+def evaluate_grid(w, q: int) -> np.ndarray:
     """Values at the rational grid h/q, h = 0..q-1.
 
     A series of any support is folded mod q (c_k added into bin k mod q)
     and evaluated with one inverse FFT, in O(#coefficients + q log q);
     evaluate() stays the pointwise reference.  Indicators are exact 0/1.
+    A sequence of W weights gives a (W, q) array, one row per weight, with
+    one row-wise inverse FFT for all of its series.
     """
-    if w.kind == INDICATOR:
-        return evaluate(w, np.arange(q, dtype=np.float64) / q)
-    binned = np.zeros(q, dtype=np.complex128)
-    np.add.at(binned, [k % q for k in w.coefficients], list(w.coefficients.values()))
+    single = isinstance(w, WeightFunction)
+    grid = np.arange(q, dtype=np.float64) / q
+    if single and w.kind == INDICATOR:
+        return evaluate(w, grid)
+    rows = [w] if single else list(w)
+    series = [(r, v.coefficients) for r, v in enumerate(rows) if v.kind == FOURIER]
+    binned = np.zeros((len(rows), q), dtype=np.complex128)
+    np.add.at(binned.reshape(-1), [r * q + k % q for r, cs in series for k in cs],
+              [c for _, cs in series for c in cs.values()])
     # value at h/q is sum_k c_k e(kh/q) = q * ifft(binned)[h]
-    return np.fft.ifft(binned) * q
+    values = np.fft.ifft(binned) * q
+    for row, v in zip(values, rows):
+        if v.kind == INDICATOR:
+            row[:] = evaluate(v, grid)
+    return values[0] if single else values
 
 
 def reduce_weight(w: WeightFunction, r: int) -> WeightFunction:

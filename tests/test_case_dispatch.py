@@ -161,6 +161,13 @@ class TestLargeModuli:
         d = (1 + 1j) * arith.epsilon(p).conjugate() * arith.jacobi(q, p) * math.sqrt(q)
         assert abs(gs.gauss_sum_fast(w, p, q) - d * series) <= 1e-12 * math.sqrt(q)
 
+    def test_numpy_integer_is_one_int(self):
+        # a numpy scalar p takes the exact one-int path, not the int64 array path
+        q = 4 * (2**89 - 1)
+        assert gs.gauss_sum_fast(ONE, np.int64(7), q) == gs.gauss_sum_fast(ONE, 7, q)
+        assert gs.gauss_sum_closed(np.int64(7), q) == gs.gauss_sum_closed(7, q)
+        assert gs.sigma_class(np.int64(7), q) == gs.sigma_class(7, q)
+
     def test_arrays_refuse_instead_of_wrapping(self):
         with pytest.raises(ValueError):
             gs.gauss_sum_fast_batch(ONE, [5, 7], 2**61 - 1)

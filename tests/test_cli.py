@@ -94,12 +94,12 @@ class TestBatchedSuiteFaults:
 
     def test_functional_eq(self, monkeypatch, capsys):
         real = verify.gauss_sum_fast_batch
-        seen = {}
 
-        def faulty(w, ps, q):
-            # only the first weight of the seeded draw is hit, in both runs
-            values = real(w, ps, q)
-            return self.bump(values, ps, q, (7, 12)) if w == seen.setdefault("first", w) else values
+        def faulty(ws, ps, q):
+            # one call per modulus covers every weight; only row 0, the first weight, is hit
+            values = np.array(real(ws, ps, q))
+            values[0] = self.bump(values[0], ps[0], q, (7, 12))
+            return values
 
         monkeypatch.setattr(verify, "gauss_sum_fast_batch", faulty)
         self.check("functional_eq", {"q_max": 20, "n_weights": 3}, "p=7 q=12 |fast-direct|=", capsys)
@@ -164,13 +164,21 @@ class TestFigureCommand:
         rows = [l for l in lines if not l.startswith("#") and not l.startswith("bin_lo")]
         assert sum(int(r.split(",")[2]) for r in rows) == 3336
 
-    @pytest.mark.parametrize("flag", ["--samples", "--trunc"])
+    @pytest.mark.parametrize("flag", ["--samples", "--trunc", "--bins"])
     def test_zero_is_a_usage_error(self, tmp_path, capsys, flag):
         # 0 must not fall back to the preset (300000 samples, truncation 4000)
         out = tmp_path / "out"
         assert run(["figure", "fig2", flag, "0", "--out-dir", str(out)]) == 2
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_bins_leaves_out_dir_empty(self, tmp_path):
+        # the check runs before the batch and the sampling, so no CSV is half written
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["figure", "fig2", "--samples", "10", "--trunc", "10", "--bins", "0",
+                    "--out-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
 
     def test_fast_interval_weight(self, tmp_path):
         out = tmp_path / "out"

@@ -418,3 +418,90 @@ class TestSymmetricWeights:
             gf = gs.limit_series(gs.G_FULL, w, float(x))
             assert abs(gp4 - gf) < 1e-9
 
+
+
+def functional_eq_reference(q_max, n_weights, n_p=5, support=8, tol=1e-6, seed=20260809):
+    """verify.functional_eq_suite as one fast and one direct call per (weight, q).
+
+    The same draws in the same order, weight by weight; returns
+    (checked, worst, failure lines).
+    """
+    rng = np.random.default_rng(seed)
+    checked, worst, failures = 0, 0.0, []
+    for _ in range(n_weights):
+        w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                                    for k in range(-support, support + 1)})
+        for q in range(3, q_max + 1):
+            ps = arith.units(q)
+            if len(ps) > n_p:
+                ps = np.sort(rng.choice(ps, n_p, replace=False))
+            gaps = np.abs(gs.gauss_sum_fast_batch(w, ps, q) - gs.DirectEvaluator(w, q)(ps))
+            scale = tol * math.sqrt(q)
+            checked += len(ps)
+            worst = max(worst, float(np.max(gaps / scale, initial=0.0)))
+            failures += [f"p={p} q={q} |fast-direct|={g:.3e}"
+                         for p, g in zip(ps, gaps) if not g < scale]
+    return checked, worst, failures
+
+
+class TestWeightAxis:
+    """A (W, terms) block of weights evaluates each row as that weight alone would."""
+
+    @pytest.mark.parametrize("support", [range(-8, 9), (-7, -3, 0, 2, 5, 11)],
+                             ids=["progression", "sparse"])
+    def test_rows_equal_single_weight_calls(self, support):
+        rng = np.random.default_rng(len(support))
+        ws = [weights.fourier_weight({k: complex(rng.normal(), rng.normal()) for k in support})
+              for _ in range(3)]
+        for q in range(3, 401):  # every class mod 4
+            units = arith.units(q)
+            ps = np.array([np.sort(rng.choice(units, min(len(units), 6), replace=False))
+                           for _ in ws])
+            fast = gs.gauss_sum_fast_batch(ws, ps, q)
+            direct = gs.DirectEvaluator(ws, q)(ps)
+            assert fast.shape == direct.shape == ps.shape
+            for i, w in enumerate(ws):
+                assert fast[i].tobytes() == gs.gauss_sum_fast_batch(w, ps[i], q).tobytes(), (q, i)
+                assert direct[i].tobytes() == gs.DirectEvaluator(w, q)(ps[i]).tobytes(), (q, i)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-14])  # 1e-14 makes hundreds of violations
+    def test_suite_equals_per_weight_loop(self, tol):
+        from gausslab import verify
+
+        result = verify.functional_eq_suite(q_max=60, n_weights=4, tol=tol)
+        checked, worst, failures = functional_eq_reference(q_max=60, n_weights=4, tol=tol)
+        assert (result.checked, result.worst) == (checked, worst)
+        assert sorted(result.failures) == sorted(failures)
+        assert (len(failures) > 0) == (tol < 1e-6)
+
+    def test_single_weight_shapes_and_types(self):
+        w = weights.fourier_weight({-2: 1.0, 0: 0.5j, 3: -0.25})
+        q, ps = 12, np.array([1, 5, 7, 11])
+        ev = gs.DirectEvaluator(w, q)
+        assert ev.q == q and ev.values.shape == (q,)
+        assert type(ev(7)) is complex
+        assert ev(ps).shape == (4,) and ev(ps).dtype == np.complex128
+        assert ev(ps.reshape(2, 2)).shape == (2, 2)
+        assert type(gs.gauss_sum_fast(w, 7, q)) is complex
+        assert type(gs.gauss_sum_fast_batch(w, 7, q)) is np.complex128
+        assert gs.gauss_sum_fast_batch(w, ps, q).shape == (4,)
+        assert weights.evaluate_grid(w, q).shape == (q,)
+        ns, cs = gs._variant_terms(w.coefficients, gs.G_FULL)
+        assert ns.shape == cs.shape == (3,)
+        assert type(gs.limit_series(gs.G_FULL, w, 0.25)) is complex
+        assert gs.limit_series(gs.G_FULL, w, np.array([0.1, 0.2])).shape == (2,)
+
+    def test_grid_rows_of_either_kind(self):
+        # an indicator row stays the exact 0/1 indicator, not its truncated series
+        ws = [weights.interval_indicator(0.1, 0.4, 20), weights.fourier_weight({-3: 1j, 2: 0.5})]
+        grid = weights.evaluate_grid(ws, 30)
+        for row, w in zip(grid, ws):
+            assert row.tobytes() == weights.evaluate_grid(w, 30).tobytes()
+
+    def test_p_needs_one_row_per_weight(self):
+        ws = [weights.fourier_weight({1: 1.0}), weights.fourier_weight({2: 1.0})]
+        for ps in (np.array([1, 2, 3, 4]), 3):
+            with pytest.raises(ValueError):
+                gs.gauss_sum_fast_batch(ws, ps, 7)
+            with pytest.raises(ValueError):
+                gs.DirectEvaluator(ws, 7)(ps)
