@@ -9,8 +9,6 @@ from .arith import (
     Modulus,
     analyze_modulus,
     epsilon,
-    find_nonresidue_witness,
-    gcd,
     jacobi,
     mod_inverse,
     units,
@@ -45,7 +43,6 @@ from .gauss_sums import (
     G_MINUS,
     G_PLUS,
     ModulusCase,
-    SigmaClass,
     gauss_sum_closed,
     gauss_sum_direct,
     gauss_sum_fast,

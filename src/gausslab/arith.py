@@ -1,7 +1,7 @@
 """Exact integer and residue arithmetic.
 
 Everything downstream (Gauss sums, Kloosterman sums, class statistics)
-reduces to the primitives in this module: gcd, modular inverses, the
+reduces to the primitives in this module: modular inverses, the
 Jacobi symbol, the quartic unit factor of odd integers, and factored
 modulus metadata.  All functions are pure.
 
@@ -18,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenArgument, EvenModulus, IsSquare, NotCoprime
+from .errors import EvenArgument, EvenModulus, NotCoprime
 
 # largest n with n * n < 2**63: residues below it multiply without leaving int64
 INT64_ROOT = math.isqrt(2**63 - 1)
 # primes below this read Legendre symbols from a table of squares (at most 512 KiB)
 SQUARES_TABLE_MAX = 1 << 16
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, nonnegative; gcd(0, 0) = 0."""
-    return math.gcd(a, b)
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -132,24 +127,6 @@ def analyze_modulus(q: int) -> Modulus:
         if e % 2:
             square = False
     return Modulus(q, tuple(factors), phi, tau, q % 4, square)
-
-
-def find_nonresidue_witness(q: int, max_attempts: int = 10**6) -> int:
-    """Smallest r = 1 mod 4 with (q/r) = -1.
-
-    Exists whenever q is not a perfect square; for squares the symbol is
-    never -1, so we refuse upfront instead of searching forever.
-    """
-    if q < 1:
-        raise ValueError(f"need a positive integer, got {q}")
-    if is_perfect_square(q):
-        raise IsSquare(f"{q} is a perfect square; no witness exists")
-    r = 1
-    for _ in range(max_attempts):
-        if jacobi(q, r) == -1:
-            return r
-        r += 4
-    raise RuntimeError(f"no witness for q={q} below r={r}")
 
 
 def units(q: int) -> np.ndarray:

@@ -59,12 +59,8 @@ class CommandError(Exception):
     """Domain-level usage error; maps to exit code 2."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _csv_row(row) -> str:
-    return ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
+    return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
 
 
 def _write_lines(path: Path, meta: dict, header: list[str], lines) -> None:
@@ -88,6 +84,17 @@ def _limit_lines(limit: np.ndarray, variant: str):
     if variant == G_MINUS:
         return map(repr, limit.imag.tolist())
     return map("{!r},{!r}".format, limit.real.tolist(), limit.imag.tolist())
+
+
+# CSV label of a sigma-class value (modulus_case's classes; None for kind "none")
+SIGMA_LABELS = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
+
+
+def _sample_lines(batch) -> map:
+    """Data lines of the samples CSV, p,sigma,re,im, formatted a column at a time."""
+    labels = map(SIGMA_LABELS.__getitem__, batch.case.classes.tolist())
+    return map("{},{},{!r},{!r}".format, batch.case.units.tolist(), labels,
+               batch.values.real.tolist(), batch.values.imag.tolist())
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -230,8 +237,8 @@ def cmd_figure(args) -> int:
         "method": "fast" if args.fast else "direct",
     }
 
-    sample_rows = [(p, sc.label(), float(v.real), float(v.imag)) for p, sc, v in batch.samples]
-    _write_csv(out_dir / f"{which}_samples.csv", meta, ["p", "sigma", "re", "im"], sample_rows)
+    _write_lines(out_dir / f"{which}_samples.csv", meta, ["p", "sigma", "re", "im"],
+                 _sample_lines(batch))
 
     def hist_rows(vals):
         h = histogram(vals, bins=bins)
@@ -252,17 +259,17 @@ def cmd_figure(args) -> int:
 
     summary = dict(meta)
     summary.update({
-        "normalization": batch.normalization,
-        "total_samples": len(batch.samples),
+        "normalization": batch.case.label,
+        "total_samples": len(values),
         "phi_q": batch.modulus.phi,
         "grid_mass": batch.grid_mass,
         "t_over_q": t_over_q,
-        "mean_bin_count": len(batch.samples) / bins,
+        "mean_bin_count": len(values) / bins,
         "ks_re": ks_re,
         "ks_im": ks_im,
     })
     _write_json(out_dir / f"{which}_summary.json", summary)
-    print(f"{which}: {len(batch.samples)} samples, KS re={ks_re:.4f} im={ks_im:.4f} -> {out_dir}")
+    print(f"{which}: {len(values)} samples, KS re={ks_re:.4f} im={ks_im:.4f} -> {out_dir}")
     return 0
 
 

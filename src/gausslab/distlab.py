@@ -5,6 +5,9 @@ empirical law over the whole unit group is the sampling distribution;
 no Monte Carlo is needed there) and divides by the normalizer D(p) of
 gauss_sums.modulus_case: g_1(p,q), or 2 g_1(2p, q/2) for q = 2 mod 4,
 which is the constant eps_q sqrt(q) (eps_{q/2} sqrt(2q)) for square q (q/2).
+A batch keeps that modulus_case as it is: the units, their sigma classes
+and normalizers stay one array each, and a domain window filters the
+units with one array test.
 
 The numerators g(w, p, q) of every p come from one FFT of the weight
 values binned at h^2 mod q (gauss_sums.quadratic_grid), which is exact
@@ -35,7 +38,7 @@ import numpy as np
 from . import arith
 from .errors import EmptyInput
 from .gauss_sums import (
-    SigmaClass,
+    ModulusCase,
     _quadratic_series,
     _variant_terms,
     gauss_sum_fast_batch,
@@ -53,8 +56,8 @@ _CHUNK = 3 << 13
 class DomainWindow:
     """A finite union of disjoint subintervals of [0, 1).
 
-    Membership of a rational p/q is decided exactly through Fraction
-    comparison against the (binary float) endpoints.
+    Membership of the rationals p/q is decided exactly against the
+    (binary float) endpoints, with integer bounds on p (contains).
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -80,42 +83,41 @@ class DomainWindow:
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    @property
-    def is_full(self) -> bool:
-        return self.intervals == ((0.0, 1.0),)
+    def contains(self, ps: np.ndarray, q: int) -> np.ndarray:
+        """Whether each p/q of an int64 array ps, taken mod 1, lies in the window.
 
-    def contains_rational(self, p: int, q: int) -> bool:
-        x = Fraction(p, q) % 1
+        [a, b) holds p/q, for 0 <= p < q, iff ceil(a q) <= p < ceil(b q);
+        both bounds are computed once in exact Fraction arithmetic.
+        """
+        r = ps % q
+        inside = np.zeros(r.shape, dtype=bool)
         for a, b in self.intervals:
-            if Fraction(a) <= x < Fraction(b):
-                return True
-        return False
+            inside |= (math.ceil(Fraction(a) * q) <= r) & (r < math.ceil(Fraction(b) * q))
+        return inside
 
 
 @dataclass
 class EmpiricalBatch:
-    """Normalized values over the admissible units of one modulus, sorted by p."""
+    """Normalized values over the admissible units of one modulus, sorted by p.
+
+    case is modulus_case at those units: the p (units), classes and normalization (label).
+    """
 
     modulus: arith.Modulus
-    weight: WeightFunction
-    residues: np.ndarray
-    classes: list[SigmaClass]
+    case: ModulusCase
     values: np.ndarray
-    normalization: str
     grid_mass: float  # sum of weight values on the grid h/q; counts the kept terms for indicators
 
-    @property
-    def samples(self) -> list[tuple[int, SigmaClass, complex]]:
-        """(p, sigma class, normalized value) per admissible unit."""
-        return list(zip(self.residues.tolist(), self.classes, self.values.tolist()))
 
-
-def _admissible_units(q: int, window: DomainWindow | None) -> np.ndarray:
+def _admissible_sums(q: int, w: WeightFunction, window: DomainWindow | None, fast: bool):
+    """The units p of q in the window, g(w, p, q) at each, and the weight values on h/q."""
     ps = arith.units(q)
-    if window is None or window.is_full:
-        return ps
-    keep = [p for p in ps.tolist() if window.contains_rational(p, q)]
-    return np.array(keep, dtype=np.int64)
+    if window is not None:
+        ps = ps[window.contains(ps, q)]
+    grid = evaluate_grid(w, q)
+    if fast:
+        return ps, gauss_sum_fast_batch(w, ps, q), grid
+    return ps, quadratic_grid(np.arange(q), grid, q)[ps % q], grid
 
 
 def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = None,
@@ -128,16 +130,9 @@ def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = Non
     """
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    mod = arith.analyze_modulus(q)
-    ps = _admissible_units(q, window)
-    grid = evaluate_grid(w, q)
-    if fast:
-        numerators = gauss_sum_fast_batch(w, ps, q)
-    else:
-        numerators = quadratic_grid(np.arange(q), grid, q)[ps % q]
+    ps, numerators, grid = _admissible_sums(q, w, window, fast)
     case = modulus_case(q, ps)
-    classes = list(map(partial(SigmaClass, case.class_kind), case.classes.tolist()))
-    return EmpiricalBatch(mod, w, ps, classes, numerators / case.normalizers, case.label,
+    return EmpiricalBatch(arith.analyze_modulus(q), case, numerators / case.normalizers,
                           float(grid.sum().real))
 
 
@@ -231,14 +226,9 @@ def empirical_moment(q: int, w: WeightFunction, window: DomainWindow | None = No
     """
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
-    mod = arith.analyze_modulus(q)
     window = window or DomainWindow.full()
-    ps = _admissible_units(q, window)
-    if fast:
-        sums = gauss_sum_fast_batch(w, ps, q)
-    else:
-        sums = quadratic_grid(np.arange(q), evaluate_grid(w, q), q)[ps % q]
-    raw = float(np.sum(np.abs(sums) ** k)) / (mod.phi * window.measure)
+    _, sums, _ = _admissible_sums(q, w, window, fast)
+    raw = float(np.sum(np.abs(sums) ** k)) / (arith.analyze_modulus(q).phi * window.measure)
     case = modulus_case(q)
     empirical = raw / case.norm_sq ** (k / 2)
     limit = limit_moment(case.variant, as_fourier_series(w), k)

@@ -13,10 +13,6 @@ class EvenArgument(ValueError):
     """The quartic unit factor is only defined for odd integers."""
 
 
-class IsSquare(ValueError):
-    """A non-square modulus was required (the search cannot succeed)."""
-
-
 class BadInterval(ValueError):
     """Interval endpoints do not satisfy 0 <= a < b <= 1."""
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import arith
 from .errors import BadModulus, NotCoprime
-from .gauss_sums import SigmaClass, modulus_case
+from .gauss_sums import modulus_case
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,22 @@ def weil_check(report: ExpSumReport, slack: float = WEIL_SLACK) -> bool:
     return abs(report.value) <= report.weil_bound + slack
 
 
-def weyl_statistic(q: int | arith.Modulus, t: int, m: int, n: int,
-                   class_filter: SigmaClass | None = None) -> complex:
+def weyl_statistic(q: int, t: int, m: int, n: int, class_filter=None) -> complex:
     """(1/phi(q)) sum over p (optionally one sigma-class) of e((m p + n t p-bar)/q).
 
+    class_filter is a sigma-class value of modulus_case: 1, -1, i or -i.
     Must decay as q grows for (m, n) != (0, 0); the Weil bounds give the
     rate.  The normalization is by the full phi(q) even when a class
     filter keeps only a quarter or half of the units.
     """
-    mod = q if isinstance(q, arith.Modulus) else arith.analyze_modulus(q)
     if (m, n) == (0, 0):
         raise ValueError("(m, n) = (0, 0) is the trivial statistic")
-    if math.gcd(t, mod.q) != 1:
-        raise NotCoprime(f"gcd({t}, {mod.q}) != 1")
-    ps, vals = _phase_values(m, n * t, mod.q)
+    if math.gcd(t, q) != 1:
+        raise NotCoprime(f"gcd({t}, {q}) != 1")
+    ps, vals = _phase_values(m, n * t, q)
     if class_filter is not None:
-        case = modulus_case(mod.q, ps)
-        vals = vals[(case.class_kind == class_filter.kind) & (case.classes == class_filter.value)]
-    return complex(vals.sum() / mod.phi)
+        vals = vals[modulus_case(q, ps).classes == class_filter]
+    return complex(vals.sum() / ps.size)
 
 
 def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
@@ -143,8 +141,8 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     return spectrum[arith.residues(n, q) * ts % q] / ps.size
 
 
-def class_counts(q: int | arith.Modulus, by_mod4: bool = False) -> dict:
-    """Exact sizes of the sigma-classes of the unit group.
+def class_counts(q: int, by_mod4: bool = False) -> dict:
+    """Exact sizes of the sigma-classes of the unit group, keyed by class value.
 
     Default keying follows sigma_class (quarter values for non-square
     q = 0 mod 4, half values otherwise, None when unclassified).  With
@@ -152,10 +150,9 @@ def class_counts(q: int | arith.Modulus, by_mod4: bool = False) -> dict:
     instead (+1 for p = 1, -1 for p = 3), which is exact for squares
     and non-squares alike.
     """
-    mod = q if isinstance(q, arith.Modulus) else arith.analyze_modulus(q)
-    if by_mod4 and mod.q_mod4 != 0:
-        raise BadModulus(f"mod-4 classes need q = 0 mod 4, got {mod.q}")
-    case = modulus_case(mod.q, arith.units(mod.q))
+    if by_mod4 and q % 4 != 0:
+        raise BadModulus(f"mod-4 classes need q = 0 mod 4, got {q}")
+    case = modulus_case(q, arith.units(q))
     if by_mod4:
         # the character eps_p (q/p) squares to eps_p^2: +1 for p = 1 and -1 for p = 3 mod 4
         return dict(Counter((case.characters * case.characters).real.astype(np.int64).tolist()))

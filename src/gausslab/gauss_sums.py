@@ -35,13 +35,14 @@ quadratic_grid.
 
 modulus_case is the one place that splits on q mod 4 and on whether q
 (or q/2) is a square; the closed form, the fast path, the sigma classes,
-`distlab` and `expsums` all read their case from it.
+`distlab` and `expsums` all read their case from it.  A sigma class is a
+value, one array entry per unit (1, -1, i or -i, or None when q is of
+kind "none"); its kind belongs to q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,13 +78,13 @@ class ModulusCase(NamedTuple):
     variant: str  # the series whose law the normalized sums follow
     label: str  # how g(w,p,q)/D(p) is written
     norm_sq: int  # |D(p)|^2 exactly: 2q for even q, q for odd q
-    class_kind: str  # the SigmaClass kind of every unit
+    class_kind: str  # "quarter", "mod4", "half" or "none": a property of q, not of p
     units: object  # p mod q
     complete: object  # the complete sum g_1(p, q); 0 for q = 2 mod 4
     normalizers: object  # D(p)
     factors: object  # D(p) without its constant: (1+i) eps_p^-1 (q/p), (p/q) or (2p/(q/2))
     characters: object  # the twist eps_p (q/p), (p/q) or (2p/(q/2))
-    classes: object  # sigma-class values; None for kind "none"
+    classes: object  # the sigma class of each unit: 1, -1, i or -i; None for kind "none"
     point_map: tuple[int, int]  # (a, q') of the fast-path point x_p = t_p/q'
 
     def points(self):
@@ -150,19 +151,23 @@ class DirectEvaluator:
 
     Precomputes the weight values on the grid h/q ((W, q) for W weights)
     and the q-th roots of unity; each sum is a gather of roots[p h^2 mod q]
-    plus a dot product with its weight's values (one stacked matmul for W
-    weights), with no transcendental calls.  It never goes through
-    quadratic_grid or the fast path, so it can check both.
+    for h <= q/2 times the weight's values at h and q - h (which share the
+    phase), summed along h, with no transcendental calls.  numpy sums each
+    row in an order fixed by q alone, so a value depends on (w, p, q) only,
+    not on the p sharing its call.  It never goes through quadratic_grid or
+    the fast path, so it can check both.
     """
 
     def __init__(self, w, q: int):
         if q < 1:
             raise ValueError(f"modulus must be positive, got {q}")
         self.q = q
-        h = np.arange(q, dtype=np.int64)
+        h = np.arange(q // 2 + 1, dtype=np.int64)
         self.h2 = (h * h) % q
         self.roots = np.exp(2j * np.pi * np.arange(q) / q)
         self.values = evaluate_grid(w, q)
+        self._paired = self.values[..., :len(h)].copy()  # 0 < h < q/2 also takes q - h
+        self._paired[..., 1:(q + 1) // 2] += self.values[..., :q // 2:-1]
 
     def __call__(self, p):
         """g(w, p, q) for one p (a complex; exact for an int of any size) or an int64 array.
@@ -173,19 +178,17 @@ class DirectEvaluator:
         if self.values.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(self.values)):
             raise ValueError(f"{len(self.values)} weights need a p array with one row per weight")
         block = ps if self.values.ndim == 2 else np.reshape(ps, (1, -1))
-        values = self.values.reshape(-1, self.q, 1)
+        values = self._paired.reshape(-1, 1, len(self.h2))
         out = np.empty(block.shape, dtype=np.complex128)
         n = block.shape[1]
         rows = max(1, (1 << 13) // self.q)  # 2^15-phase blocks took 1 MB more, no faster
-        # blocks group weights but split p as for one weight: OpenBLAS rounds a
-        # matrix-vector product differently for another number of rows
-        group = max(1, rows // max(1, n))
+        group = max(1, rows // max(1, n))  # weights per block
         for first in range(0, len(block), group):
             ws = slice(first, first + group)
             for start in range(0, n, rows):
                 t = block[ws, start:start + rows, None] * self.h2
                 t -= t // self.q * self.q  # t % q; numpy floor-divides by a scalar 3x faster
-                out[ws, start:start + rows] = (self.roots[t] @ values[ws])[..., 0]
+                out[ws, start:start + rows] = (self.roots.take(t) * values[ws]).sum(axis=-1)
         return complex(out[0, 0]) if np.ndim(ps) == 0 else out.reshape(np.shape(ps))
 
 
@@ -455,26 +458,6 @@ def gauss_sum_fast(w: WeightFunction, p: int, q: int) -> complex:
 # value classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaClass:
-    """Conditioning class of a unit residue.
-
-    kind "quarter": value eps_p * (q/p) in {1, -1, i, -i}  (q = 0 mod 4, non-square)
-    kind "mod4":    value +-1 for p = +-1 mod 4            (q = 0 mod 4, square)
-    kind "half":    value (p/q) = +-1 for odd q, or (2p / (q/2)) for q = 2 mod 4
-    kind "none":    no conditioning (the square cases of odd / 2 mod 4 moduli)
-    """
-
-    kind: str
-    value: complex | int | None
-
-    def label(self) -> str:
-        if self.kind == "none":
-            return ""
-        return {1: "1", -1: "-1", 1j: "i", -1j: "-i"}.get(complex(self.value), str(self.value))
-
-
-def sigma_class(p: int, q: int | arith.Modulus) -> SigmaClass:
-    """Class of p per the modulus's residue type (modulus_case); requires gcd(p, q) = 1."""
-    case = modulus_case(q.q if isinstance(q, arith.Modulus) else q, p)
-    return SigmaClass(case.class_kind, np.asarray(case.classes).tolist())
+def sigma_class(p: int, q: int):
+    """modulus_case(q, p).classes for one unit p: 1, -1, i or -i, or None for kind "none"."""
+    return np.asarray(modulus_case(q, p).classes).tolist()

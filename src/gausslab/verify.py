@@ -127,11 +127,11 @@ def class_count_suite(q_max: int = 2000) -> SuiteResult:
         mod = arith.analyze_modulus(q)
         checks = []  # (label, counts, number of classes)
         if mod.q_mod4 == 0:
-            checks.append(("mod4", class_counts(mod, by_mod4=True), 2))
+            checks.append(("mod4", class_counts(q, by_mod4=True), 2))
             if not mod.is_square:
-                checks.append(("quarter", class_counts(mod), 4))
+                checks.append(("quarter", class_counts(q), 4))
         elif mod.q_mod4 % 2 == 1 and not mod.is_square:
-            checks.append(("half", class_counts(mod), 2))
+            checks.append(("half", class_counts(q), 2))
         for label, counts, k in checks:
             bad = sorted(counts.values()) != [mod.phi // k] * k
             res.record([bad], [math.inf if bad else 0.0],

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausslab import arith
-from gausslab.errors import EvenArgument, EvenModulus, IsSquare, NotCoprime
+from gausslab.errors import EvenArgument, EvenModulus, NotCoprime
 
 
 def legendre_by_squaring(a, p):
@@ -19,23 +19,6 @@ def legendre_by_squaring(a, p):
         return 0
     residues = {(x * x) % p for x in range(1, p)}
     return 1 if a in residues else -1
-
-
-class TestGcd:
-    def test_small_euclid(self):
-        assert arith.gcd(12, 18) == 6
-
-    @pytest.mark.parametrize("q", [1, 2, 17, 360, 5012])
-    def test_identity(self, q):
-        assert arith.gcd(1, q) == 1
-
-    def test_worked_example(self):
-        # 5012 = 2*2136 + 740; 2136 = 2*740 + 656; 740 = 656 + 84;
-        # 656 = 7*84 + 68; 84 = 68 + 16; 68 = 4*16 + 4; 16 = 4*4.
-        assert arith.gcd(5012, 2136) == 4
-
-    def test_zero_zero(self):
-        assert arith.gcd(0, 0) == 0
 
 
 class TestModInverse:
@@ -200,26 +183,6 @@ class TestAnalyzeModulus:
             for p, _ in m.factorization:
                 phi = phi // p * (p - 1)
             assert phi == m.phi
-
-
-class TestNonresidueWitness:
-    def test_two(self):
-        assert arith.find_nonresidue_witness(2) == 5
-
-    def test_three(self):
-        assert arith.find_nonresidue_witness(3) == 5
-
-    def test_square_rejected(self):
-        with pytest.raises(IsSquare):
-            arith.find_nonresidue_witness(4)
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 8, 12, 20, 48, 908, 5012])
-    def test_witness_properties(self, q):
-        r = arith.find_nonresidue_witness(q)
-        assert r % 4 == 1
-        assert arith.jacobi(q, r) == -1
-        for smaller in range(1, r, 4):
-            assert arith.jacobi(q, smaller) != -1
 
 
 class TestUnits:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import arith, cli, expsums, verify
+from gausslab import arith, cli, distlab, expsums, gauss_sums, verify, weights
 
 
 def run(argv):
@@ -126,6 +126,14 @@ class TestBatchedSuiteFaults:
         self.check("reduction", {"q_max": 30}, "p=8 q=12 gap=", capsys)
 
 
+def reference_sample_lines(batch, q):
+    """The samples CSV rows written one (p, label, re, im) row at a time, with scalar classes."""
+    labels = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
+    rows = [(p, labels[gauss_sums.sigma_class(p, q)], float(v.real), float(v.imag))
+            for p, v in zip(batch.case.units.tolist(), batch.values.tolist())]
+    return [",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
+
+
 class TestFigureCommand:
     def test_small_fig1(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -144,6 +152,20 @@ class TestFigureCommand:
         assert (out / "fig1_hist_re.csv").exists()
         assert (out / "fig1_hist_im.csv").exists()
         assert (out / "fig1_limit.csv").exists()
+
+    def test_samples_file_equals_row_wise_reference(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["figure", "fig1", "--trunc", "50", "--samples", "100",
+                    "--out-dir", str(out)]) == 0
+        lines = (out / "fig1_samples.csv").read_text().splitlines()
+        batch = distlab.empirical_batch(5012, weights.interval_indicator(0.0, 1 / math.sqrt(7), 100))
+        assert lines[lines.index("p,sigma,re,im") + 1:] == reference_sample_lines(batch, 5012)
+
+    # quarter, half (odd and 2 mod 4), mod4 and none (odd and 2 mod 4) classes
+    @pytest.mark.parametrize("q", [5012, 5013, 5014, 16, 9, 18])
+    def test_sample_lines_equal_row_wise_reference(self, q):
+        batch = distlab.empirical_batch(q, weights.interval_indicator(0.0, 0.4, 64))
+        assert list(cli._sample_lines(batch)) == reference_sample_lines(batch, q)
 
     def test_fig3_limit_is_single_column(self, tmp_path):
         out = tmp_path / "out"
@@ -308,10 +330,9 @@ class TestEquidistCommand:
             rows = self.rows(path)
             ts = [int(r[1]) for r in rows]
             assert ts == arith.units(q).tolist()
-            mod = arith.analyze_modulus(q)
             stride = 1 if q <= 200 else 40  # the per-t oracle is O(phi(q)) a call
             for t, r in zip(ts[::stride], rows[::stride]):
-                want = expsums.weyl_statistic(mod, t, m, n)
+                want = expsums.weyl_statistic(q, t, m, n)
                 assert abs(complex(float(r[4]), float(r[5])) - want) <= 1e-12, (q, t)
 
     def test_single_t_errors(self):

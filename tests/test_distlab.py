@@ -27,15 +27,30 @@ def midpoint_moment(w, k, size=10_001):
 class TestDomainWindow:
     def test_full(self):
         w = distlab.DomainWindow.full()
-        assert w.measure == 1.0 and w.is_full
-        assert w.contains_rational(3, 7)
+        assert w.measure == 1.0
+        assert w.contains(np.arange(7), 7).all()
 
     def test_interval_membership_exact(self):
         w = distlab.DomainWindow.interval(0.25, 0.5)
-        assert w.contains_rational(1, 4)       # left endpoint included
-        assert not w.contains_rational(1, 2)   # right endpoint excluded
-        assert w.contains_rational(3, 8)
-        assert not w.contains_rational(1, 8)
+        # 2/8 is the left endpoint (included), 4/8 the right one (excluded)
+        assert w.contains(np.array([2, 4, 3, 1]), 8).tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("intervals", [
+        ((0.25, 0.5),), ((0.0, 0.25), (0.5, 0.75)), ((0.1, 0.6),), ((0.0, 1.0),),
+        ((1 / 3, 2 / 3),), ((0.125, 0.375), (0.875, 1.0)), ((B7, 0.9),),
+    ])
+    def test_array_test_matches_fraction_reference(self, intervals):
+        # endpoints hit p/q exactly for every q divisible by 4 or 8; 1/3 and
+        # 1/sqrt(7) are binary floats near, not at, a rational p/q
+        window = distlab.DomainWindow(intervals)
+        exact = [(Fraction(a), Fraction(b)) for a, b in intervals]
+        for q in range(3, 301):
+            ps = np.arange(-2, q + 2, dtype=np.int64)  # p/q is taken mod 1
+            want = [any(a <= Fraction(p, q) % 1 < b for a, b in exact) for p in ps.tolist()]
+            assert window.contains(ps, q).tolist() == want, q
+            units = set(arith.units(q).tolist())
+            kept = [p for p, keep in zip(ps.tolist(), want) if keep and p in units]
+            assert distlab.empirical_batch(q, ONE, window).case.units.tolist() == kept, q
 
     def test_measure(self):
         w = distlab.DomainWindow(((0.0, 0.25), (0.5, 0.75)))
@@ -53,29 +68,30 @@ class TestDomainWindow:
 class TestEmpiricalBatch:
     def test_constant_weight_q4(self):
         batch = distlab.empirical_batch(4, ONE)
-        assert len(batch.samples) == 2
-        for _, _, v in batch.samples:
+        assert len(batch.values) == 2
+        for v in batch.values:
             assert v == pytest.approx(1.0)
 
     def test_reference_counts(self):
         w = weights.interval_indicator(0.0, B7, cutoff=64)
-        assert len(distlab.empirical_batch(5012, w).samples) == 2136
-        assert len(distlab.empirical_batch(5014, w).samples) == 2376
+        assert len(distlab.empirical_batch(5012, w).values) == 2136
+        assert len(distlab.empirical_batch(5014, w).values) == 2376
 
     def test_normalization_labels(self):
         w = weights.interval_indicator(0.0, B7, cutoff=32)
-        assert "g_1(p,q)" in distlab.empirical_batch(20, w).normalization
-        assert "2 g_1(2p,q/2)" in distlab.empirical_batch(14, w).normalization
-        assert "eps_q" in distlab.empirical_batch(9, w).normalization
-        assert "eps_{q/2}" in distlab.empirical_batch(18, w).normalization
+        assert "g_1(p,q)" in distlab.empirical_batch(20, w).case.label
+        assert "2 g_1(2p,q/2)" in distlab.empirical_batch(14, w).case.label
+        assert "eps_q" in distlab.empirical_batch(9, w).case.label
+        assert "eps_{q/2}" in distlab.empirical_batch(18, w).case.label
 
     def test_window_restriction(self):
         batch = distlab.empirical_batch(20, ONE, distlab.DomainWindow.interval(0.0, 0.5))
-        assert batch.residues.tolist() == [1, 3, 7, 9]
+        assert batch.case.units.tolist() == [1, 3, 7, 9]
+        assert batch.case.classes.tolist() == [gauss_sums.sigma_class(p, 20) for p in (1, 3, 7, 9)]
 
     def test_empty_window_allowed(self):
         batch = distlab.empirical_batch(5, ONE, distlab.DomainWindow.interval(0.81, 0.99))
-        assert batch.samples == []
+        assert batch.case.units.size == 0 and batch.values.size == 0
 
     def test_fast_matches_direct(self):
         rng = np.random.default_rng(61)
@@ -93,7 +109,7 @@ class TestEmpiricalBatch:
 
     def test_sorted_by_residue(self):
         batch = distlab.empirical_batch(35, ONE)
-        ps = batch.residues
+        ps = batch.case.units
         assert np.all(np.diff(ps) > 0)
 
     def test_functional_equation_exactness_mod4(self):
@@ -103,7 +119,7 @@ class TestEmpiricalBatch:
                                     for k in range(-6, 7)})
         batch = distlab.empirical_batch(16, w)
         from gausslab.gauss_sums import limit_series
-        for p, _, v in batch.samples:
+        for p, v in zip(batch.case.units.tolist(), batch.values.tolist()):
             x = (-pow(p, -1, 16)) % 16 / 16
             assert v == pytest.approx(limit_series(G_PLUS, w, x), abs=1e-9)
 
@@ -364,8 +380,8 @@ class TestDistributionShapes:
         for q in (1012, 2012, 5012):
             batch = distlab.empirical_batch(q, w)
             by_class = {}
-            for _, sc, v in batch.samples:
-                by_class.setdefault(sc.value, []).append(v.real)
+            for c, v in zip(batch.case.classes.tolist(), batch.values.tolist()):
+                by_class.setdefault(c, []).append(v.real)
             assert len(by_class) == 4
             keys = sorted(by_class, key=lambda z: (complex(z).real, complex(z).imag))
             mx = max(distlab.ks_distance(by_class[keys[i]], by_class[keys[j]])

@@ -186,8 +186,7 @@ class TestWeylStatistic:
             assert v == pytest.approx(-1 / (q - 1), abs=1e-10)
 
     def test_prime_101_all_t(self):
-        mod = arith.analyze_modulus(101)
-        mx = max(abs(expsums.weyl_statistic(mod, int(t), 1, 1))
+        mx = max(abs(expsums.weyl_statistic(101, int(t), 1, 1))
                  for t in arith.units(101).tolist())
         assert mx <= 2 * math.sqrt(101) / 100 + 1e-9
 
@@ -200,10 +199,10 @@ class TestWeylStatistic:
             expsums.weyl_statistic(12, 4, 1, 1)
 
     def test_class_decomposition(self):
-        mod = arith.analyze_modulus(20)
-        classes = {sigma_class(p, mod) for p in arith.units(20).tolist()}
-        total = sum(expsums.weyl_statistic(mod, 3, 1, 1, class_filter=sc) for sc in classes)
-        assert total == pytest.approx(expsums.weyl_statistic(mod, 3, 1, 1), abs=1e-12)
+        classes = {sigma_class(p, 20) for p in arith.units(20).tolist()}
+        assert classes == {1, -1, 1j, -1j}
+        total = sum(expsums.weyl_statistic(20, 3, 1, 1, class_filter=sc) for sc in classes)
+        assert total == pytest.approx(expsums.weyl_statistic(20, 3, 1, 1), abs=1e-12)
 
     def test_decay_bound(self):
         rng = np.random.default_rng(9)
@@ -213,7 +212,7 @@ class TestWeylStatistic:
                 ts = arith.units(q).tolist()
             else:
                 ts = sorted(int(t) for t in rng.choice(arith.units(q), 100, replace=False))
-            mx = max(abs(expsums.weyl_statistic(mod, t, 1, 1)) for t in ts)
+            mx = max(abs(expsums.weyl_statistic(q, t, 1, 1)) for t in ts)
             assert mx <= 4 * mod.tau / math.sqrt(q)
 
 
@@ -242,13 +241,13 @@ class TestClassCounts:
         for q in range(3, 401):
             mod = arith.analyze_modulus(q)
             if mod.q_mod4 == 0:
-                assert sorted(expsums.class_counts(mod, by_mod4=True).values()) == \
+                assert sorted(expsums.class_counts(q, by_mod4=True).values()) == \
                     [mod.phi // 2] * 2
                 if not mod.is_square:
-                    counts = expsums.class_counts(mod)
+                    counts = expsums.class_counts(q)
                     assert len(counts) == 4 and set(counts.values()) == {mod.phi // 4}
             elif mod.q_mod4 % 2 == 1 and not mod.is_square:
-                counts = expsums.class_counts(mod)
+                counts = expsums.class_counts(q)
                 assert len(counts) == 2 and set(counts.values()) == {mod.phi // 2}
 
     def test_half_classes_for_2_mod_4(self):
@@ -257,5 +256,5 @@ class TestClassCounts:
             mod = arith.analyze_modulus(q)
             if mod.q_mod4 != 2 or arith.is_perfect_square(q // 2):
                 continue
-            counts = expsums.class_counts(mod)
+            counts = expsums.class_counts(q)
             assert sorted(counts.values()) == [mod.phi // 2] * 2

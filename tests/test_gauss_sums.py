@@ -74,6 +74,18 @@ class TestDirectArray:
         ev = gs.DirectEvaluator(self.W, 1009)
         assert ev(2**70 + 3) == ev((2**70 + 3) % 1009)
 
+    def test_value_depends_on_w_p_q_only(self):
+        # the same bits for p alone, as a one-entry array and inside all units of q
+        rng = np.random.default_rng(17)
+        w = weights.fourier_weight({k: complex(rng.normal(), rng.normal()) for k in range(-8, 9)})
+        for q in range(3, 401):
+            ev = gs.DirectEvaluator(w, q)
+            units = arith.units(q)
+            together = ev(units)
+            for i, p in enumerate(units.tolist()):
+                alone = np.array([ev(p), ev(units[i:i + 1])[0]])
+                assert alone.tobytes() == together[[i, i]].tobytes(), (p, q)
+
 
 class TestClosed:
     def test_array_matches_scalar(self):
@@ -351,36 +363,34 @@ class TestFast:
 
 class TestSigmaClass:
     def test_quarter(self):
-        sc = gs.sigma_class(1, 8)
-        assert sc.kind == "quarter" and sc.value == 1
+        assert gs.sigma_class(1, 8) == 1 and gs.modulus_case(8).class_kind == "quarter"
 
     def test_half(self):
-        sc = gs.sigma_class(2, 5)
-        assert sc.kind == "half" and sc.value == -1
+        assert gs.sigma_class(2, 5) == -1 and gs.modulus_case(5).class_kind == "half"
 
     def test_odd_square_none(self):
-        sc = gs.sigma_class(1, 9)
-        assert sc.kind == "none" and sc.value is None
+        assert gs.sigma_class(1, 9) is None and gs.modulus_case(9).class_kind == "none"
 
     def test_even_square_mod4(self):
-        assert gs.sigma_class(5, 16) == gs.SigmaClass("mod4", 1)
-        assert gs.sigma_class(3, 16) == gs.SigmaClass("mod4", -1)
+        assert gs.sigma_class(5, 16) == 1 and gs.sigma_class(3, 16) == -1
+        assert gs.modulus_case(16).class_kind == "mod4"
 
     def test_two_mod_four(self):
-        sc = gs.sigma_class(1, 6)  # q/2 = 3 non-square: (2/3) = -1
-        assert sc.kind == "half" and sc.value == -1
-        sc = gs.sigma_class(1, 18)  # q/2 = 9 square
-        assert sc.kind == "none"
+        # q/2 = 3 non-square: (2/3) = -1
+        assert gs.sigma_class(1, 6) == -1 and gs.modulus_case(6).class_kind == "half"
+        # q/2 = 9 square
+        assert gs.sigma_class(1, 18) is None and gs.modulus_case(18).class_kind == "none"
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             gs.sigma_class(2, 8)
 
     def test_labels(self):
-        assert gs.SigmaClass("quarter", 1j).label() == "i"
-        assert gs.SigmaClass("quarter", -1j).label() == "-i"
-        assert gs.SigmaClass("half", -1).label() == "-1"
-        assert gs.SigmaClass("none", None).label() == ""
+        # the samples CSV labels each class value by one table lookup
+        from gausslab.cli import SIGMA_LABELS
+
+        assert [SIGMA_LABELS[gs.sigma_class(p, 8)] for p in (1, 3, 5, 7)] == ["1", "-i", "-1", "i"]
+        assert SIGMA_LABELS[gs.sigma_class(1, 9)] == ""
 
     def test_half_class_matches_shifted_substitution(self):
         # for q = 2 mod 4 the class of p via (2p / (q/2)) agrees with the
