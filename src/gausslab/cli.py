@@ -8,8 +8,10 @@ Subcommands:
   equidist  Weyl equidistribution statistic over t
 
 Outputs are deterministic byte-for-byte for a fixed configuration: all
-metadata is the config echo itself (no timestamps), floats are written
-with shortest round-trip repr, and row order is canonical.
+metadata is the config echo itself (no timestamps), and row order is
+canonical.  Every CSV table is written by _csv_text and every JSON text
+by _json_text; a CSV cell is str of a Python scalar, so a float is its
+shortest round-trip repr, as in JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error.
 """
@@ -59,65 +61,38 @@ class CommandError(Exception):
     """Domain-level usage error; maps to exit code 2."""
 
 
-def _csv_row(row) -> str:
-    return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-
-
-def _write_lines(path: Path, meta: dict, header: list[str], lines) -> None:
-    """A CSV file of the metadata comments, the header and already formatted data lines."""
-    text = [f"# {k}={v}" for k, v in meta.items()]
-    text.append(",".join(header))
-    text.extend(lines)
-    path.write_text("\n".join(text) + "\n")
-
-
-def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
-    _write_lines(path, meta, header, map(_csv_row, rows))
-
-
-def _limit_lines(limit: np.ndarray, variant: str):
-    """Data lines of the limit CSV, formatted a column at a time.
-
-    The same bytes as _csv_row on (re, im) rows, or (im,) rows for
-    G_minus, whose real and imaginary parts share one law.
-    """
-    if variant == G_MINUS:
-        return map(repr, limit.imag.tolist())
-    return map("{!r},{!r}".format, limit.real.tolist(), limit.imag.tolist())
-
-
 # CSV label of a sigma-class value (modulus_case's classes; None for kind "none")
 SIGMA_LABELS = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
 
 
-def _sample_lines(batch) -> map:
-    """Data lines of the samples CSV, p,sigma,re,im, formatted a column at a time."""
-    labels = map(SIGMA_LABELS.__getitem__, batch.case.classes.tolist())
-    return map("{},{},{!r},{!r}".format, batch.case.units.tolist(), labels,
-               batch.values.real.tolist(), batch.values.imag.tolist())
+def _csv_text(meta: dict, header: list[str], columns) -> str:
+    """CSV text: a `# key=value` line per metadata entry, the header, then one line per row.
+
+    columns holds one sequence per header field, of Python scalars (from
+    .tolist()); a cell is written as str(cell), which for a Python float is
+    its shortest round-trip repr.  str of a numpy scalar is not guaranteed
+    to match, so no column may hold one.
+    """
+    lines = [f"# {k}={v}" for k, v in meta.items()]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*(map(str, column) for column in columns))))
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_table(args, meta: dict, header: list[str], rows) -> None:
-    """Write rows as CSV or JSON to --out, or print CSV to stdout."""
-    if getattr(args, "format", "csv") == "json":
-        obj = dict(meta)
-        obj["rows"] = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text, end="")
-        return
-    if args.out:
-        _write_csv(Path(args.out), meta, header, rows)
+def _emit_table(args, meta: dict, header: list[str], rows: list[tuple]) -> None:
+    """Write rows as CSV or JSON to --out, or print them to stdout (CSV without the metadata)."""
+    if args.format == "json":
+        text = _json_text({**meta, "rows": [dict(zip(header, row)) for row in rows]})
     else:
-        print(",".join(header))
-        for row in rows:
-            print(_csv_row(row))
+        text = _csv_text(meta if args.out else {}, header, list(zip(*rows)))
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        print(text, end="")
 
 
 def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
@@ -161,7 +136,8 @@ def _parse_domain(spec: str) -> DomainWindow:
     raise CommandError(f"unknown domain spec {spec!r} (full | interval:a,b)")
 
 
-def _parse_range(spec: str) -> tuple[int, int]:
+def _parse_range(spec: str) -> range:
+    """The moduli A..B, inclusive."""
     try:
         a_str, b_str = spec.split("..")
         a, b = int(a_str), int(b_str)
@@ -169,7 +145,7 @@ def _parse_range(spec: str) -> tuple[int, int]:
         raise CommandError(f"bad range {spec!r}, expected A..B") from exc
     if a < 1 or b < a:
         raise CommandError(f"bad range {spec!r}")
-    return a, b
+    return range(a, b + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +189,7 @@ def cmd_figure(args) -> int:
     t_over_q = batch.grid_mass / q
 
     limit = sample_limit_law(variant, series, trunc, n_samples, args.seed)
-
-    if center == "tq":
-        shift = t_over_q
-    elif center == "phihat0":
-        shift = weight.mean.real
-    else:
-        shift = 0.0
+    shift = {"tq": t_over_q, "phihat0": weight.mean.real, "none": 0.0}[center]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,28 +207,30 @@ def cmd_figure(args) -> int:
         "method": "fast" if args.fast else "direct",
     }
 
-    _write_lines(out_dir / f"{which}_samples.csv", meta, ["p", "sigma", "re", "im"],
-                 _sample_lines(batch))
+    def write(name: str, header: list[str], columns: list[list]) -> None:
+        (out_dir / f"{which}_{name}").write_text(_csv_text(meta, header, columns))
 
-    def hist_rows(vals):
+    labels = [SIGMA_LABELS[c] for c in batch.case.classes.tolist()]
+    write("samples.csv", ["p", "sigma", "re", "im"],
+          [batch.case.units.tolist(), labels, values.real.tolist(), values.imag.tolist()])
+    for part, vals in (("re", values.real - shift), ("im", values.imag)):
         h = histogram(vals, bins=bins)
-        return [(float(h.bin_edges[i]), float(h.bin_edges[i + 1]), int(h.counts[i]), float(h.density[i]))
-                for i in range(len(h.counts))]
+        write(f"hist_{part}.csv", ["bin_lo", "bin_hi", "count", "density"],
+              [h.bin_edges[:-1].tolist(), h.bin_edges[1:].tolist(), h.counts.tolist(),
+               h.density.tolist()])
 
-    re_rows = hist_rows(values.real - shift)
-    im_rows = hist_rows(values.imag)
-    _write_csv(out_dir / f"{which}_hist_re.csv", meta, ["bin_lo", "bin_hi", "count", "density"], re_rows)
-    _write_csv(out_dir / f"{which}_hist_im.csv", meta, ["bin_lo", "bin_hi", "count", "density"], im_rows)
-
-    limit_header = ["im"] if variant == G_MINUS else ["re", "im"]
-    _write_lines(out_dir / f"{which}_limit.csv", meta, limit_header, _limit_lines(limit, variant))
     # G_minus: real and imaginary parts share one law; one component suffices
-    limit_re = limit.imag if variant == G_MINUS else limit.real
+    if variant == G_MINUS:
+        limit_re = limit.imag
+        write("limit.csv", ["im"], [limit.imag.tolist()])
+    else:
+        limit_re = limit.real
+        write("limit.csv", ["re", "im"], [limit.real.tolist(), limit.imag.tolist()])
     ks_re = ks_distance(values.real, limit_re)
     ks_im = ks_distance(values.imag, limit.imag)
 
-    summary = dict(meta)
-    summary.update({
+    summary = {
+        **meta,
         "normalization": batch.case.label,
         "total_samples": len(values),
         "phi_q": batch.modulus.phi,
@@ -267,8 +239,8 @@ def cmd_figure(args) -> int:
         "mean_bin_count": len(values) / bins,
         "ks_re": ks_re,
         "ks_im": ks_im,
-    })
-    _write_json(out_dir / f"{which}_summary.json", summary)
+    }
+    (out_dir / f"{which}_summary.json").write_text(_json_text(summary))
     print(f"{which}: {len(values)} samples, KS re={ks_re:.4f} im={ks_im:.4f} -> {out_dir}")
     return 0
 
@@ -276,11 +248,7 @@ def cmd_figure(args) -> int:
 def cmd_moments(args) -> int:
     if (args.q is None) == (args.q_range is None):
         raise CommandError("need exactly one of --q or --q-range")
-    if args.q is not None:
-        qs = [args.q]
-    else:
-        lo, hi = _parse_range(args.q_range)
-        qs = list(range(lo, hi + 1))
+    qs = [args.q] if args.q is not None else _parse_range(args.q_range)
     weight = _parse_weight(args.weight, args.trunc)
     if args.fast:
         weight = as_fourier_series(weight)
@@ -312,11 +280,7 @@ def cmd_expsum(args) -> int:
     if (args.q is None) == (args.sweep_q is None):
         raise CommandError("need exactly one of --q or --sweep-q")
     sweep = args.q is None
-    if sweep:
-        lo, hi = _parse_range(args.sweep_q)
-        qs = list(range(lo, hi + 1))
-    else:
-        qs = [args.q]
+    qs = _parse_range(args.sweep_q) if sweep else [args.q]
     rows = []
     for q in qs:
         try:
@@ -337,11 +301,12 @@ def cmd_equidist(args) -> int:
     if args.t == "all":
         ts = arith.units(q).tolist()
     elif args.t.startswith("random:"):
-        count = int(args.t.split(":", 1)[1])
-        rng = np.random.default_rng(args.seed)
+        count = args.t[len("random:"):]
+        if not count.isdecimal() or int(count) < 1:
+            raise CommandError(f"bad --t value {args.t!r}: N must be a positive integer")
         pool = arith.units(q)
-        count = min(count, len(pool))
-        ts = sorted(int(t) for t in rng.choice(pool, count, replace=False))
+        rng = np.random.default_rng(args.seed)
+        ts = sorted(int(t) for t in rng.choice(pool, min(int(count), len(pool)), replace=False))
     else:
         try:
             ts = [int(args.t)]

@@ -45,7 +45,7 @@ from .gauss_sums import (
     modulus_case,
     quadratic_grid,
 )
-from .weights import WeightFunction, as_fourier_series, evaluate_grid
+from .weights import WeightFunction, as_fourier_series, evaluate_grid, grid_in_interval
 
 # most points per sampling piece: on 2 cores pieces of 4k-8k points lost to
 # the serial loop through GIL hand-offs between ufunc calls, 16k-24k did best
@@ -86,13 +86,13 @@ class DomainWindow:
     def contains(self, ps: np.ndarray, q: int) -> np.ndarray:
         """Whether each p/q of an int64 array ps, taken mod 1, lies in the window.
 
-        [a, b) holds p/q, for 0 <= p < q, iff ceil(a q) <= p < ceil(b q);
-        both bounds are computed once in exact Fraction arithmetic.
+        Each subinterval decides it by weights.grid_in_interval, the exact
+        rule of indicator weights on the grid.
         """
         r = ps % q
         inside = np.zeros(r.shape, dtype=bool)
         for a, b in self.intervals:
-            inside |= (math.ceil(Fraction(a) * q) <= r) & (r < math.ceil(Fraction(b) * q))
+            inside |= grid_in_interval(r, q, a, b)
         return inside
 
 

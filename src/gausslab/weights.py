@@ -9,7 +9,9 @@ fast evaluation paths can use them after an explicit conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -90,6 +92,16 @@ def as_fourier_series(w: WeightFunction) -> WeightFunction:
     return WeightFunction(FOURIER, dict(w.coefficients), None, w.cutoff)
 
 
+def grid_in_interval(r: np.ndarray, q: int, a: float, b: float) -> np.ndarray:
+    """Whether r/q lies in [a, b), for integer residues 0 <= r < q.
+
+    The one rule for grid points, exact for the binary float endpoints:
+    ceil(a q) <= r < ceil(b q), both bounds in Fraction arithmetic.  So
+    for [0, 0.1) at q = 10 both h = 0 and h = 1 count, since fl(0.1) > 1/10.
+    """
+    return (math.ceil(Fraction(a) * q) <= r) & (r < math.ceil(Fraction(b) * q))
+
+
 def evaluate(w: WeightFunction, x):
     """Value of the weight at x (scalar or array), period one.
 
@@ -114,14 +126,15 @@ def evaluate_grid(w, q: int) -> np.ndarray:
 
     A series of any support is folded mod q (c_k added into bin k mod q)
     and evaluated with one inverse FFT, in O(#coefficients + q log q);
-    evaluate() stays the pointwise reference.  Indicators are exact 0/1.
+    evaluate() stays the pointwise reference at float x.  Indicators are
+    exact 0/1 by grid_in_interval, the rule domain windows use too.
     A sequence of W weights gives a (W, q) array, one row per weight, with
     one row-wise inverse FFT for all of its series.
     """
     single = isinstance(w, WeightFunction)
-    grid = np.arange(q, dtype=np.float64) / q
+    grid = np.arange(q)
     if single and w.kind == INDICATOR:
-        return evaluate(w, grid)
+        return grid_in_interval(grid, q, *w.interval).astype(np.complex128)
     rows = [w] if single else list(w)
     series = [(r, v.coefficients) for r, v in enumerate(rows) if v.kind == FOURIER]
     binned = np.zeros((len(rows), q), dtype=np.complex128)
@@ -131,7 +144,7 @@ def evaluate_grid(w, q: int) -> np.ndarray:
     values = np.fft.ifft(binned) * q
     for row, v in zip(values, rows):
         if v.kind == INDICATOR:
-            row[:] = evaluate(v, grid)
+            row[:] = grid_in_interval(grid, q, *v.interval)
     return values[0] if single else values
 
 

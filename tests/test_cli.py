@@ -126,12 +126,17 @@ class TestBatchedSuiteFaults:
         self.check("reduction", {"q_max": 30}, "p=8 q=12 gap=", capsys)
 
 
+def reference_line(row):
+    """One CSV data line formatted cell by cell: repr for a float, str for anything else."""
+    return ",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+
+
 def reference_sample_lines(batch, q):
     """The samples CSV rows written one (p, label, re, im) row at a time, with scalar classes."""
     labels = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
     rows = [(p, labels[gauss_sums.sigma_class(p, q)], float(v.real), float(v.imag))
             for p, v in zip(batch.case.units.tolist(), batch.values.tolist())]
-    return [",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
+    return list(map(reference_line, rows))
 
 
 class TestFigureCommand:
@@ -163,9 +168,13 @@ class TestFigureCommand:
 
     # quarter, half (odd and 2 mod 4), mod4 and none (odd and 2 mod 4) classes
     @pytest.mark.parametrize("q", [5012, 5013, 5014, 16, 9, 18])
-    def test_sample_lines_equal_row_wise_reference(self, q):
-        batch = distlab.empirical_batch(q, weights.interval_indicator(0.0, 0.4, 64))
-        assert list(cli._sample_lines(batch)) == reference_sample_lines(batch, q)
+    def test_sample_lines_equal_row_wise_reference(self, tmp_path, monkeypatch, q):
+        # fig1 rerun at modulus q, so the writer also meets the classes no figure has
+        monkeypatch.setitem(cli.FIGURES, "fig1", (q, 8, 10, "none"))
+        assert run(["figure", "fig1", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig1_samples.csv").read_text().splitlines()
+        batch = distlab.empirical_batch(q, weights.interval_indicator(0.0, 1 / math.sqrt(7), 16))
+        assert lines[lines.index("p,sigma,re,im") + 1:] == reference_sample_lines(batch, q)
 
     def test_fig3_limit_is_single_column(self, tmp_path):
         out = tmp_path / "out"
@@ -220,17 +229,20 @@ class TestFigureCommand:
             assert file_hash(a / name) == file_hash(b / name), name
 
     @pytest.mark.parametrize("variant", ["G_plus", "G_minus"])
-    def test_limit_lines_match_row_writer(self, tmp_path, variant):
+    def test_limit_lines_match_row_writer(self, tmp_path, monkeypatch, variant):
+        which = {"G_plus": "fig1", "G_minus": "fig3"}[variant]
         parts = [1e-05, 1e16, -0.0, 5e-324, 1.0, -1.0, 0.1, -2.5e-300, 123456.789]
         limit = np.array(parts) + 1j * np.array(parts[::-1])
-        meta = {"command": "figure", "variant": variant}
+        monkeypatch.setattr(cli, "sample_limit_law", lambda *args: limit)
+        assert run(["figure", which, "--trunc", "8", "--samples", "9",
+                    "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / f"{which}_limit.csv").read_text().splitlines()
+        assert f"# variant={variant}" in lines
         if variant == "G_minus":
-            header, rows = ["im"], [(float(v),) for v in limit.imag.tolist()]
+            header, rows = "im", [(v,) for v in limit.imag.tolist()]
         else:
-            header, rows = ["re", "im"], list(zip(limit.real.tolist(), limit.imag.tolist()))
-        cli._write_csv(tmp_path / "rows.csv", meta, header, rows)
-        cli._write_lines(tmp_path / "lines.csv", meta, header, cli._limit_lines(limit, variant))
-        assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+            header, rows = "re,im", list(zip(limit.real.tolist(), limit.imag.tolist()))
+        assert lines[lines.index(header) + 1:] == list(map(reference_line, rows))
 
 
 class TestMomentsCommand:
@@ -316,6 +328,19 @@ class TestEquidistCommand:
     def test_bad_t(self):
         assert run(["equidist", "--q", "11", "--t", "sometimes", "--m", "1", "--n", "0"]) == 2
 
+    @pytest.mark.parametrize("t", ["random:x", "random:-3", "random:0", "random:", "random:1.5"])
+    def test_bad_random_count_is_a_usage_error(self, capsys, t):
+        assert run(["equidist", "--q", "11", "--t", t, "--m", "1", "--n", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad --t value {t!r}: N must be a positive integer\n"
+
+    def test_random_count_beyond_units_takes_all(self, tmp_path):
+        path = tmp_path / "e.csv"
+        assert run(["equidist", "--q", "11", "--t", "random:50", "--m", "1", "--n", "0",
+                    "--out", str(path)]) == 0
+        assert [int(r[1]) for r in self.rows(path)] == list(range(1, 11))
+
     @staticmethod
     def rows(path):
         return [l.split(",") for l in path.read_text().splitlines()
@@ -368,3 +393,33 @@ class TestOutputFormats:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# command=expsum")
         assert any(l.startswith("# kind=kloosterman") for l in lines)
+
+    @staticmethod
+    def table(capsys):
+        """What a command printed, without equidist's closing max line."""
+        return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("max ")]
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--q-range", "13..17", "--k-list", "0,2", "--weight", "interval:0,0.3"],
+        ["expsum", "--kind", "kloosterman", "--m", str(2**70), "--n", "3", "--sweep-q", "5..30"],
+        ["equidist", "--q", "101", "--t", "random:7", "--m", "1", "--n", "2"],
+    ], ids=["moments", "expsum", "equidist"])
+    def test_stdout_and_out_carry_the_same_rows(self, tmp_path, capsys, argv):
+        assert run(argv) == 0
+        printed = self.table(capsys)
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run(argv + ["--out", str(csv_path)]) == 0
+        assert self.table(capsys) == []
+        lines = csv_path.read_text().splitlines()
+        meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+        assert meta["command"] == argv[0]
+        # the file is the printed table after one comment line per metadata entry
+        assert lines[len(meta):] == printed and len(printed) > 1
+        assert run(argv + ["--format", "json"]) == 0
+        printed_json = "\n".join(self.table(capsys)) + "\n"
+        assert run(argv + ["--format", "json", "--out", str(json_path)]) == 0
+        assert json_path.read_text() == printed_json
+        obj = json.loads(printed_json)
+        header = printed[0].split(",")
+        assert [reference_line(r[h] for h in header) for r in obj.pop("rows")] == printed[1:]
+        assert {k: str(v) for k, v in obj.items()} == meta

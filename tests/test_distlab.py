@@ -52,6 +52,22 @@ class TestDomainWindow:
             kept = [p for p, keep in zip(ps.tolist(), want) if keep and p in units]
             assert distlab.empirical_batch(q, ONE, window).case.units.tolist() == kept, q
 
+    def test_weight_grid_equals_window_mask(self):
+        # one rule for r/q in [a, b), exact for the float endpoints
+        ends = [0.0, 0.1, 0.2, 1 / 3, B7, 0.7, 1.0]
+        pairs = [(a, b) for i, a in enumerate(ends) for b in ends[i + 1:]]
+        ws = [weights.interval_indicator(a, b, cutoff=1) for a, b in pairs]
+        for q in range(1, 301):
+            rows = weights.evaluate_grid(ws + [ONE], q)  # the batched rows, next to a series
+            for (a, b), w, row in zip(pairs, ws, rows):
+                mask = distlab.DomainWindow.interval(a, b).contains(np.arange(q), q)
+                want = mask.astype(np.complex128).tolist()
+                assert weights.evaluate_grid(w, q).tolist() == want, (a, b, q)
+                assert row.tolist() == want, (a, b, q)
+        # fl(0.1) > 1/10, so [0, 0.1) holds 1/10 as well as 0/10
+        grid = weights.evaluate_grid(weights.interval_indicator(0.0, 0.1, cutoff=1), 10)
+        assert grid.real.tolist() == [1.0, 1.0] + [0.0] * 8
+
     def test_measure(self):
         w = distlab.DomainWindow(((0.0, 0.25), (0.5, 0.75)))
         assert w.measure == pytest.approx(0.5)
