@@ -257,6 +257,8 @@ def cmd_moments(args) -> int:
         k_list = [float(k) for k in args.k_list.split(",")]
     except ValueError as exc:
         raise CommandError(f"bad k list {args.k_list!r}") from exc
+    if not all(0 <= k < math.inf for k in k_list):
+        raise CommandError(f"bad k list {args.k_list!r}: orders must be finite and >= 0")
     meta = {
         "command": "moments",
         "weight": args.weight,
@@ -269,9 +271,8 @@ def cmd_moments(args) -> int:
     for q in qs:
         if q < 3:
             continue
-        for k in k_list:
-            rep = empirical_moment(q, weight, window, k, fast=args.fast)
-            rows.append((q, float(k), float(rep.empirical), float(rep.limit), float(rep.relative_gap)))
+        for rep in empirical_moment(q, weight, window, k_list, fast=args.fast):
+            rows.append((q, rep.k, float(rep.empirical), float(rep.limit), float(rep.relative_gap)))
     _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], rows)
     return 0
 
@@ -318,7 +319,7 @@ def cmd_equidist(args) -> int:
     max_abs = max((row[-1] for row in rows), default=0.0)
     meta = {"command": "equidist", "q": q, "m": args.m, "n": args.n, "t": args.t, "seed": args.seed}
     _emit_table(args, meta, ["q", "t", "m", "n", "re", "im", "abs"], rows)
-    print(f"max |statistic| = {max_abs!r}")
+    print(f"max |statistic| = {max_abs!r}", file=sys.stderr)
     return 0
 
 

@@ -20,8 +20,9 @@ rule for dense series; error below 1e-11 at the figure truncations), in
 pieces spread over the usable cores.  A point gets the same bits alone
 as in any piece, so the values do not depend on the core count or the
 piece size.  Its moments integrate the series on a prime grid, whose
-values are again one quadratic_grid call.  Histograms, moments, and the
-two-sample KS distance quantify the agreement.
+values are again one quadratic_grid call; every moment order k of one
+empirical_moment call shares that grid and the numerator grid of q.
+Histograms, moments, and the two-sample KS distance quantify the agreement.
 """
 
 from __future__ import annotations
@@ -175,26 +176,30 @@ def _next_prime(n: int) -> int:
         n += 1
 
 
+def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
+    """The k-th absolute moments of the series for each k of ks, all from one grid."""
+    if not all(0 <= k < math.inf for k in ks):
+        raise ValueError(f"moment orders must be finite and >= 0, got {ks}")
+    ns, cs = _variant_terms(w.coefficients, variant, None)
+    if grid_size is None:
+        grid_size = _next_prime(max(65537, 2 * int(ns.max(initial=0)) + 1))
+    if grid_size < 2:
+        raise ValueError(f"grid size must be >= 2, got {grid_size}")
+    a = np.abs(quadratic_grid(ns, cs, grid_size))
+    return [float(np.sum(a ** k)) / grid_size for k in ks]
+
+
 def limit_moment(variant: str, w: WeightFunction, k: float,
                  grid_size: int | None = None) -> float:
     """k-th absolute moment of the series by periodic rectangle rule.
 
-    The series values on the grid come from one quadratic_grid call.
+    One quadratic_grid call gives the grid values; empirical_moment shares it among its k.
 
     The default grid is a prime exceeding twice the largest series
     index, which makes the k = 2 case alias-free: quadratic frequencies
     n^2 - m^2 = (n-m)(n+m) cannot vanish mod such a prime unless n = m.
     """
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    ns, cs = _variant_terms(w.coefficients, variant, None)
-    n_max = int(ns.max(initial=0))
-    if grid_size is None:
-        grid_size = _next_prime(max(65537, 2 * n_max + 1))
-    if grid_size < 2:
-        raise ValueError(f"grid size must be >= 2, got {grid_size}")
-    vals = quadratic_grid(ns, cs, grid_size)
-    return float(np.sum(np.abs(vals) ** k)) / grid_size
+    return _limit_moments(variant, w, [k], grid_size)[0]
 
 
 def mean_square_from_coefficients(variant: str, w: WeightFunction) -> float:
@@ -216,24 +221,27 @@ class MomentReport:
 
 
 def empirical_moment(q: int, w: WeightFunction, window: DomainWindow | None = None,
-                     k: float = 2.0, fast: bool = False) -> MomentReport:
+                     k: float = 2.0, fast: bool = False) -> MomentReport | list[MomentReport]:
     """Normalized empirical k-th moment next to its limit value.
 
     The empirical side is (1/(phi(q)|D|)) sum |g(w,p,q)|^k over the
     admissible units, divided by |D(p)|^k: (2q)^{k/2} for even q and
     q^{k/2} for odd q.  The limit side integrates the matching series variant; for
     indicator weights that series is the stored truncated one.
+
+    k may be a sequence of orders: the reports then come as a list in k
+    order, and all k share one numerator grid and one limit-series grid.
     """
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    window = window or DomainWindow.full()
-    _, sums, _ = _admissible_sums(q, w, window, fast)
-    raw = float(np.sum(np.abs(sums) ** k)) / (arith.analyze_modulus(q).phi * window.measure)
+    ks = list(k) if np.ndim(k) else [k]
     case = modulus_case(q)
-    empirical = raw / case.norm_sq ** (k / 2)
-    limit = limit_moment(case.variant, as_fourier_series(w), k)
-    gap = abs(empirical - limit) / max(limit, 1e-12)
-    return MomentReport(k, empirical, limit, gap)
+    limits = _limit_moments(case.variant, as_fourier_series(w), ks)
+    window = window or DomainWindow.full()
+    mags = np.abs(_admissible_sums(q, w, window, fast)[1])
+    measure = arith.analyze_modulus(q).phi * window.measure
+    empirical = [float(np.sum(mags ** j)) / measure / case.norm_sq ** (j / 2) for j in ks]
+    reports = [MomentReport(j, e, lim, abs(e - lim) / max(lim, 1e-12))
+               for j, e, lim in zip(ks, empirical, limits)]
+    return reports if np.ndim(k) else reports[0]
 
 
 @dataclass

@@ -277,6 +277,34 @@ class TestMomentsCommand:
         for f, d in zip(fast, direct):
             assert f.split(",")[3] == d.split(",")[3]  # limit column
 
+    @staticmethod
+    def count_grids(monkeypatch):
+        calls = []
+        real = distlab.quadratic_grid
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(distlab, "quadratic_grid", counted)
+        return calls
+
+    def test_one_limit_grid_and_one_numerator_grid_per_modulus(self, monkeypatch, capsys):
+        calls = self.count_grids(monkeypatch)
+        assert run(["moments", "--q-range", "13..18", "--k-list", "0,2,4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 3
+        # per modulus: the limit series on its prime grid, then the numerators on the grid of q
+        assert len(calls) == 12
+        assert calls[1::2] == list(range(13, 19))
+
+    @pytest.mark.parametrize("k_list", ["2,-1", "nan", "inf", "2,nan,4", "-inf"])
+    def test_bad_orders_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, k_list):
+        calls = self.count_grids(monkeypatch)
+        path = tmp_path / "m.csv"
+        assert run(["moments", "--q", "15", f"--k-list={k_list}", "--out", str(path)]) == 2
+        assert calls == [] and not path.exists()
+        assert "orders must be finite and >= 0" in capsys.readouterr().err
+
     def test_bad_weight_spec(self):
         assert run(["moments", "--q", "15", "--weight", "nope"]) == 2
         assert run(["moments", "--q", "15", "--weight", "interval:0.9,0.1"]) == 2
@@ -313,9 +341,17 @@ class TestExpsumCommand:
 class TestEquidistCommand:
     def test_prime_101(self, capsys):
         assert run(["equidist", "--q", "101", "--t", "all", "--m", "1", "--n", "1"]) == 0
-        out = capsys.readouterr().out
-        max_line = [l for l in out.splitlines() if l.startswith("max")][0]
+        out, err = capsys.readouterr()
+        assert not any(l.startswith("max") for l in out.splitlines())
+        max_line, = err.splitlines()
+        assert max_line.startswith("max |statistic| = ")
         assert float(max_line.split("=")[1]) <= 2 * math.sqrt(101) / 100
+
+    def test_json_stdout_parses(self, capsys):
+        assert run(["equidist", "--q", "11", "--t", "random:2", "--m", "1", "--n", "1",
+                    "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["command"] == "equidist" and len(obj["rows"]) == 2
 
     def test_random_t_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -396,8 +432,7 @@ class TestOutputFormats:
 
     @staticmethod
     def table(capsys):
-        """What a command printed, without equidist's closing max line."""
-        return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("max ")]
+        return capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("argv", [
         ["moments", "--q-range", "13..17", "--k-list", "0,2", "--weight", "interval:0,0.3"],

@@ -265,6 +265,31 @@ class TestEmpiricalMoment:
             rep = distlab.empirical_moment(q, w, k=k)
             assert rep.empirical == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [9, 12, 18, 101, 5012, 5013, 5014])
+    @pytest.mark.parametrize("fast", [False, True], ids=["direct", "fast"])
+    @pytest.mark.parametrize("window", [None, distlab.DomainWindow.interval(0.1, 0.6)],
+                             ids=["full", "window"])
+    def test_k_sequence_matches_scalar_calls(self, q, fast, window):
+        w = weights.interval_indicator(0.0, B7, cutoff=32)
+        if fast:
+            w = weights.as_fourier_series(w)
+        ks = (0, 1, 2, 4)
+        reports = distlab.empirical_moment(q, w, window, ks, fast=fast)
+        assert isinstance(reports, list) and len(reports) == len(ks)
+        for k, rep in zip(ks, reports):
+            one = distlab.empirical_moment(q, w, window, float(k), fast=fast)
+            assert isinstance(one, distlab.MomentReport)
+            assert (rep.k, rep.empirical, rep.limit, rep.relative_gap) == \
+                (one.k, one.empirical, one.limit, one.relative_gap)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
+    def test_bad_orders_rejected(self, k):
+        for call in (lambda: distlab.empirical_moment(15, ONE, k=k),
+                     lambda: distlab.empirical_moment(15, ONE, k=(2.0, k)),
+                     lambda: distlab.limit_moment(G_FULL, ONE, k)):
+            with pytest.raises(ValueError, match="moment order"):
+                call()
+
     def test_series_weight_gap_shrinks(self):
         rng = np.random.default_rng(73)
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())

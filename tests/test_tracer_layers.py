@@ -2,17 +2,24 @@
 
 perfbench/tracer.py wraps every `<module>.<function>` (or
 `<module>.<Class>.<method>`) of its LAYERS table by name, and
-`perfbench/run.py --trace 1` fails if one of them is gone.  This reads
-the table without installing the tracer, so nothing is patched.
+`perfbench/run.py --trace 1` fails if one of them is gone.  The layer
+tests read the table without installing the tracer, so nothing is
+patched; one test runs the tracer in a child process on a small
+`moments` command, so a hook that rejects what the CLI passes fails here.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_layers():
@@ -38,3 +45,17 @@ def test_layer_resolves_to_a_callable(module, attr):
 
 def test_table_is_not_empty():
     assert len(LAYERS) > 20
+
+
+def test_traced_moments_run(tmp_path):
+    """The tracer's hooks accept what the moments command passes: one call per modulus."""
+    stats = tmp_path / "stats.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    argv = ["moments", "--q-range", "13..15", "--k-list", "0,2", "--weight", "interval:0,0.3"]
+    done = subprocess.run([sys.executable, str(TRACER), str(stats), "-m", "gausslab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 1 + 3 * 2
+    calls = json.loads(stats.read_text())["calls"]
+    assert calls["distlab.empirical_moment"] == 3
