@@ -36,7 +36,6 @@ from .expsums import (
     twisted_kloosterman,
     weil_bound,
     weil_check,
-    weyl_statistic,
 )
 from .gauss_sums import (
     G_FULL,

@@ -144,7 +144,7 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     which is the correct exponent convention e(0) = 1.
     """
     ps = units(q)
-    return ps, inverses(ps, q)
+    return ps, _power_mod(ps, analyze_modulus(q).phi - 1, q)  # units(q) are already coprime to q
 
 
 def residues(values, q: int):

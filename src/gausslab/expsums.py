@@ -8,10 +8,11 @@ All three run over the unit group of q with p-bar the inverse of p:
 
 Each satisfies |sum| <= gcd(m, n, q)^{1/2} q^{1/2} tau(q) (Iwaniec and
 Kowalski, Analytic Number Theory, ch. 11); the twists are the characters
-of gauss_sums.modulus_case.  The Weyl statistic divides a class-restricted
-sum by phi(q); its decay in q is what makes the pairs (p/q, t p-bar/q)
-equidistribute, and the exact class counts here are the base case of
-that argument.
+of gauss_sums.modulus_case.  All three, and the Weyl statistic
+K(m, n t, q)/phi(q), come from one transform: one length-q inverse FFT
+per distinct m, read at n mod q.  The statistic's decay in q is what
+makes the pairs (p/q, t p-bar/q) equidistribute, and the exact class
+counts here are the base case of that argument.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .errors import BadModulus, NotCoprime
+from .errors import BadModulus
 from .gauss_sums import modulus_case
 
 
@@ -46,38 +47,42 @@ class ExpSumReport:
 WEIL_SLACK = 1e-6  # float slack of the Weil check, in weil_check and the verify suite
 
 
-def _phase_values(m, n, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units p, e((m p + n p-bar)/q)), a row per pair for arrays m, n; both reduced mod q first."""
+def _unit_transform(m, n, q: int, twisted: bool):
+    """sum_p chi(p) e((m p + n p-bar)/q) for every pair of the broadcast m, n; chi = 1 or the twist.
+
+    For each distinct m mod q, f_m[p-bar] = chi(p) e(m p / q) on the units
+    and 0 elsewhere; its unnormalized inverse DFT F_m holds the sum for
+    every n at once, so a pair reads F_m[n mod q].  One row-wise FFT covers
+    all distinct m.  m and n are reduced mod q before any int64 product.
+    """
+    m, n = np.broadcast_arrays(arith.residues(m, q), arith.residues(n, q))
+    ms, rows = np.unique(m, return_inverse=True)
     ps, invs = arith.inverse_table(q)
-    t = (np.multiply.outer(arith.residues(m, q), ps)
-         + np.multiply.outer(arith.residues(n, q), invs)) % q
-    return ps, np.exp(2j * np.pi * t / q)
-
-
-def _unit_sum(m, n, q: int, twisted: bool):
-    """The sum over the units, twisted by modulus_case's character or not: one value per pair."""
-    ps, vals = _phase_values(m, n, q)
-    total = (modulus_case(q, ps).characters * vals if twisted else vals).sum(axis=-1)
+    f = np.zeros((ms.size, q), dtype=np.complex128)
+    f[:, invs] = np.exp(2j * np.pi * (np.multiply.outer(ms, ps) % q) / q)
+    if twisted:
+        f[:, invs] *= modulus_case(q, ps).characters
+    total = np.fft.ifft(f, norm="forward")[rows.reshape(m.shape), n]
     return complex(total) if total.ndim == 0 else total
 
 
 def kloosterman(m, n, q: int):
     """K(m, n, q) for ints m, n, or for every pair of the broadcast arrays m, n."""
-    return _unit_sum(m, n, q, False)
+    return _unit_transform(m, n, q, False)
 
 
 def twisted_kloosterman(m, n, q: int):
     """Kloosterman sum twisted by eps_p (q/p); defined for q = 0 mod 4."""
     if q % 4 != 0:
         raise BadModulus(f"twisted sum needs q = 0 mod 4, got {q}")
-    return _unit_sum(m, n, q, True)
+    return _unit_transform(m, n, q, True)
 
 
 def salie(m, n, q: int):
     """Kloosterman sum twisted by (p/q); defined for odd q."""
     if q % 2 == 0:
         raise BadModulus(f"Salie sum needs odd q, got {q}")
-    return _unit_sum(m, n, q, True)
+    return _unit_transform(m, n, q, True)
 
 
 SUMS = {"kloosterman": kloosterman, "twisted": twisted_kloosterman, "salie": salie}
@@ -105,40 +110,17 @@ def weil_check(report: ExpSumReport, slack: float = WEIL_SLACK) -> bool:
     return abs(report.value) <= report.weil_bound + slack
 
 
-def weyl_statistic(q: int, t: int, m: int, n: int, class_filter=None) -> complex:
-    """(1/phi(q)) sum over p (optionally one sigma-class) of e((m p + n t p-bar)/q).
-
-    class_filter is a sigma-class value of modulus_case: 1, -1, i or -i.
-    Must decay as q grows for (m, n) != (0, 0); the Weil bounds give the
-    rate.  The normalization is by the full phi(q) even when a class
-    filter keeps only a quarter or half of the units.
-    """
-    if (m, n) == (0, 0):
-        raise ValueError("(m, n) = (0, 0) is the trivial statistic")
-    if math.gcd(t, q) != 1:
-        raise NotCoprime(f"gcd({t}, {q}) != 1")
-    ps, vals = _phase_values(m, n * t, q)
-    if class_filter is not None:
-        vals = vals[modulus_case(q, ps).classes == class_filter]
-    return complex(vals.sum() / ps.size)
-
-
 def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
-    """weyl_statistic(q, t, m, n) for every unit t of the array ts, from one FFT.
+    """(1/phi(q)) sum_p e((m p + n t p-bar)/q) for every unit t of the array ts.
 
-    With f[p-bar] = e(m p / q) on the units and 0 elsewhere,
-    sum_p e((m p + n t p-bar)/q) = F[n t mod q] for F the unnormalized
-    inverse DFT of f, so every t reads one entry of F.  weyl_statistic's
-    O(phi(q)) sum per t stays the reference.
+    This is K(m, n t, q)/phi(q): every t reads the one transform of
+    kloosterman.  It must decay as q grows for (m, n) != (0, 0); the Weil
+    bounds give the rate.
     """
     if (m, n) == (0, 0):
         raise ValueError("(m, n) = (0, 0) is the trivial statistic")
     ts = arith.unit_residues(np.asarray(ts), q)
-    ps, invs = arith.inverse_table(q)
-    f = np.zeros(q, dtype=np.complex128)
-    f[invs] = np.exp(2j * np.pi * (arith.residues(m, q) * ps % q) / q)
-    spectrum = np.fft.ifft(f, norm="forward")
-    return spectrum[arith.residues(n, q) * ts % q] / ps.size
+    return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
 
 
 def class_counts(q: int, by_mod4: bool = False) -> dict:

@@ -8,7 +8,7 @@ import pytest
 
 from gausslab import arith, expsums
 from gausslab.errors import BadModulus, NotCoprime
-from gausslab.gauss_sums import sigma_class
+from gausslab.gauss_sums import modulus_case, sigma_class
 
 
 def brute_kloosterman(m, n, q, twist=lambda p: 1):
@@ -19,6 +19,20 @@ def brute_kloosterman(m, n, q, twist=lambda p: 1):
         p_bar = pow(p, -1, q) if q > 1 else 0
         total += twist(p) * cmath.exp(2j * cmath.pi * ((m * p + n * p_bar) % q) / q)
     return total
+
+
+def weyl_statistic(q, t, m, n, class_filter=None):
+    """The O(phi(q)) oracle of expsums.weyl_statistics for one unit t, optionally over one sigma class.
+
+    (1/phi(q)) sum over p (with sigma class class_filter, a value of
+    modulus_case) of e((m p + n t p-bar)/q).  The normalization is by the
+    full phi(q) even when the filter keeps only a quarter or half of the units.
+    """
+    ps, invs = arith.inverse_table(q)
+    phases = np.exp(2j * np.pi * ((m % q * ps + n * t % q * invs) % q) / q)
+    if class_filter is not None:
+        phases = phases[modulus_case(q, ps).classes == class_filter]
+    return complex(phases.sum() / ps.size)
 
 
 # the twists of the twisted and Salie sums, from the scalar symbols
@@ -46,8 +60,8 @@ class TestHugeArguments:
     @pytest.mark.parametrize("big", [2**62, 10**19])
     def test_weyl_statistic_matches_reduced(self, big):
         t = big + 1 if math.gcd(big + 1, 11) == 1 else big + 2
-        got = expsums.weyl_statistic(11, t, big, big + 3)
-        assert got == pytest.approx(expsums.weyl_statistic(11, t % 11, big % 11, (big + 3) % 11), abs=1e-12)
+        got = expsums.weyl_statistics(11, [t], big, big + 3)[0]
+        assert got == pytest.approx(weyl_statistic(11, t % 11, big % 11, (big + 3) % 11), abs=1e-12)
 
 
 class TestArrayForms:
@@ -57,9 +71,11 @@ class TestArrayForms:
     MS = [0, 1, -3, 4, *BIG, 7, 2]
     NS = [0, 2, 4, -1, 3, 1, *BIG]
 
+    # 2310, 1155 and 840 have few units (phi(q)/q <= 0.23), so most of the transform's input is 0
     @pytest.mark.parametrize("kind,q", [("kloosterman", 1), ("kloosterman", 2), ("kloosterman", 30),
-                                        ("twisted", 4), ("twisted", 24), ("twisted", 36),
-                                        ("salie", 9), ("salie", 45), ("salie", 101)])
+                                        ("kloosterman", 2310), ("twisted", 4), ("twisted", 24),
+                                        ("twisted", 36), ("twisted", 840), ("salie", 9),
+                                        ("salie", 45), ("salie", 101), ("salie", 1155)])
     def test_matches_scalar_and_brute_force(self, kind, q):
         fn = expsums.SUMS[kind]
         got = fn(np.array(self.MS, dtype=object), np.array(self.NS, dtype=object), q)
@@ -67,6 +83,16 @@ class TestArrayForms:
         for value, m, n in zip(got.tolist(), self.MS, self.NS):
             assert value == pytest.approx(fn(m, n, q), abs=1e-9)
             assert value == pytest.approx(brute_kloosterman(m, n, q, BRUTE_TWISTS[kind](q)), abs=1e-9)
+
+    @pytest.mark.parametrize("kind,q", [("kloosterman", 30), ("twisted", 24), ("salie", 45)])
+    def test_column_and_row_broadcast_to_a_table(self, kind, q):
+        ms, ns = [[0], [-3], [2**62]], [[1, 0, 10**19, -7]]
+        got = expsums.SUMS[kind](np.array(ms, dtype=object), np.array(ns, dtype=object), q)
+        assert got.shape == (3, 4)
+        for i, (m,) in enumerate(ms):
+            for j, n in enumerate(ns[0]):
+                assert got[i, j] == pytest.approx(
+                    brute_kloosterman(m, n, q, BRUTE_TWISTS[kind](q)), abs=1e-9)
 
     def test_int64_arrays_near_2_62(self):
         ms = np.array([2**62, 2**62 + 1, 3], dtype=np.int64)
@@ -182,37 +208,36 @@ class TestWeilCheck:
 class TestWeylStatistic:
     def test_ramanujan_case(self):
         for q in (7, 11, 101):
-            v = expsums.weyl_statistic(q, 1, 1, 0)
+            v = expsums.weyl_statistics(q, [1], 1, 0)[0]
             assert v == pytest.approx(-1 / (q - 1), abs=1e-10)
 
     def test_prime_101_all_t(self):
-        mx = max(abs(expsums.weyl_statistic(101, int(t), 1, 1))
-                 for t in arith.units(101).tolist())
+        mx = np.abs(expsums.weyl_statistics(101, arith.units(101), 1, 1)).max()
         assert mx <= 2 * math.sqrt(101) / 100 + 1e-9
 
     def test_trivial_pair_rejected(self):
         with pytest.raises(ValueError):
-            expsums.weyl_statistic(12, 1, 0, 0)
+            expsums.weyl_statistics(12, [1], 0, 0)
 
     def test_noncoprime_t_rejected(self):
         with pytest.raises(NotCoprime):
-            expsums.weyl_statistic(12, 4, 1, 1)
+            expsums.weyl_statistics(12, [5, 4], 1, 1)
 
     def test_class_decomposition(self):
         classes = {sigma_class(p, 20) for p in arith.units(20).tolist()}
         assert classes == {1, -1, 1j, -1j}
-        total = sum(expsums.weyl_statistic(20, 3, 1, 1, class_filter=sc) for sc in classes)
-        assert total == pytest.approx(expsums.weyl_statistic(20, 3, 1, 1), abs=1e-12)
+        total = sum(weyl_statistic(20, 3, 1, 1, class_filter=sc) for sc in classes)
+        assert total == pytest.approx(weyl_statistic(20, 3, 1, 1), abs=1e-12)
 
     def test_decay_bound(self):
         rng = np.random.default_rng(9)
         for q in (101, 499, 997):
             mod = arith.analyze_modulus(q)
             if q <= 512:
-                ts = arith.units(q).tolist()
+                ts = arith.units(q)
             else:
-                ts = sorted(int(t) for t in rng.choice(arith.units(q), 100, replace=False))
-            mx = max(abs(expsums.weyl_statistic(q, t, 1, 1)) for t in ts)
+                ts = np.sort(rng.choice(arith.units(q), 100, replace=False))
+            mx = np.abs(expsums.weyl_statistics(q, ts, 1, 1)).max()
             assert mx <= 4 * mod.tau / math.sqrt(q)
 
 
