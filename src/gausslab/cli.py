@@ -9,8 +9,9 @@ Subcommands:
 
 Outputs are deterministic byte-for-byte for a fixed configuration: all
 metadata is the config echo itself (no timestamps), and row order is
-canonical.  Every CSV table is written by _csv_text and every JSON text
-by _json_text; a CSV cell is str of a Python scalar, so a float is its
+canonical.  Every CSV table is streamed by _write_csv, _CSV_BLOCK rows
+per write, so no table is ever held as one string; every JSON text comes
+from _json_text.  A CSV cell is str of a Python scalar, so a float is its
 shortest round-trip repr, as in JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error.
@@ -65,18 +66,25 @@ class CommandError(Exception):
 SIGMA_LABELS = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
 
 
-def _csv_text(meta: dict, header: list[str], columns) -> str:
-    """CSV text: a `# key=value` line per metadata entry, the header, then one line per row.
+# rows per write of _write_csv: bounds the text and Python cells held at once
+_CSV_BLOCK = 4096
 
-    columns holds one sequence per header field, of Python scalars (from
-    .tolist()); a cell is written as str(cell), which for a Python float is
-    its shortest round-trip repr.  str of a numpy scalar is not guaranteed
-    to match, so no column may hold one.
+
+def _write_csv(stream, meta: dict, header: list[str], columns) -> None:
+    """Write a CSV table to stream: a `# key=value` line per metadata entry, the header, the rows.
+
+    columns holds one sequence per header field, all of one length: a
+    numpy array, or a list or tuple of Python scalars.  The rows go out in
+    blocks of _CSV_BLOCK, each block's slice of an array turned into
+    Python scalars by .tolist(); a cell is written as str(cell), which for
+    a Python float is its shortest round-trip repr.  str of a numpy scalar
+    is not guaranteed to match, so no list may hold one.
     """
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*(map(str, column) for column in columns))))
-    return "\n".join(lines) + "\n"
+    stream.write("".join(f"# {k}={v}\n" for k, v in meta.items()) + ",".join(header) + "\n")
+    for lo in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+        block = [column[lo:lo + _CSV_BLOCK] for column in columns]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+        stream.write("\n".join(map(",".join, zip(*(map(str, c) for c in cells)))) + "\n")
 
 
 def _json_text(obj: dict) -> str:
@@ -85,14 +93,17 @@ def _json_text(obj: dict) -> str:
 
 def _emit_table(args, meta: dict, header: list[str], rows: list[tuple]) -> None:
     """Write rows as CSV or JSON to --out, or print them to stdout (CSV without the metadata)."""
-    if args.format == "json":
-        text = _json_text({**meta, "rows": [dict(zip(header, row)) for row in rows]})
-    else:
-        text = _csv_text(meta if args.out else {}, header, list(zip(*rows)))
+    def emit(stream) -> None:
+        if args.format == "json":
+            stream.write(_json_text({**meta, "rows": [dict(zip(header, row)) for row in rows]}))
+        else:
+            _write_csv(stream, meta if args.out else {}, header, list(zip(*rows)))
+
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as stream:
+            emit(stream)
     else:
-        print(text, end="")
+        emit(sys.stdout)
 
 
 def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
@@ -207,25 +218,25 @@ def cmd_figure(args) -> int:
         "method": "fast" if args.fast else "direct",
     }
 
-    def write(name: str, header: list[str], columns: list[list]) -> None:
-        (out_dir / f"{which}_{name}").write_text(_csv_text(meta, header, columns))
+    def write(name: str, header: list[str], columns: list) -> None:
+        with open(out_dir / f"{which}_{name}", "w") as stream:
+            _write_csv(stream, meta, header, columns)
 
     labels = [SIGMA_LABELS[c] for c in batch.case.classes.tolist()]
     write("samples.csv", ["p", "sigma", "re", "im"],
-          [batch.case.units.tolist(), labels, values.real.tolist(), values.imag.tolist()])
+          [batch.case.units, labels, values.real, values.imag])
     for part, vals in (("re", values.real - shift), ("im", values.imag)):
         h = histogram(vals, bins=bins)
         write(f"hist_{part}.csv", ["bin_lo", "bin_hi", "count", "density"],
-              [h.bin_edges[:-1].tolist(), h.bin_edges[1:].tolist(), h.counts.tolist(),
-               h.density.tolist()])
+              [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density])
 
     # G_minus: real and imaginary parts share one law; one component suffices
     if variant == G_MINUS:
         limit_re = limit.imag
-        write("limit.csv", ["im"], [limit.imag.tolist()])
+        write("limit.csv", ["im"], [limit.imag])
     else:
         limit_re = limit.real
-        write("limit.csv", ["re", "im"], [limit.real.tolist(), limit.imag.tolist()])
+        write("limit.csv", ["re", "im"], [limit.real, limit.imag])
     ks_re = ks_distance(values.real, limit_re)
     ks_im = ks_distance(values.imag, limit.imag)
 

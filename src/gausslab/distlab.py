@@ -17,12 +17,15 @@ per-p reference for verify and the tests.
 The limit side samples the matching quadratic series at uniform random
 points with the series evaluator of the fast path (exact phases, Horner's
 rule for dense series; error below 1e-11 at the figure truncations), in
-pieces spread over the usable cores.  A point gets the same bits alone
-as in any piece, so the values do not depend on the core count or the
-piece size.  Its moments integrate the series on a prime grid, whose
+pieces spread over the usable cores, each piece writing its own slice of
+one preallocated sample array.  A point gets the same bits alone as in
+any piece, so the values do not depend on the core count or the piece
+size.  Its moments integrate the series on a prime grid, whose
 values are again one quadratic_grid call; every moment order k of one
 empirical_moment call shares that grid and the numerator grid of q.
-Histograms, moments, and the two-sample KS distance quantify the agreement.
+Histograms, moments, and the two-sample KS distance quantify the agreement;
+the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
+points, so beside the two sorted samples it holds O(_KS_BLOCK) memory.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -51,6 +53,8 @@ from .weights import WeightFunction, as_fourier_series, evaluate_grid, grid_in_i
 # most points per sampling piece: on 2 cores pieces of 4k-8k points lost to
 # the serial loop through GIL hand-offs between ufunc calls, 16k-24k did best
 _CHUNK = 3 << 13
+# points per block of ks_distance's CDF evaluation
+_KS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,9 +154,10 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
 
     The points are cut into equal contiguous pieces, a multiple of the
     usable cores with at most _CHUNK points each, and worker threads
-    evaluate them (numpy releases the GIL inside each array pass).  The
-    evaluator gives every point the same bits alone as in any batch, so
-    the values do not depend on the core count or the piece size.
+    evaluate them (numpy releases the GIL inside each array pass), each
+    into its own slice of the one complex128 result array.  The evaluator
+    gives every point the same bits alone as in any batch, so the values
+    do not depend on the core count or the piece size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -163,9 +168,14 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     ns, cs = _variant_terms(w.coefficients, variant, cutoff)
     cores = _usable_cores()
     pieces = cores * -(-n_samples // (cores * _CHUNK))
-    kernel = partial(_quadratic_series, ns, cs)
+    values = np.empty(n_samples, dtype=np.complex128)
+
+    def fill(x: np.ndarray, dest: np.ndarray) -> None:
+        dest[:] = _quadratic_series(ns, cs, x)
+
     with ThreadPoolExecutor(max_workers=cores) as pool:
-        return np.concatenate(list(pool.map(kernel, np.array_split(xs, pieces))))
+        list(pool.map(fill, np.array_split(xs, pieces), np.array_split(values, pieces)))
+    return values
 
 
 def _next_prime(n: int) -> int:
@@ -292,15 +302,24 @@ def histogram(values, bins: int = 40, value_range: tuple[float, float] | None = 
 
 
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+
+    The supremum is attained at a sample point: both CDFs are evaluated at
+    the points of a, then of b, _KS_BLOCK at a time, with the quotients of
+    the merged grid of all points but without building that grid.
+    """
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise EmptyInput("cannot compare empty sample sets")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    worst = 0.0
+    for points in (a, b):
+        for lo in range(0, points.size, _KS_BLOCK):
+            x = points[lo:lo + _KS_BLOCK]
+            gap = np.abs(np.searchsorted(a, x, side="right") / a.size
+                         - np.searchsorted(b, x, side="right") / b.size)
+            worst = max(worst, float(gap.max()))
+    return worst
 
 
 def discrete_factor_counts(q: int) -> dict[complex, Fraction]:

@@ -114,11 +114,12 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     """(1/phi(q)) sum_p e((m p + n t p-bar)/q) for every unit t of the array ts.
 
     This is K(m, n t, q)/phi(q): every t reads the one transform of
-    kloosterman.  It must decay as q grows for (m, n) != (0, 0); the Weil
-    bounds give the rate.
+    kloosterman.  It must decay as q grows for (m, n) != (0, 0) mod q; the
+    Weil bounds give the rate.  For (m, n) = (0, 0) mod q every t gives 1,
+    so that trivial pair is rejected.
     """
-    if (m, n) == (0, 0):
-        raise ValueError("(m, n) = (0, 0) is the trivial statistic")
+    if arith.residues(m, q) == arith.residues(n, q) == 0:
+        raise ValueError(f"(m, n) = (0, 0) mod {q} is the trivial statistic")
     ts = arith.unit_residues(np.asarray(ts), q)
     return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
 

@@ -84,12 +84,13 @@ def interval_indicator(a: float, b: float, cutoff: int = 4000) -> WeightFunction
 def as_fourier_series(w: WeightFunction) -> WeightFunction:
     """The finite-series view of a weight.
 
-    For an indicator this is the stored truncated series; the truncation
-    error becomes the caller's, which is the point of making it explicit.
+    For an indicator this is the stored truncated series, shared with the
+    indicator (weights are immutable); the truncation error becomes the
+    caller's, which is the point of making it explicit.
     """
     if w.kind == FOURIER:
         return w
-    return WeightFunction(FOURIER, dict(w.coefficients), None, w.cutoff)
+    return WeightFunction(FOURIER, w.coefficients, None, w.cutoff)
 
 
 def grid_in_interval(r: np.ndarray, q: int, a: float, b: float) -> np.ndarray:

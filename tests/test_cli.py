@@ -1,8 +1,10 @@
 """CLI surface: commands, schemas, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +231,29 @@ class TestFigureCommand:
                      "fig1_hist_im.csv", "fig1_summary.json"):
             assert file_hash(a / name) == file_hash(b / name), name
 
+    def test_traced_peak_is_bounded_and_the_weight_untouched(self, tmp_path, monkeypatch):
+        # fig3 at 200k limit samples: one sample array, CSV rows and KS points in blocks.
+        # Whole-run copies (the joined CSV text, a concatenated sample array, a merged KS\n        # grid) peaked at 33 MB here.
+        made = []
+
+        def recorded(*args):
+            w = weights.interval_indicator(*args)
+            made.append((w, dict(w.coefficients)))
+            return w
+
+        monkeypatch.setattr(cli, "interval_indicator", recorded)
+        tracemalloc.start()
+        try:
+            assert run(["figure", "fig3", "--trunc", "50", "--samples", "200000",
+                        "--out-dir", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        (w, snapshot), = made
+        assert weights.as_fourier_series(w).coefficients is w.coefficients
+        assert w.coefficients == snapshot
+
     @pytest.mark.parametrize("variant", ["G_plus", "G_minus"])
     def test_limit_lines_match_row_writer(self, tmp_path, monkeypatch, variant):
         which = {"G_plus": "fig1", "G_minus": "fig3"}[variant]
@@ -387,8 +412,12 @@ class TestEquidistCommand:
     def test_all_t_match_per_t_statistic(self, tmp_path, m, n):
         path = tmp_path / "e.csv"
         for q in list(range(1, 201)) + [4000, 4001]:
-            assert run(["equidist", "--q", str(q), "--t", "all", "--m", str(m), "--n", str(n),
-                        "--out", str(path)]) == 0
+            argv = ["equidist", "--q", str(q), "--t", "all", "--m", str(m), "--n", str(n),
+                    "--out", str(path)]
+            if m % q == n % q == 0:  # q = 1 for both pairs, q = 3, 5 and 15 for the second
+                assert run(argv) == 2
+                continue
+            assert run(argv) == 0
             rows = self.rows(path)
             ts = [int(r[1]) for r in rows]
             assert ts == arith.units(q).tolist()
@@ -459,3 +488,66 @@ class TestOutputFormats:
         header = printed[0].split(",")
         assert [reference_line(r[h] for h in header) for r in obj.pop("rows")] == printed[1:]
         assert {k: str(v) for k, v in obj.items()} == meta
+
+
+class TestCsvWriter:
+    """_write_csv at the edges of its row blocks, and never one string for a whole table."""
+
+    HEADER = ["p", "sigma", "re", "im"]
+    PARTS = [1e-05, 1e16, -0.0, 5e-324, 1.0, -1.0, 0.1, -2.5e-300, 123456.789]
+
+    @classmethod
+    def columns(cls, n):
+        """An int64 array, a list of str labels and two float arrays of special values."""
+        floats = np.resize(np.array(cls.PARTS), n)
+        labels = [("1", "-1", "i", "-i", "")[i % 5] for i in range(n)]
+        return [np.arange(n, dtype=np.int64) * 7919 - 2**40, labels, floats, -floats[::-1]]
+
+    @staticmethod
+    def reference_text(meta, header, columns):
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        lines = [f"# {k}={v}" for k, v in meta.items()] + [",".join(header)]
+        return "".join(line + "\n" for line in lines + list(map(reference_line, rows)))
+
+    # (blocks, extra): a table of blocks * _CSV_BLOCK + extra rows
+    @pytest.mark.parametrize("size", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_bytes_at_block_edges(self, size):
+        columns = self.columns(size[0] * cli._CSV_BLOCK + size[1])
+        meta = {"command": "test", "q": 5012}
+        stream = io.StringIO()
+        cli._write_csv(stream, meta, self.HEADER, columns)
+        assert stream.getvalue() == self.reference_text(meta, self.HEADER, columns)
+
+    def test_longest_write_is_one_block(self):
+        class Recorder(io.StringIO):
+            longest = 0
+
+            def write(self, text):
+                self.longest = max(self.longest, len(text))
+                return super().write(text)
+
+        block = cli._CSV_BLOCK
+        stream = Recorder()
+        cli._write_csv(stream, {"command": "test"}, self.HEADER, self.columns(10 * block))
+        text = stream.getvalue()
+        rows = text.splitlines(keepends=True)[2:]
+        assert len(rows) == 10 * block
+        longest_block = max(len("".join(rows[lo:lo + block])) for lo in range(0, len(rows), block))
+        assert stream.longest <= longest_block < len(text) / 5
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_moments_csv_bytes(self, tmp_path, capsys, to_file):
+        argv = ["moments", "--q-range", "13..17", "--k-list", "0,2", "--weight", "interval:0,0.3"]
+        json_path, csv_path = tmp_path / "m.json", tmp_path / "m.csv"
+        assert run(argv + ["--format", "json", "--out", str(json_path)]) == 0
+        obj = json.loads(json_path.read_text())
+        header = ["q", "k", "empirical", "limit", "gap"]
+        columns = list(zip(*([row[h] for h in header] for row in obj.pop("rows"))))
+        assert run(argv + ["--out", str(csv_path)] * to_file) == 0
+        written = csv_path.read_text() if to_file else capsys.readouterr().out
+        # the JSON keys are sorted, so the metadata lines are compared as a map
+        meta_text, head, body = written.partition(",".join(header) + "\n")
+        assert head + body == self.reference_text({}, header, columns)
+        meta = dict(line[2:].split("=", 1) for line in meta_text.splitlines())
+        assert meta_text == "".join(f"# {k}={v}\n" for k, v in meta.items())
+        assert meta == ({k: str(v) for k, v in obj.items()} if to_file else {})

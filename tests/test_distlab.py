@@ -362,6 +362,48 @@ class TestKSDistance:
         with pytest.raises(EmptyInput):
             distlab.ks_distance([], [1.0])
 
+    @staticmethod
+    def merged_grid_ks(a, b):
+        """The statistic on the merged grid of both samples, all points at once."""
+        a, b = np.sort(a), np.sort(b)
+        grid = np.concatenate([a, b])
+        cdf_a = np.searchsorted(a, grid, side="right") / a.size
+        cdf_b = np.searchsorted(b, grid, side="right") / b.size
+        return float(np.max(np.abs(cdf_a - cdf_b)))
+
+    # (blocks, extra): a sample of blocks * _KS_BLOCK + extra points
+    @pytest.mark.parametrize("b_size", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_blocks_equal_merged_grid_with_ties(self, b_size):
+        block = distlab._KS_BLOCK
+        rng = np.random.default_rng(sum(b_size) + 7)
+        # values on a grid of 60 points: ties inside each sample and between the two
+        a = rng.integers(0, 60, size=3001) / 7
+        b = (rng.integers(0, 60, size=b_size[0] * block + b_size[1]) + 1) / 7
+        ours = distlab.ks_distance(a, b)
+        assert ours == self.merged_grid_ks(a, b)
+        assert ours == distlab.ks_distance(b, a)
+        assert ours == pytest.approx(scipy.stats.ks_2samp(a, b, method="asymp").statistic,
+                                     abs=1e-12)
+
+    # (blocks, extra): the supremum sits at point blocks * _KS_BLOCK + extra - 1 of b
+    @pytest.mark.parametrize("at", [(1, 0), (1, 1), (2, 0)])
+    def test_supremum_at_a_block_edge(self, at):
+        n = at[0] * distlab._KS_BLOCK + at[1]
+        # F_b - F_a peaks only at the largest point of b below the one point of a:
+        # the last point of a block, or the first of the next
+        a, b = np.array([1.5]), np.append(np.arange(n) / n, 2.0)
+        assert distlab.ks_distance(a, b) == distlab.ks_distance(b, a) == n / (n + 1)
+        assert self.merged_grid_ks(a, b) == n / (n + 1)
+
+    def test_longer_first_sample_equals_merged_grid(self):
+        rng = np.random.default_rng(11)
+        a = np.round(rng.normal(size=2 * distlab._KS_BLOCK + 3), 2)
+        b = np.round(rng.normal(loc=0.05, size=700), 2)
+        ours = distlab.ks_distance(a, b)
+        assert 0 < ours == self.merged_grid_ks(a, b)
+        assert ours == pytest.approx(scipy.stats.ks_2samp(a, b, method="asymp").statistic,
+                                     abs=1e-12)
+
 
 class TestDiscreteFactorCounts:
     def test_q8(self):

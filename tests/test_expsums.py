@@ -219,6 +219,12 @@ class TestWeylStatistic:
         with pytest.raises(ValueError):
             expsums.weyl_statistics(12, [1], 0, 0)
 
+    @pytest.mark.parametrize("m,n", [(7, 0), (14, 7)])
+    def test_pair_trivial_mod_q_rejected(self, m, n):
+        # (m, n) = (0, 0) mod 7 would give 1 for every t
+        with pytest.raises(ValueError, match="trivial"):
+            expsums.weyl_statistics(7, [1, 2], m, n)
+
     def test_noncoprime_t_rejected(self):
         with pytest.raises(NotCoprime):
             expsums.weyl_statistics(12, [5, 4], 1, 1)
