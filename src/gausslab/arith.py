@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenArgument, EvenModulus, NotCoprime
+from .errors import DomainError, EvenArgument, EvenModulus, NotCoprime
 
 # largest n with n * n < 2**63: residues below it multiply without leaving int64
 INT64_ROOT = math.isqrt(2**63 - 1)
@@ -32,7 +32,7 @@ def mod_inverse(a: int, m: int) -> int:
     Raises NotCoprime if gcd(a, m) != 1.
     """
     if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+        raise DomainError(f"modulus must be >= 2, got {m}")
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"gcd({a}, {m}) = {math.gcd(a, m)} != 1")
     return pow(a, -1, m)
@@ -83,7 +83,7 @@ def is_perfect_square(n: int) -> bool:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by trial division, as sorted (prime, exponent) pairs."""
     if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
+        raise DomainError(f"need a positive integer, got {n}")
     factors = []
     d = 2
     while d * d <= n:
@@ -132,7 +132,7 @@ def analyze_modulus(q: int) -> Modulus:
 def units(q: int) -> np.ndarray:
     """Residues in [1, q] coprime to q, ascending."""
     if q < 1:
-        raise ValueError(f"need a positive integer, got {q}")
+        raise DomainError(f"need a positive integer, got {q}")
     r = np.arange(1, q + 1, dtype=np.int64)
     return r[np.gcd(r, q) == 1]
 
@@ -150,11 +150,11 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
 def residues(values, q: int):
     """values mod q: an exact int for a Python or numpy int, else an int64 array."""
     if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+        raise DomainError(f"modulus must be positive, got {q}")
     if isinstance(values, (int, np.integer)):
         return int(values) % q
     if q > INT64_ROOT:
-        raise ValueError(f"residue arrays need q <= {INT64_ROOT}, got {q}; pass one int at a time")
+        raise DomainError(f"residue arrays need q <= {INT64_ROOT}, got {q}; pass one int at a time")
     return (np.asarray(values) % q).astype(np.int64, copy=False)
 
 

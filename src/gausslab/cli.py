@@ -14,7 +14,7 @@ per write, so no table is ever held as one string; every JSON text comes
 from _json_text.  A CSV cell is str of a Python scalar, so a float is its
 shortest round-trip repr, as in JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage/domain error (a DomainError).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arith
-from .errors import BadInterval, BadModulus, EmptyInput, EvenModulus, IndicatorKind, NotCoprime
+from .errors import BadModulus, DomainError
 from .expsums import expsum_report, weyl_statistics
 from .distlab import (
     DomainWindow,
@@ -48,8 +48,6 @@ from .weights import (
     interval_indicator,
 )
 
-USAGE_ERROR = 2
-
 FIGURES = {
     # which: (q, series truncation, limit samples, center); the variant is modulus_case(q)'s
     "fig1": (5012, 4000, 300_000, "tq"),
@@ -58,8 +56,8 @@ FIGURES = {
 }
 
 
-class CommandError(Exception):
-    """Domain-level usage error; maps to exit code 2."""
+class CommandError(DomainError):
+    """A command line the subcommand cannot run; maps to exit code 2."""
 
 
 # CSV label of a sigma-class value (modulus_case's classes; None for kind "none")
@@ -113,7 +111,7 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
         try:
             a_str, b_str = spec[len("interval:"):].split(",")
             return interval_indicator(float(a_str), float(b_str), cutoff)
-        except (ValueError, BadInterval) as exc:
+        except ValueError as exc:
             raise CommandError(f"bad interval weight {spec!r}: {exc}") from exc
     if spec.startswith("fourier:"):
         path = Path(spec[len("fourier:"):])
@@ -157,6 +155,19 @@ def _parse_range(spec: str) -> range:
     if a < 1 or b < a:
         raise CommandError(f"bad range {spec!r}")
     return range(a, b + 1)
+
+
+def _per_modulus(q: int | None, spec: str | None, compute):
+    """(m, compute(m)) for the modulus q, or for each modulus m of the range spec A..B.
+
+    A range skips the moduli that compute is not defined for (BadModulus).
+    """
+    for m in [q] if spec is None else _parse_range(spec):
+        try:
+            yield m, compute(m)
+        except BadModulus:
+            if spec is None:
+                raise
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +268,6 @@ def cmd_figure(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if (args.q is None) == (args.q_range is None):
-        raise CommandError("need exactly one of --q or --q-range")
-    qs = [args.q] if args.q is not None else _parse_range(args.q_range)
     weight = _parse_weight(args.weight, args.trunc)
     if args.fast:
         weight = as_fourier_series(weight)
@@ -268,8 +276,6 @@ def cmd_moments(args) -> int:
         k_list = [float(k) for k in args.k_list.split(",")]
     except ValueError as exc:
         raise CommandError(f"bad k list {args.k_list!r}") from exc
-    if not all(0 <= k < math.inf for k in k_list):
-        raise CommandError(f"bad k list {args.k_list!r}: orders must be finite and >= 0")
     meta = {
         "command": "moments",
         "weight": args.weight,
@@ -278,31 +284,19 @@ def cmd_moments(args) -> int:
         "k_list": args.k_list,
         "method": "fast" if args.fast else "direct",
     }
-    rows = []
-    for q in qs:
-        if q < 3:
-            continue
-        for rep in empirical_moment(q, weight, window, k_list, fast=args.fast):
-            rows.append((q, rep.k, float(rep.empirical), float(rep.limit), float(rep.relative_gap)))
+    # a range skips the moduli below 3, which have no normalized law
+    reports = _per_modulus(args.q, args.q_range,
+                           lambda q: empirical_moment(q, weight, window, k_list, fast=args.fast))
+    rows = [(q, r.k, float(r.empirical), float(r.limit), float(r.relative_gap))
+            for q, reps in reports for r in reps]
     _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], rows)
     return 0
 
 
 def cmd_expsum(args) -> int:
-    if (args.q is None) == (args.sweep_q is None):
-        raise CommandError("need exactly one of --q or --sweep-q")
-    sweep = args.q is None
-    qs = _parse_range(args.sweep_q) if sweep else [args.q]
-    rows = []
-    for q in qs:
-        try:
-            rep = expsum_report(args.kind, args.m, args.n, q)
-        except BadModulus:
-            if sweep:
-                continue  # a sweep skips the moduli the sum kind is not defined for
-            raise
-        rows.append((q, args.m, args.n, float(rep.value.real), float(rep.value.imag),
-                     float(abs(rep.value)), float(rep.weil_bound), float(rep.ratio)))
+    reports = _per_modulus(args.q, args.sweep_q, lambda q: expsum_report(args.kind, args.m, args.n, q))
+    rows = [(q, args.m, args.n, float(rep.value.real), float(rep.value.imag),
+             float(abs(rep.value)), float(rep.weil_bound), float(rep.ratio)) for q, rep in reports]
     meta = {"command": "expsum", "kind": args.kind, "m": args.m, "n": args.n}
     _emit_table(args, meta, ["q", "m", "n", "re", "im", "abs", "weil_bound", "ratio"], rows)
     return 0
@@ -359,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("moments", help="empirical vs limit moments")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--q-range", default=None, help="A..B inclusive")
+    q_arg = p.add_mutually_exclusive_group(required=True)
+    q_arg.add_argument("--q", type=int)
+    q_arg.add_argument("--q-range", help="A..B inclusive")
     p.add_argument("--weight", default="const")
     p.add_argument("--domain", default="full")
     p.add_argument("--k-list", default="0,2")
@@ -374,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["kloosterman", "twisted", "salie"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--sweep-q", default=None, help="A..B inclusive")
+    q_arg = p.add_mutually_exclusive_group(required=True)
+    q_arg.add_argument("--q", type=int)
+    q_arg.add_argument("--sweep-q", help="A..B inclusive")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_expsum)
@@ -402,10 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (CommandError, BadModulus, BadInterval, NotCoprime, EvenModulus,
-            IndicatorKind, EmptyInput, ValueError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return 2
 
 
 if __name__ == "__main__":

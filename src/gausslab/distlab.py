@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .errors import EmptyInput
+from .errors import BadInterval, BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
     ModulusCase,
     _quadratic_series,
@@ -71,9 +71,9 @@ class DomainWindow:
         last = 0.0
         for a, b in self.intervals:
             if not (0.0 <= a < b <= 1.0):
-                raise ValueError(f"bad subinterval [{a}, {b})")
+                raise BadInterval(f"bad subinterval [{a}, {b})")
             if a < last:
-                raise ValueError("subintervals must be sorted and disjoint")
+                raise BadInterval("subintervals must be sorted and disjoint")
             last = b
 
     @classmethod
@@ -116,6 +116,8 @@ class EmpiricalBatch:
 
 def _admissible_sums(q: int, w: WeightFunction, window: DomainWindow | None, fast: bool):
     """The units p of q in the window, g(w, p, q) at each, and the weight values on h/q."""
+    if q < 3:
+        raise BadModulus(f"modulus must be >= 3, got {q}")
     ps = arith.units(q)
     if window is not None:
         ps = ps[window.contains(ps, q)]
@@ -133,8 +135,6 @@ def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = Non
     requires a finite-series weight; the default direct route is exact
     for indicators too.
     """
-    if q < 3:
-        raise ValueError(f"modulus must be >= 3, got {q}")
     ps, numerators, grid = _admissible_sums(q, w, window, fast)
     case = modulus_case(q, ps)
     return EmpiricalBatch(arith.analyze_modulus(q), case, numerators / case.normalizers,
@@ -162,7 +162,7 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     from concurrent.futures import ThreadPoolExecutor
 
     if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+        raise DomainError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     xs = rng.random(n_samples)
     ns, cs = _variant_terms(w.coefficients, variant, cutoff)
@@ -189,12 +189,12 @@ def _next_prime(n: int) -> int:
 def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
     """The k-th absolute moments of the series for each k of ks, all from one grid."""
     if not all(0 <= k < math.inf for k in ks):
-        raise ValueError(f"moment orders must be finite and >= 0, got {ks}")
+        raise DomainError(f"moment orders must be finite and >= 0, got {ks}")
     ns, cs = _variant_terms(w.coefficients, variant, None)
     if grid_size is None:
         grid_size = _next_prime(max(65537, 2 * int(ns.max(initial=0)) + 1))
     if grid_size < 2:
-        raise ValueError(f"grid size must be >= 2, got {grid_size}")
+        raise DomainError(f"grid size must be >= 2, got {grid_size}")
     a = np.abs(quadratic_grid(ns, cs, grid_size))
     return [float(np.sum(a ** k)) / grid_size for k in ks]
 
@@ -275,7 +275,7 @@ def histogram(values, bins: int = 40, value_range: tuple[float, float] | None = 
     if arr.size == 0:
         raise EmptyInput("cannot bin an empty sample set")
     if bins < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
+        raise DomainError(f"need at least one bin, got {bins}")
     if value_range is None:
         lo, hi = float(arr.min()), float(arr.max())
         if lo == hi:
@@ -284,7 +284,7 @@ def histogram(values, bins: int = 40, value_range: tuple[float, float] | None = 
         value_range = (lo, hi)
     lo, hi = value_range
     if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+        raise DomainError(f"need lo < hi, got ({lo}, {hi})")
     # edge i is the rounding of lo + (hi-lo)*i/bins, so a data value that
     # is the rounding of the same rational lands in the half-open bin to
     # its right; the top edge is closed

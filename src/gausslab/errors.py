@@ -1,24 +1,28 @@
 """Exception types shared across the package."""
 
 
-class NotCoprime(ValueError):
+class DomainError(ValueError):
+    """An input outside a function's domain; the CLI exits 2 on it."""
+
+
+class NotCoprime(DomainError):
     """Arguments were required to be coprime but share a factor."""
 
 
-class EvenModulus(ValueError):
+class EvenModulus(DomainError):
     """Jacobi symbol requested with an even lower argument."""
 
 
-class EvenArgument(ValueError):
+class EvenArgument(DomainError):
     """The quartic unit factor is only defined for odd integers."""
 
 
-class BadInterval(ValueError):
+class BadInterval(DomainError):
     """Interval endpoints do not satisfy 0 <= a < b <= 1."""
 
 
-class BadModulus(ValueError):
-    """Sum kind is not defined for this residue class of the modulus."""
+class BadModulus(DomainError):
+    """The operation is not defined for this modulus: its size or residue class."""
 
 
 class IndicatorKind(TypeError):
@@ -29,5 +33,5 @@ class IndicatorKind(TypeError):
     """
 
 
-class EmptyInput(ValueError):
+class EmptyInput(DomainError):
     """Statistic of an empty sample set requested."""

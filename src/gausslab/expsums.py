@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .errors import BadModulus
+from .errors import BadModulus, DomainError
 from .gauss_sums import modulus_case
 
 
@@ -101,7 +101,7 @@ def weil_bound(m, n, q: int, tau: int | None = None):
 def expsum_report(kind: str, m: int, n: int, q: int) -> ExpSumReport:
     """Evaluate the named sum and attach its bound."""
     if kind not in SUMS:
-        raise ValueError(f"unknown sum kind {kind!r}")
+        raise DomainError(f"unknown sum kind {kind!r}")
     return ExpSumReport(kind, m, n, q, SUMS[kind](m, n, q), weil_bound(m, n, q))
 
 
@@ -119,7 +119,7 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     so that trivial pair is rejected.
     """
     if arith.residues(m, q) == arith.residues(n, q) == 0:
-        raise ValueError(f"(m, n) = (0, 0) mod {q} is the trivial statistic")
+        raise DomainError(f"(m, n) = (0, 0) mod {q} is the trivial statistic")
     ts = arith.unit_residues(np.asarray(ts), q)
     return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
 

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith
-from .errors import IndicatorKind
+from .errors import DomainError, IndicatorKind
 from .weights import (
     FOURIER,
     WeightFunction,
@@ -160,7 +160,7 @@ class DirectEvaluator:
 
     def __init__(self, w, q: int):
         if q < 1:
-            raise ValueError(f"modulus must be positive, got {q}")
+            raise DomainError(f"modulus must be positive, got {q}")
         self.q = q
         h = np.arange(q // 2 + 1, dtype=np.int64)
         self.h2 = (h * h) % q
@@ -176,7 +176,7 @@ class DirectEvaluator:
         """
         ps = arith.residues(p, self.q)
         if self.values.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(self.values)):
-            raise ValueError(f"{len(self.values)} weights need a p array with one row per weight")
+            raise DomainError(f"{len(self.values)} weights need a p array with one row per weight")
         block = ps if self.values.ndim == 2 else np.reshape(ps, (1, -1))
         values = self._paired.reshape(-1, 1, len(self.h2))
         out = np.empty(block.shape, dtype=np.complex128)
@@ -239,7 +239,7 @@ def _variant_terms(coefficients, variant: str,
     terms, zero where a map has none.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise DomainError(f"unknown variant {variant!r}")
     rows = [coefficients] if isinstance(coefficients, dict) else coefficients
     folded = [{} for _ in rows]
     for row, out in zip(rows, folded):
@@ -390,7 +390,7 @@ def quadratic_grid(ns, cs, N: int) -> np.ndarray:
     N >= 3, numpy's FFT otherwise.
     """
     if N < 1:
-        raise ValueError(f"grid size must be positive, got {N}")
+        raise DomainError(f"grid size must be positive, got {N}")
     r = np.asarray(ns, dtype=np.int64) % N
     squares = r * r % N
     cs = np.asarray(cs, dtype=np.complex128)
@@ -437,7 +437,7 @@ def gauss_sum_fast_batch(w, ps, q: int):
             "convert indicators with as_fourier_series() first"
         )
     if not single and (np.ndim(ps) != 2 or len(ps) != len(weights)):
-        raise ValueError(f"{len(weights)} weights need a p array with one row per weight")
+        raise DomainError(f"{len(weights)} weights need a p array with one row per weight")
     case = modulus_case(q, ps)
     ns, cs = _variant_terms(w.coefficients if single else [v.coefficients for v in weights],
                             case.variant)

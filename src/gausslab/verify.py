@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .errors import BadModulus
+from .errors import BadModulus, DomainError
 from .expsums import SUMS, WEIL_SLACK, class_counts, weil_bound
 from .gauss_sums import (
     DirectEvaluator,
@@ -23,8 +23,6 @@ from .gauss_sums import (
     reduce_noncoprime,
 )
 from .weights import constant_weight, fourier_weight
-
-SUITES = ("closed_form", "functional_eq", "weil", "class_counts", "reduction")
 
 
 @dataclass
@@ -161,9 +159,12 @@ def reduction_suite(q_max: int = 200, tol: float = 1e-8,
     return res
 
 
+SUITES = {"closed_form": closed_form_suite, "functional_eq": functional_eq_suite,
+          "weil": weil_suite, "class_counts": class_count_suite, "reduction": reduction_suite}
+
+
 def run_suite(name: str, **overrides) -> SuiteResult:
-    suites = dict(zip(SUITES, (closed_form_suite, functional_eq_suite, weil_suite,
-                               class_count_suite, reduction_suite)))
-    if name not in suites:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return suites[name](**overrides)
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    # called by its module-level name, so a wrapper set on the module (perfbench's tracer) runs
+    return globals()[SUITES[name].__name__](**overrides)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadInterval
+from .errors import BadInterval, DomainError
 
 FOURIER = "fourier"
 INDICATOR = "indicator"
@@ -36,9 +36,9 @@ class WeightFunction:
 
     def __post_init__(self):
         if self.kind not in (FOURIER, INDICATOR):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            raise DomainError(f"unknown weight kind {self.kind!r}")
         if self.kind == INDICATOR and self.interval is None:
-            raise ValueError("indicator weight needs an interval")
+            raise DomainError("indicator weight needs an interval")
 
     @property
     def mean(self) -> complex:
@@ -65,7 +65,7 @@ def indicator_coefficients(a: float, b: float, cutoff: int) -> dict[int, complex
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"need 0 <= a < b <= 1, got a={a}, b={b}")
     if cutoff < 1:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+        raise DomainError(f"cutoff must be positive, got {cutoff}")
     ks = np.arange(1, cutoff + 1, dtype=np.float64)
     coeffs: dict[int, complex] = {0: complex(b - a)}
     for sign in (1.0, -1.0):
@@ -157,7 +157,7 @@ def reduce_weight(w: WeightFunction, r: int) -> WeightFunction:
     stored truncated series).  r = 1 returns the weight unchanged.
     """
     if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
+        raise DomainError(f"r must be positive, got {r}")
     if r == 1:
         return w
     coeffs = {k // r: r * c for k, c in w.coefficients.items() if k % r == 0}

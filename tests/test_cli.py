@@ -4,13 +4,19 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gausslab import arith, cli, distlab, gauss_sums, verify, weights
+from gausslab import arith, cli, distlab, errors, gauss_sums, verify, weights
 from test_expsums import weyl_statistic
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -29,6 +35,16 @@ class TestVerifyCommand:
 
     def test_unknown_suite_rejected(self):
         assert run(["verify", "bogus"]) == 2
+        with pytest.raises(errors.DomainError, match="unknown suite 'bogus'"):
+            verify.run_suite("bogus")
+
+    def test_suites_run_through_the_module_namespace(self, monkeypatch):
+        # a wrapper set on the module, as the benchmark's tracer sets one, is what runs
+        assert set(verify.SUITES) == {"closed_form", "functional_eq", "weil", "class_counts",
+                                      "reduction"}
+        sizes = []
+        monkeypatch.setattr(verify, "reduction_suite", lambda **kw: sizes.append(kw) or "traced")
+        assert verify.run_suite("reduction", q_max=5) == "traced" and sizes == [{"q_max": 5}]
 
     def test_fault_injection_fails(self, monkeypatch, capsys):
         from gausslab import verify as verify_mod
@@ -293,6 +309,15 @@ class TestMomentsCommand:
         assert run(["moments"]) == 2
         assert run(["moments", "--q", "5", "--q-range", "3..9"]) == 2
 
+    def test_moduli_below_3(self, tmp_path, capsys):
+        for q in ("1", "2"):
+            assert run(["moments", "--q", q]) == 2
+            assert capsys.readouterr() == ("", f"error: modulus must be >= 3, got {q}\n")
+        path = tmp_path / "m.csv"
+        assert run(["moments", "--q-range", "1..4", "--k-list", "2", "--out", str(path)]) == 0
+        rows = [l for l in path.read_text().splitlines() if l[0].isdigit()]
+        assert [int(r.split(",")[0]) for r in rows] == [3, 4]
+
     def test_fast_interval_weight(self, capsys):
         argv = ["moments", "--q", "101", "--weight", "interval:0,0.3", "--trunc", "200"]
         assert run(argv + ["--fast"]) == 0
@@ -350,6 +375,11 @@ class TestExpsumCommand:
                     "--n", "1", "--q", "7"]) == 0
         cols = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(cols[3]) == pytest.approx(-1.6038754716096761, abs=1e-9)
+
+    def test_requires_exactly_one_q(self):
+        argv = ["expsum", "--kind", "kloosterman", "--m", "1", "--n", "1"]
+        assert run(argv) == 2
+        assert run(argv + ["--q", "5", "--sweep-q", "3..9"]) == 2
 
     def test_salie_even_modulus_exit_2(self, capsys):
         assert run(["expsum", "--kind", "salie", "--m", "0", "--n", "0", "--q", "4"]) == 2
@@ -551,3 +581,67 @@ class TestCsvWriter:
         meta = dict(line[2:].split("=", 1) for line in meta_text.splitlines())
         assert meta_text == "".join(f"# {k}={v}\n" for k, v in meta.items())
         assert meta == ({k: str(v) for k, v in obj.items()} if to_file else {})
+
+
+class TestExitCodes:
+    """2 for a DomainError, the usage-error root; any other exception propagates as a bug."""
+
+    # each is refused by a library check that only its DomainError type maps to exit 2
+    @pytest.mark.parametrize("argv", [
+        ["equidist", "--q", "0", "--m", "1", "--n", "1"],
+        ["expsum", "--kind", "kloosterman", "--m", "1", "--n", "1", "--q", "0"],
+        # refused by arith.residues before any O(q) array is allocated
+        ["moments", "--q", str(arith.INT64_ROOT + 2)],
+        ["equidist", "--q", "12", "--t", "5", "--m", "0", "--n", "0"],
+    ])
+    def test_domain_errors_exit_2_with_one_line(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @staticmethod
+    def raise_in_suite(monkeypatch, exc):
+        def raising(name):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_suite", raising)
+
+    @pytest.mark.parametrize("cls", [
+        *(v for v in vars(errors).values() if isinstance(v, type) and v.__module__ == errors.__name__),
+        cli.CommandError,
+    ], ids=lambda cls: cls.__name__)
+    def test_every_error_type(self, monkeypatch, capsys, cls):
+        self.raise_in_suite(monkeypatch, cls("boom"))
+        if cls is errors.IndicatorKind:
+            assert not issubclass(cls, (errors.DomainError, ValueError))
+            with pytest.raises(errors.IndicatorKind):
+                run(["verify", "reduction"])
+            return
+        assert issubclass(cls, errors.DomainError) and issubclass(cls, ValueError)
+        assert run(["verify", "reduction"]) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_bare_value_error_propagates(self, monkeypatch):
+        self.raise_in_suite(monkeypatch, ValueError("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            run(["verify", "reduction"])
+
+    @staticmethod
+    def child(*argv):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_child_process_exit_codes(self):
+        done = self.child("-m", "gausslab.cli", "equidist", "--q", "0", "--m", "1", "--n", "1")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        done = self.child("-c", "import sys\n"
+                          "from gausslab import cli\n"
+                          "def boom(name):\n"
+                          "    raise ValueError('boom')\n"
+                          "cli.run_suite = boom\n"
+                          "sys.exit(cli.main(['verify', 'reduction']))\n")
+        assert done.returncode == 1
+        assert "Traceback" in done.stderr and "ValueError: boom" in done.stderr

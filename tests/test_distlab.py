@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from gausslab import arith, distlab, gauss_sums, weights
-from gausslab.errors import EmptyInput, IndicatorKind
+from gausslab.errors import BadInterval, BadModulus, EmptyInput, IndicatorKind
 from gausslab.gauss_sums import G_FULL, G_MINUS, G_PLUS
 
 B7 = 1 / math.sqrt(7)
@@ -73,15 +73,22 @@ class TestDomainWindow:
         assert w.measure == pytest.approx(0.5)
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInterval):
             distlab.DomainWindow(((0.0, 0.5), (0.25, 0.75)))
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInterval):
             distlab.DomainWindow(((0.5, 0.5),))
 
 
 class TestEmpiricalBatch:
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_moduli_below_3_refused(self, q):
+        with pytest.raises(BadModulus, match="modulus must be >= 3"):
+            distlab.empirical_batch(q, ONE)
+        with pytest.raises(BadModulus, match="modulus must be >= 3"):
+            distlab.empirical_moment(q, ONE, k=[0, 2])
+
     def test_constant_weight_q4(self):
         batch = distlab.empirical_batch(4, ONE)
         assert len(batch.values) == 2
