@@ -14,7 +14,6 @@ from .arith import (
     units,
 )
 from .distlab import (
-    DomainWindow,
     EmpiricalBatch,
     Histogram,
     MomentReport,

@@ -130,9 +130,9 @@ def analyze_modulus(q: int) -> Modulus:
 
 
 def units(q: int) -> np.ndarray:
-    """Residues in [1, q] coprime to q, ascending."""
-    if q < 1:
-        raise DomainError(f"need a positive integer, got {q}")
+    """Residues in [1, q] coprime to q, ascending; q <= INT64_ROOT, as for residues."""
+    if not 1 <= q <= INT64_ROOT:
+        raise DomainError(f"units need 1 <= q <= {INT64_ROOT}, got {q}")
     r = np.arange(1, q + 1, dtype=np.int64)
     return r[np.gcd(r, q) == 1]
 

@@ -27,11 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arith
+from . import arith, weights
 from .errors import BadModulus, DomainError
 from .expsums import expsum_report, weyl_statistics
 from .distlab import (
-    DomainWindow,
     empirical_batch,
     empirical_moment,
     histogram,
@@ -104,15 +103,21 @@ def _emit_table(args, meta: dict, header: list[str], rows: list[tuple]) -> None:
         emit(sys.stdout)
 
 
+def _parse_interval(spec: str) -> tuple[float, float]:
+    """The pair (a, b) of an `interval:a,b` spec, checked by weights.check_interval."""
+    try:
+        a, b = map(float, spec[len("interval:"):].split(","))
+        weights.check_interval(a, b)
+    except ValueError as exc:  # BadInterval too, so the message names the spec
+        raise CommandError(f"bad interval {spec!r}: {exc}") from exc
+    return a, b
+
+
 def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
     if spec == "const":
         return constant_weight()
     if spec.startswith("interval:"):
-        try:
-            a_str, b_str = spec[len("interval:"):].split(",")
-            return interval_indicator(float(a_str), float(b_str), cutoff)
-        except ValueError as exc:
-            raise CommandError(f"bad interval weight {spec!r}: {exc}") from exc
+        return interval_indicator(*_parse_interval(spec), cutoff)
     if spec.startswith("fourier:"):
         path = Path(spec[len("fourier:"):])
         if not path.exists():
@@ -133,15 +138,11 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
     raise CommandError(f"unknown weight spec {spec!r} (const | interval:a,b | fourier:PATH)")
 
 
-def _parse_domain(spec: str) -> DomainWindow:
+def _parse_domain(spec: str) -> tuple[float, float] | None:  # None for full
     if spec == "full":
-        return DomainWindow.full()
+        return None
     if spec.startswith("interval:"):
-        try:
-            a_str, b_str = spec[len("interval:"):].split(",")
-            return DomainWindow.interval(float(a_str), float(b_str))
-        except ValueError as exc:
-            raise CommandError(f"bad domain spec {spec!r}: {exc}") from exc
+        return _parse_interval(spec)
     raise CommandError(f"unknown domain spec {spec!r} (full | interval:a,b)")
 
 

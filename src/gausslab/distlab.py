@@ -6,8 +6,9 @@ no Monte Carlo is needed there) and divides by the normalizer D(p) of
 gauss_sums.modulus_case: g_1(p,q), or 2 g_1(2p, q/2) for q = 2 mod 4,
 which is the constant eps_q sqrt(q) (eps_{q/2} sqrt(2q)) for square q (q/2).
 A batch keeps that modulus_case as it is: the units, their sigma classes
-and normalizers stay one array each, and a domain window filters the
-units with one array test.
+and normalizers stay one array each.  A domain window is None (every
+unit) or a pair (a, b), which keeps the units p with p/q in [a, b) by
+one array test, weights.grid_in_interval, the rule of indicator weights.
 
 The numerators g(w, p, q) of every p come from one FFT of the weight
 values binned at h^2 mod q (gauss_sums.quadratic_grid), which is exact
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .errors import BadInterval, BadModulus, DomainError, EmptyInput
+from .errors import BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
     ModulusCase,
     _quadratic_series,
@@ -48,57 +49,13 @@ from .gauss_sums import (
     modulus_case,
     quadratic_grid,
 )
-from .weights import WeightFunction, as_fourier_series, evaluate_grid, grid_in_interval
+from .weights import WeightFunction, as_fourier_series, check_interval, evaluate_grid, grid_in_interval
 
 # most points per sampling piece: on 2 cores pieces of 4k-8k points lost to
 # the serial loop through GIL hand-offs between ufunc calls, 16k-24k did best
 _CHUNK = 3 << 13
 # points per block of ks_distance's CDF evaluation
 _KS_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class DomainWindow:
-    """A finite union of disjoint subintervals of [0, 1).
-
-    Membership of the rationals p/q is decided exactly against the
-    (binary float) endpoints, with integer bounds on p (contains).
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        last = 0.0
-        for a, b in self.intervals:
-            if not (0.0 <= a < b <= 1.0):
-                raise BadInterval(f"bad subinterval [{a}, {b})")
-            if a < last:
-                raise BadInterval("subintervals must be sorted and disjoint")
-            last = b
-
-    @classmethod
-    def full(cls) -> "DomainWindow":
-        return cls(((0.0, 1.0),))
-
-    @classmethod
-    def interval(cls, a: float, b: float) -> "DomainWindow":
-        return cls(((float(a), float(b)),))
-
-    @property
-    def measure(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
-    def contains(self, ps: np.ndarray, q: int) -> np.ndarray:
-        """Whether each p/q of an int64 array ps, taken mod 1, lies in the window.
-
-        Each subinterval decides it by weights.grid_in_interval, the exact
-        rule of indicator weights on the grid.
-        """
-        r = ps % q
-        inside = np.zeros(r.shape, dtype=bool)
-        for a, b in self.intervals:
-            inside |= grid_in_interval(r, q, a, b)
-        return inside
 
 
 @dataclass
@@ -114,27 +71,34 @@ class EmpiricalBatch:
     grid_mass: float  # sum of weight values on the grid h/q; counts the kept terms for indicators
 
 
-def _admissible_sums(q: int, w: WeightFunction, window: DomainWindow | None, fast: bool):
-    """The units p of q in the window, g(w, p, q) at each, and the weight values on h/q."""
+def _check_input(q: int, window: tuple[float, float] | None) -> None:
+    """Refuse a bad window (BadInterval), then a modulus below 3 (BadModulus)."""
+    if window is not None:
+        check_interval(*window)
     if q < 3:
         raise BadModulus(f"modulus must be >= 3, got {q}")
+
+
+def _admissible_sums(q: int, w: WeightFunction, window: tuple[float, float] | None, fast: bool):
+    """Units p of q (in [1, q) for q >= 3) in the window, g(w, p, q) at each, and w on h/q."""
     ps = arith.units(q)
     if window is not None:
-        ps = ps[window.contains(ps, q)]
+        ps = ps[grid_in_interval(ps, q, *window)]
     grid = evaluate_grid(w, q)
     if fast:
         return ps, gauss_sum_fast_batch(w, ps, q), grid
-    return ps, quadratic_grid(np.arange(q), grid, q)[ps % q], grid
+    return ps, quadratic_grid(np.arange(q), grid, q)[ps], grid
 
 
-def empirical_batch(q: int, w: WeightFunction, window: DomainWindow | None = None,
+def empirical_batch(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
                     fast: bool = False) -> EmpiricalBatch:
     """One normalized sample per admissible p, sorted by p.
 
-    fast=True routes the numerator through the functional equations and
-    requires a finite-series weight; the default direct route is exact
-    for indicators too.
+    window None keeps every unit, a pair (a, b) the units with p/q in [a, b).
+    fast=True routes the numerator through the functional equations and requires
+    a finite-series weight; the default direct route is exact for indicators too.
     """
+    _check_input(q, window)
     ps, numerators, grid = _admissible_sums(q, w, window, fast)
     case = modulus_case(q, ps)
     return EmpiricalBatch(arith.analyze_modulus(q), case, numerators / case.normalizers,
@@ -179,11 +143,11 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
 
 
 def _next_prime(n: int) -> int:
+    """The least prime >= n, by the primality rule of quadratic_grid."""
     n = max(n, 2)
-    while True:
-        if all(n % d for d in range(2, math.isqrt(n) + 1)):
-            return n
+    while arith.factorize(n) != [(n, 1)]:
         n += 1
+    return n
 
 
 def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
@@ -230,24 +194,25 @@ class MomentReport:
     relative_gap: float
 
 
-def empirical_moment(q: int, w: WeightFunction, window: DomainWindow | None = None,
+def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
                      k: float = 2.0, fast: bool = False) -> MomentReport | list[MomentReport]:
     """Normalized empirical k-th moment next to its limit value.
 
-    The empirical side is (1/(phi(q)|D|)) sum |g(w,p,q)|^k over the
-    admissible units, divided by |D(p)|^k: (2q)^{k/2} for even q and
-    q^{k/2} for odd q.  The limit side integrates the matching series variant; for
-    indicator weights that series is the stored truncated one.
+    The empirical side is (1/(phi(q)(b - a))) sum |g(w,p,q)|^k over the units
+    p with p/q in the window [a, b) (every unit and b - a = 1 for window None),
+    divided by |D(p)|^k: (2q)^{k/2} for even q and q^{k/2} for odd q.  A bad
+    window or q is refused before any grid.  The limit side integrates the
+    matching series variant; for indicator weights that is the stored truncated one.
 
     k may be a sequence of orders: the reports then come as a list in k
     order, and all k share one numerator grid and one limit-series grid.
     """
     ks = list(k) if np.ndim(k) else [k]
+    _check_input(q, window)
     case = modulus_case(q)
     limits = _limit_moments(case.variant, as_fourier_series(w), ks)
-    window = window or DomainWindow.full()
     mags = np.abs(_admissible_sums(q, w, window, fast)[1])
-    measure = arith.analyze_modulus(q).phi * window.measure
+    measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
     empirical = [float(np.sum(mags ** j)) / measure / case.norm_sq ** (j / 2) for j in ks]
     reports = [MomentReport(j, e, lim, abs(e - lim) / max(lim, 1e-12))
                for j, e, lim in zip(ks, empirical, limits)]

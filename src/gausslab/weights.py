@@ -62,8 +62,7 @@ def indicator_coefficients(a: float, b: float, cutoff: int) -> dict[int, complex
     c_0 = b - a and c_k = (e(-ka) - e(-kb)) / (2 pi i k) for k != 0,
     returned for all |k| <= cutoff.
     """
-    if not (0.0 <= a < b <= 1.0):
-        raise BadInterval(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+    check_interval(a, b)
     if cutoff < 1:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     ks = np.arange(1, cutoff + 1, dtype=np.float64)
@@ -91,6 +90,12 @@ def as_fourier_series(w: WeightFunction) -> WeightFunction:
     if w.kind == FOURIER:
         return w
     return WeightFunction(FOURIER, w.coefficients, None, w.cutoff)
+
+
+def check_interval(a: float, b: float) -> None:
+    """Refuse [a, b) with BadInterval unless 0 <= a < b <= 1."""
+    if not (0.0 <= a < b <= 1.0):
+        raise BadInterval(f"need 0 <= a < b <= 1, got a={a}, b={b}")
 
 
 def grid_in_interval(r: np.ndarray, q: int, a: float, b: float) -> np.ndarray:

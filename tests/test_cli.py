@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -348,6 +349,12 @@ class TestMomentsCommand:
         assert len(calls) == 12
         assert calls[1::2] == list(range(13, 19))
 
+    def test_moduli_below_3_build_no_grid(self, monkeypatch, capsys):
+        calls = self.count_grids(monkeypatch)
+        assert run(["moments", "--q-range", "1..4", "--k-list", "0,2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
+        assert calls == [65537, 3, 65537, 4]
+
     @pytest.mark.parametrize("k_list", ["2,-1", "nan", "inf", "2,nan,4", "-inf"])
     def test_bad_orders_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, k_list):
         calls = self.count_grids(monkeypatch)
@@ -593,6 +600,8 @@ class TestExitCodes:
         # refused by arith.residues before any O(q) array is allocated
         ["moments", "--q", str(arith.INT64_ROOT + 2)],
         ["equidist", "--q", "12", "--t", "5", "--m", "0", "--n", "0"],
+        ["moments", "--q", "7", "--domain", "interval:0.5,0.2"],
+        ["moments", "--q", "7", "--domain", "interval:x"],
     ])
     def test_domain_errors_exit_2_with_one_line(self, capsys, argv):
         assert run(argv) == 2
@@ -627,11 +636,28 @@ class TestExitCodes:
             run(["verify", "reduction"])
 
     @staticmethod
-    def child(*argv):
+    def child(*argv, preexec_fn=None):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        env.update(dict.fromkeys(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"], "1"))
         return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, preexec_fn=preexec_fn)
+
+    @pytest.mark.parametrize("argv", [
+        ["expsum", "--kind", "kloosterman", "--m", "1", "--n", "1", "--q"],
+        ["equidist", "--m", "1", "--n", "1", "--q"],
+        ["moments", "--q"],
+    ], ids=["expsum", "equidist", "moments"])
+    def test_modulus_beyond_int64_root_refused_before_any_array(self, argv):
+        # the units of this q would take 22.6 GiB of int64; the address-space
+        # limit, set in the child alone, turns an attempt into a MemoryError
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        done = self.child("-m", "gausslab.cli", *argv, str(arith.INT64_ROOT + 2),
+                          preexec_fn=limit_memory)
+        assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
+        assert done.stderr.startswith("error: ") and str(arith.INT64_ROOT) in done.stderr
 
     def test_child_process_exit_codes(self):
         done = self.child("-m", "gausslab.cli", "equidist", "--q", "0", "--m", "1", "--n", "1")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+import sympy
 
 from gausslab import arith, distlab, gauss_sums, weights
 from gausslab.errors import BadInterval, BadModulus, EmptyInput, IndicatorKind
@@ -24,33 +25,34 @@ def midpoint_moment(w, k, size=10_001):
     return float(np.mean(np.abs(vals) ** k))
 
 
+def fraction_window(q, a, b):
+    """The units p of q with a <= p/q < b, decided in Fraction arithmetic."""
+    return [p for p in arith.units(q).tolist() if Fraction(a) <= Fraction(p, q) < Fraction(b)]
+
+
 class TestDomainWindow:
+    """A window is None (every unit) or a pair (a, b) of floats with 0 <= a < b <= 1."""
+
     def test_full(self):
-        w = distlab.DomainWindow.full()
-        assert w.measure == 1.0
-        assert w.contains(np.arange(7), 7).all()
+        assert distlab.empirical_batch(7, ONE, None).case.units.tolist() == [1, 2, 3, 4, 5, 6]
+        assert distlab.empirical_moment(7, ONE, None, k=0.0).empirical == 1.0
 
     def test_interval_membership_exact(self):
-        w = distlab.DomainWindow.interval(0.25, 0.5)
-        # 2/8 is the left endpoint (included), 4/8 the right one (excluded)
-        assert w.contains(np.array([2, 4, 3, 1]), 8).tolist() == [True, False, True, False]
+        # 1/8 is the left endpoint (kept), 3/8 the right one (dropped)
+        assert distlab.empirical_batch(8, ONE, (0.125, 0.375)).case.units.tolist() == [1]
 
-    @pytest.mark.parametrize("intervals", [
-        ((0.25, 0.5),), ((0.0, 0.25), (0.5, 0.75)), ((0.1, 0.6),), ((0.0, 1.0),),
-        ((1 / 3, 2 / 3),), ((0.125, 0.375), (0.875, 1.0)), ((B7, 0.9),),
+    # ids keep their numbers from a list that also held two-interval unions
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(0.25, 0.5, id="intervals0"), pytest.param(0.1, 0.6, id="intervals2"),
+        pytest.param(0.0, 1.0, id="intervals3"), pytest.param(1 / 3, 2 / 3, id="intervals4"),
+        pytest.param(B7, 0.9, id="intervals6"),
     ])
-    def test_array_test_matches_fraction_reference(self, intervals):
-        # endpoints hit p/q exactly for every q divisible by 4 or 8; 1/3 and
+    def test_array_test_matches_fraction_reference(self, a, b):
+        # endpoints hit p/q exactly for every q divisible by 4; 1/3 and
         # 1/sqrt(7) are binary floats near, not at, a rational p/q
-        window = distlab.DomainWindow(intervals)
-        exact = [(Fraction(a), Fraction(b)) for a, b in intervals]
         for q in range(3, 301):
-            ps = np.arange(-2, q + 2, dtype=np.int64)  # p/q is taken mod 1
-            want = [any(a <= Fraction(p, q) % 1 < b for a, b in exact) for p in ps.tolist()]
-            assert window.contains(ps, q).tolist() == want, q
-            units = set(arith.units(q).tolist())
-            kept = [p for p, keep in zip(ps.tolist(), want) if keep and p in units]
-            assert distlab.empirical_batch(q, ONE, window).case.units.tolist() == kept, q
+            assert distlab.empirical_batch(q, ONE, (a, b)).case.units.tolist() == \
+                fraction_window(q, a, b), q
 
     def test_weight_grid_equals_window_mask(self):
         # one rule for r/q in [a, b), exact for the float endpoints
@@ -60,25 +62,35 @@ class TestDomainWindow:
         for q in range(1, 301):
             rows = weights.evaluate_grid(ws + [ONE], q)  # the batched rows, next to a series
             for (a, b), w, row in zip(pairs, ws, rows):
-                mask = distlab.DomainWindow.interval(a, b).contains(np.arange(q), q)
-                want = mask.astype(np.complex128).tolist()
+                lo, hi = Fraction(a) * q, Fraction(b) * q  # a <= h/q < b, scaled by q
+                want = [complex(lo <= h < hi) for h in range(q)]
                 assert weights.evaluate_grid(w, q).tolist() == want, (a, b, q)
                 assert row.tolist() == want, (a, b, q)
         # fl(0.1) > 1/10, so [0, 0.1) holds 1/10 as well as 0/10
         grid = weights.evaluate_grid(weights.interval_indicator(0.0, 0.1, cutoff=1), 10)
         assert grid.real.tolist() == [1.0, 1.0] + [0.0] * 8
 
-    def test_measure(self):
-        w = distlab.DomainWindow(((0.0, 0.25), (0.5, 0.75)))
-        assert w.measure == pytest.approx(0.5)
+    def test_bad_interval_rejected(self, monkeypatch):
+        calls = []
+        real = distlab.quadratic_grid
+        monkeypatch.setattr(distlab, "quadratic_grid", lambda *args: calls.append(args) or real(*args))
+        for window in [(0.5, 0.5), (0.5, 0.2), (-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5)]:
+            with pytest.raises(BadInterval):
+                distlab.empirical_batch(5, ONE, window)
+            with pytest.raises(BadInterval):
+                distlab.empirical_moment(5, ONE, window, k=[0, 2])
+            # the window is refused first, also where q has no normalized law
+            with pytest.raises(BadInterval):
+                distlab.empirical_moment(2, ONE, window, k=[0, 2])
+        assert calls == []
 
-    def test_overlap_rejected(self):
-        with pytest.raises(BadInterval):
-            distlab.DomainWindow(((0.0, 0.5), (0.25, 0.75)))
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(BadInterval):
-            distlab.DomainWindow(((0.5, 0.5),))
+    @pytest.mark.parametrize("q", [9, 20, 101, 5013])
+    @pytest.mark.parametrize("a, b", [(0.1, 0.6), (0.0, 0.3), (B7, 1.0)])
+    def test_windowed_zeroth_moment(self, q, a, b):
+        kept = len(fraction_window(q, a, b))
+        phi = arith.analyze_modulus(q).phi
+        assert distlab.empirical_moment(q, ONE, (a, b), k=0.0).empirical == \
+            pytest.approx(kept / (phi * (b - a)), rel=1e-15)
 
 
 class TestEmpiricalBatch:
@@ -108,12 +120,12 @@ class TestEmpiricalBatch:
         assert "eps_{q/2}" in distlab.empirical_batch(18, w).case.label
 
     def test_window_restriction(self):
-        batch = distlab.empirical_batch(20, ONE, distlab.DomainWindow.interval(0.0, 0.5))
+        batch = distlab.empirical_batch(20, ONE, (0.0, 0.5))
         assert batch.case.units.tolist() == [1, 3, 7, 9]
         assert batch.case.classes.tolist() == [gauss_sums.sigma_class(p, 20) for p in (1, 3, 7, 9)]
 
     def test_empty_window_allowed(self):
-        batch = distlab.empirical_batch(5, ONE, distlab.DomainWindow.interval(0.81, 0.99))
+        batch = distlab.empirical_batch(5, ONE, (0.81, 0.99))
         assert batch.case.units.size == 0 and batch.values.size == 0
 
     def test_fast_matches_direct(self):
@@ -249,6 +261,21 @@ class TestLimitMoment:
         assert abs(quad - closed) < 1e-6
 
 
+class TestNextPrime:
+    def test_matches_sympy(self):
+        # sympy.nextprime(n - 1) is the least prime >= n
+        for n in [*range(3001), 65537]:
+            assert distlab._next_prime(n) == sympy.nextprime(n - 1), n
+
+    def test_default_limit_grid(self, monkeypatch):
+        sizes = []
+        real = distlab.quadratic_grid
+        monkeypatch.setattr(distlab, "quadratic_grid", lambda ns, cs, n: sizes.append(n) or real(ns, cs, n))
+        distlab.limit_moment(G_FULL, ONE, 2.0)
+        distlab.limit_moment(G_FULL, weights.fourier_weight({40000: 1.0}), 2.0)
+        assert sizes == [65537, sympy.nextprime(2 * 40000)]
+
+
 class TestEmpiricalMoment:
     def test_constant_weight_odd_q(self):
         rep = distlab.empirical_moment(15, ONE, k=2.0)
@@ -274,7 +301,7 @@ class TestEmpiricalMoment:
 
     @pytest.mark.parametrize("q", [9, 12, 18, 101, 5012, 5013, 5014])
     @pytest.mark.parametrize("fast", [False, True], ids=["direct", "fast"])
-    @pytest.mark.parametrize("window", [None, distlab.DomainWindow.interval(0.1, 0.6)],
+    @pytest.mark.parametrize("window", [None, (0.1, 0.6)],
                              ids=["full", "window"])
     def test_k_sequence_matches_scalar_calls(self, q, fast, window):
         w = weights.interval_indicator(0.0, B7, cutoff=32)
