@@ -129,9 +129,13 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
                 continue
             try:
                 k_str, re_str, im_str = line.split(",")
-                coeffs[int(k_str)] = complex(float(re_str), float(im_str))
+                k, c = int(k_str), complex(float(re_str), float(im_str))
             except ValueError as exc:
                 raise CommandError(f"bad coefficient row {line!r} in {path}") from exc
+            if k in coeffs or not np.isfinite(c):
+                problem = f"repeats k={k}" if k in coeffs else "is not finite"
+                raise CommandError(f"coefficient row {line!r} in {path} {problem}")
+            coeffs[k] = c
         if not coeffs:
             raise CommandError(f"no coefficients in {path}")
         return fourier_weight(coeffs)
@@ -205,13 +209,12 @@ def cmd_figure(args) -> int:
     b = 1.0 / math.sqrt(7.0)
 
     weight = interval_indicator(0.0, b, coeff_cutoff)
-    series = as_fourier_series(weight)
     # --fast evaluates the truncated series; meta records trunc and method
-    batch = empirical_batch(q, series if args.fast else weight, fast=args.fast)
+    batch = empirical_batch(q, as_fourier_series(weight) if args.fast else weight, fast=args.fast)
     values = batch.values
     t_over_q = batch.grid_mass / q
 
-    limit = sample_limit_law(variant, series, trunc, n_samples, args.seed)
+    limit = sample_limit_law(variant, weight, trunc, n_samples, args.seed)
     shift = {"tq": t_over_q, "phihat0": weight.mean.real, "none": 0.0}[center]
 
     out_dir = Path(args.out_dir)
@@ -256,7 +259,7 @@ def cmd_figure(args) -> int:
         **meta,
         "normalization": batch.case.label,
         "total_samples": len(values),
-        "phi_q": batch.modulus.phi,
+        "phi_q": arith.analyze_modulus(q).phi,
         "grid_mass": batch.grid_mass,
         "t_over_q": t_over_q,
         "mean_bin_count": len(values) / bins,

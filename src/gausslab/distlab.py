@@ -49,7 +49,7 @@ from .gauss_sums import (
     modulus_case,
     quadratic_grid,
 )
-from .weights import WeightFunction, as_fourier_series, check_interval, evaluate_grid, grid_in_interval
+from .weights import WeightFunction, check_interval, evaluate_grid, grid_in_interval
 
 # most points per sampling piece: on 2 cores pieces of 4k-8k points lost to
 # the serial loop through GIL hand-offs between ufunc calls, 16k-24k did best
@@ -65,7 +65,6 @@ class EmpiricalBatch:
     case is modulus_case at those units: the p (units), classes and normalization (label).
     """
 
-    modulus: arith.Modulus
     case: ModulusCase
     values: np.ndarray
     grid_mass: float  # sum of weight values on the grid h/q; counts the kept terms for indicators
@@ -101,8 +100,7 @@ def empirical_batch(q: int, w: WeightFunction, window: tuple[float, float] | Non
     _check_input(q, window)
     ps, numerators, grid = _admissible_sums(q, w, window, fast)
     case = modulus_case(q, ps)
-    return EmpiricalBatch(arith.analyze_modulus(q), case, numerators / case.normalizers,
-                          float(grid.sum().real))
+    return EmpiricalBatch(case, numerators / case.normalizers, float(grid.sum().real))
 
 
 def _usable_cores() -> int:
@@ -202,7 +200,7 @@ def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | No
     p with p/q in the window [a, b) (every unit and b - a = 1 for window None),
     divided by |D(p)|^k: (2q)^{k/2} for even q and q^{k/2} for odd q.  A bad
     window or q is refused before any grid.  The limit side integrates the
-    matching series variant; for indicator weights that is the stored truncated one.
+    matching series variant; for indicator weights that is their truncated series.
 
     k may be a sequence of orders: the reports then come as a list in k
     order, and all k share one numerator grid and one limit-series grid.
@@ -210,7 +208,7 @@ def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | No
     ks = list(k) if np.ndim(k) else [k]
     _check_input(q, window)
     case = modulus_case(q)
-    limits = _limit_moments(case.variant, as_fourier_series(w), ks)
+    limits = _limit_moments(case.variant, w, ks)
     mags = np.abs(_admissible_sums(q, w, window, fast)[1])
     measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
     empirical = [float(np.sum(mags ** j)) / measure / case.norm_sq ** (j / 2) for j in ks]

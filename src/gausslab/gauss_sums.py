@@ -49,12 +49,7 @@ import numpy as np
 
 from . import arith
 from .errors import DomainError, IndicatorKind
-from .weights import (
-    FOURIER,
-    WeightFunction,
-    evaluate_grid,
-    reduce_weight,
-)
+from .weights import WeightFunction, evaluate_grid, reduce_weight
 
 G_PLUS = "G_plus"
 G_FULL = "G_full"
@@ -431,7 +426,7 @@ def gauss_sum_fast_batch(w, ps, q: int):
     """
     single = isinstance(w, WeightFunction)
     weights = [w] if single else list(w)
-    if any(v.kind != FOURIER for v in weights):
+    if any(v.interval is not None for v in weights):
         raise IndicatorKind(
             "fast evaluation needs a finite Fourier series; "
             "convert indicators with as_fourier_series() first"

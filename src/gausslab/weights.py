@@ -1,10 +1,11 @@
 """Periodic weight functions with period one.
 
-A weight is either a finite Fourier series (sparse coefficient map
-k -> c_k, value sum_k c_k e(kx) with e(x) = exp(2 pi i x)) or the
-indicator of a half-open interval [a, b) in [0, 1).  Indicators also
-carry the truncated analytic series of their coefficients so that the
-fast evaluation paths can use them after an explicit conversion.
+A weight is a finite Fourier series (sparse coefficient map k -> c_k,
+value sum_k c_k e(kx) with e(x) = exp(2 pi i x)), plus an interval
+[a, b) in [0, 1) if it is the indicator of that half-open interval.  An
+indicator's coefficients are its truncated analytic series, which the
+limit side reads as they are and the fast evaluation paths use after an
+explicit conversion.
 """
 
 from __future__ import annotations
@@ -17,28 +18,18 @@ import numpy as np
 
 from .errors import BadInterval, DomainError
 
-FOURIER = "fourier"
-INDICATOR = "indicator"
-
 
 @dataclass(frozen=True)
 class WeightFunction:
     """Immutable weight; freely shareable across threads.
 
-    coefficients holds the finite Fourier data for both kinds: for an
-    indicator it is the truncated analytic series up to the cutoff.
+    coefficients is the finite Fourier series.  interval (a, b) marks the
+    indicator of [a, b), whose coefficients are its truncated series;
+    None marks a plain series.
     """
 
-    kind: str
     coefficients: dict[int, complex]
     interval: tuple[float, float] | None = None
-    cutoff: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (FOURIER, INDICATOR):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind == INDICATOR and self.interval is None:
-            raise DomainError("indicator weight needs an interval")
 
     @property
     def mean(self) -> complex:
@@ -47,9 +38,7 @@ class WeightFunction:
 
 
 def fourier_weight(coefficients: dict[int, complex]) -> WeightFunction:
-    coeffs = {int(k): complex(c) for k, c in coefficients.items()}
-    cutoff = max((abs(k) for k in coeffs), default=0)
-    return WeightFunction(FOURIER, coeffs, None, cutoff)
+    return WeightFunction({int(k): complex(c) for k, c in coefficients.items()})
 
 
 def constant_weight(value: complex = 1.0) -> WeightFunction:
@@ -77,7 +66,7 @@ def indicator_coefficients(a: float, b: float, cutoff: int) -> dict[int, complex
 
 def interval_indicator(a: float, b: float, cutoff: int = 4000) -> WeightFunction:
     """Indicator weight of [a, b) carrying its truncated series."""
-    return WeightFunction(INDICATOR, indicator_coefficients(a, b, cutoff), (float(a), float(b)), cutoff)
+    return WeightFunction(indicator_coefficients(a, b, cutoff), (float(a), float(b)))
 
 
 def as_fourier_series(w: WeightFunction) -> WeightFunction:
@@ -87,9 +76,7 @@ def as_fourier_series(w: WeightFunction) -> WeightFunction:
     indicator (weights are immutable); the truncation error becomes the
     caller's, which is the point of making it explicit.
     """
-    if w.kind == FOURIER:
-        return w
-    return WeightFunction(FOURIER, w.coefficients, None, w.cutoff)
+    return w if w.interval is None else WeightFunction(w.coefficients)
 
 
 def check_interval(a: float, b: float) -> None:
@@ -111,13 +98,13 @@ def grid_in_interval(r: np.ndarray, q: int, a: float, b: float) -> np.ndarray:
 def evaluate(w: WeightFunction, x):
     """Value of the weight at x (scalar or array), period one.
 
-    Fourier kind: the exact finite sum.  Indicator kind: the exact 0/1
+    A series: the exact finite sum.  An indicator: the exact 0/1
     indicator of [a, b), not the truncated series.
     """
     xs = np.asarray(x, dtype=np.float64)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs) % 1.0
-    if w.kind == INDICATOR:
+    if w.interval is not None:
         a, b = w.interval
         out = ((xs >= a) & (xs < b)).astype(np.complex128)
     else:
@@ -139,17 +126,17 @@ def evaluate_grid(w, q: int) -> np.ndarray:
     """
     single = isinstance(w, WeightFunction)
     grid = np.arange(q)
-    if single and w.kind == INDICATOR:
+    if single and w.interval is not None:
         return grid_in_interval(grid, q, *w.interval).astype(np.complex128)
     rows = [w] if single else list(w)
-    series = [(r, v.coefficients) for r, v in enumerate(rows) if v.kind == FOURIER]
+    series = [(r, v.coefficients) for r, v in enumerate(rows) if v.interval is None]
     binned = np.zeros((len(rows), q), dtype=np.complex128)
     np.add.at(binned.reshape(-1), [r * q + k % q for r, cs in series for k in cs],
               [c for _, cs in series for c in cs.values()])
     # value at h/q is sum_k c_k e(kh/q) = q * ifft(binned)[h]
     values = np.fft.ifft(binned) * q
     for row, v in zip(values, rows):
-        if v.kind == INDICATOR:
+        if v.interval is not None:
             row[:] = grid_in_interval(grid, q, *v.interval)
     return values[0] if single else values
 

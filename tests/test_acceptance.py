@@ -8,6 +8,7 @@ run at the full reference scale and take a couple of minutes.
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -160,3 +161,10 @@ def test_criterion_10_cli_determinism(tmp_path):
     report(fig_same and moments_same and expsum_same,
            f"criterion 10: byte-identical reruns "
            f"(figure={fig_same}, moments={moments_same}, expsum={expsum_same})")
+
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {})

@@ -593,6 +593,9 @@ class TestCsvWriter:
 class TestExitCodes:
     """2 for a DomainError, the usage-error root; any other exception propagates as a bug."""
 
+    FOURIER_FILES = {"repeated_k.csv": "1,0.5,0\n1,0.25,0\n", "nan.csv": "0,1,0\n1,nan,0\n",
+                     "inf.csv": "1,0.5,inf\n"}
+
     # each is refused by a library check that only its DomainError type maps to exit 2
     @pytest.mark.parametrize("argv", [
         ["equidist", "--q", "0", "--m", "1", "--n", "1"],
@@ -602,8 +605,15 @@ class TestExitCodes:
         ["equidist", "--q", "12", "--t", "5", "--m", "0", "--n", "0"],
         ["moments", "--q", "7", "--domain", "interval:0.5,0.2"],
         ["moments", "--q", "7", "--domain", "interval:x"],
+        # fourier:NAME reads the file NAME of FOURIER_FILES
+        ["moments", "--q", "13", "--k-list", "2", "--weight", "fourier:repeated_k.csv"],
+        ["moments", "--q", "13", "--k-list", "2", "--weight", "fourier:nan.csv"],
+        ["moments", "--q", "13", "--k-list", "2", "--weight", "fourier:inf.csv"],
     ])
-    def test_domain_errors_exit_2_with_one_line(self, capsys, argv):
+    def test_domain_errors_exit_2_with_one_line(self, capsys, tmp_path, argv):
+        for name, text in self.FOURIER_FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.replace("fourier:", f"fourier:{tmp_path}{os.sep}") for a in argv]
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")

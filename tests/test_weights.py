@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gausslab import weights
-from gausslab.errors import BadInterval
+from gausslab.errors import BadInterval, IndicatorKind
+from gausslab.gauss_sums import gauss_sum_fast
 
 
 def riemann_coefficient(a, b, k, n_grid=200_000):
@@ -170,8 +171,15 @@ class TestConversion:
     def test_as_fourier_series(self):
         w = weights.interval_indicator(0.2, 0.7, cutoff=32)
         s = weights.as_fourier_series(w)
-        assert s.kind == weights.FOURIER
-        assert s.coefficients == w.coefficients
+        assert s.interval is None
+        assert s.coefficients is w.coefficients
+
+    def test_interval_marks_an_indicator(self):
+        assert weights.interval_indicator(0.2, 0.7, 32).interval == (0.2, 0.7)
+        assert weights.fourier_weight({0: 1.0, 3: 0.5j}).interval is None
+        coeffs = weights.indicator_coefficients(0.0, 0.5, 8)
+        with pytest.raises(IndicatorKind):
+            gauss_sum_fast(weights.WeightFunction(coeffs, (0.0, 0.5)), 1, 7)
 
     def test_indicator_mean_is_interval_length(self):
         w = weights.interval_indicator(0.0, 0.5, cutoff=64)
