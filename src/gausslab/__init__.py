@@ -34,7 +34,6 @@ from .expsums import (
     salie,
     twisted_kloosterman,
     weil_bound,
-    weil_check,
 )
 from .gauss_sums import (
     G_FULL,

@@ -103,20 +103,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class Modulus:
     """A modulus q with the derived quantities used throughout.
 
-    phi is Euler's totient, tau the divisor count; q_mod4 and is_square
-    are the residue type that gauss_sums.modulus_case splits on.
+    phi is Euler's totient, tau the divisor count, and is_square says
+    whether q is a perfect square.
     """
 
     q: int
     factorization: tuple[tuple[int, int], ...]
     phi: int
     tau: int
-    q_mod4: int
     is_square: bool
 
 
 def analyze_modulus(q: int) -> Modulus:
-    """Factor q and derive totient, divisor count, residue mod 4, squareness."""
+    """Factor q and derive totient, divisor count and squareness."""
     factors = factorize(q)
     phi = q
     tau = 1
@@ -126,7 +125,7 @@ def analyze_modulus(q: int) -> Modulus:
         tau *= e + 1
         if e % 2:
             square = False
-    return Modulus(q, tuple(factors), phi, tau, q % 4, square)
+    return Modulus(q, tuple(factors), phi, tau, square)
 
 
 def units(q: int) -> np.ndarray:

@@ -59,7 +59,7 @@ class CommandError(DomainError):
     """A command line the subcommand cannot run; maps to exit code 2."""
 
 
-# CSV label of a sigma-class value (modulus_case's classes; None for kind "none")
+# CSV label of a sigma-class value (modulus_case's classes; None for an odd square)
 SIGMA_LABELS = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
 
 

@@ -149,7 +149,10 @@ def _next_prime(n: int) -> int:
 
 
 def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
-    """The k-th absolute moments of the series for each k of ks, all from one grid."""
+    """The k-th absolute moments of the series for each k of ks, all from one grid.
+
+    On the default grid k = 0 and k = 2 are exact and k >= 4 aliases; see limit_moment.
+    """
     if not all(0 <= k < math.inf for k in ks):
         raise DomainError(f"moment orders must be finite and >= 0, got {ks}")
     ns, cs = _variant_terms(w.coefficients, variant, None)
@@ -167,9 +170,15 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
 
     One quadratic_grid call gives the grid values; empirical_moment shares it among its k.
 
-    The default grid is a prime exceeding twice the largest series
-    index, which makes the k = 2 case alias-free: quadratic frequencies
-    n^2 - m^2 = (n-m)(n+m) cannot vanish mod such a prime unless n = m.
+    The default grid is a prime N exceeding twice the largest series
+    index n_max.  It makes k = 0 exact and k = 2 alias-free: quadratic
+    frequencies n^2 - m^2 = (n-m)(n+m) cannot vanish mod such a prime
+    unless n = m.  For k >= 4 it aliases: the frequencies
+    n1^2 + n2^2 - n3^2 - n4^2 reach 2 n_max^2 and fold mod N.  For
+    interval:0,0.3 at trunc 600 the default k = 4 value is off from the
+    one on N = 1048583 > 2 * 600^2 by 1.65e-3 (G_full), 8.0e-4 (G_plus)
+    and 8.9e-7 (G_minus), relative; a grid_size above 2 n_max^2 removes
+    that aliasing for k = 4.
     """
     return _limit_moments(variant, w, [k], grid_size)[0]
 

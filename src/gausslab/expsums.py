@@ -44,7 +44,7 @@ class ExpSumReport:
         return abs(self.value) / self.weil_bound if self.weil_bound else math.inf
 
 
-WEIL_SLACK = 1e-6  # float slack of the Weil check, in weil_check and the verify suite
+WEIL_SLACK = 1e-6  # float slack of the verify suite's Weil check: |value| <= bound + slack
 
 
 def _unit_transform(m, n, q: int, twisted: bool):
@@ -105,11 +105,6 @@ def expsum_report(kind: str, m: int, n: int, q: int) -> ExpSumReport:
     return ExpSumReport(kind, m, n, q, SUMS[kind](m, n, q), weil_bound(m, n, q))
 
 
-def weil_check(report: ExpSumReport, slack: float = WEIL_SLACK) -> bool:
-    """True iff the value respects its Weil bound up to float slack."""
-    return abs(report.value) <= report.weil_bound + slack
-
-
 def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     """(1/phi(q)) sum_p e((m p + n t p-bar)/q) for every unit t of the array ts.
 
@@ -124,19 +119,11 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
 
 
-def class_counts(q: int, by_mod4: bool = False) -> dict:
+def class_counts(q: int) -> dict:
     """Exact sizes of the sigma-classes of the unit group, keyed by class value.
 
-    Default keying follows sigma_class (quarter values for non-square
-    q = 0 mod 4, half values otherwise, None when unclassified).  With
-    by_mod4=True the units of q = 0 mod 4 are counted by p mod 4
-    instead (+1 for p = 1, -1 for p = 3), which is exact for squares
-    and non-squares alike.
+    The keys are sigma_class's: quarter values for non-square q = 0 mod 4,
+    p mod 4 (+1 or -1) for square q = 0 mod 4, half values otherwise, and
+    None when unclassified.
     """
-    if by_mod4 and q % 4 != 0:
-        raise BadModulus(f"mod-4 classes need q = 0 mod 4, got {q}")
-    case = modulus_case(q, arith.units(q))
-    if by_mod4:
-        # the character eps_p (q/p) squares to eps_p^2: +1 for p = 1 and -1 for p = 3 mod 4
-        return dict(Counter((case.characters * case.characters).real.astype(np.int64).tolist()))
-    return dict(Counter(case.classes.tolist()))
+    return dict(Counter(modulus_case(q, arith.units(q)).classes.tolist()))

@@ -36,8 +36,8 @@ quadratic_grid.
 modulus_case is the one place that splits on q mod 4 and on whether q
 (or q/2) is a square; the closed form, the fast path, the sigma classes,
 `distlab` and `expsums` all read their case from it.  A sigma class is a
-value, one array entry per unit (1, -1, i or -i, or None when q is of
-kind "none"); its kind belongs to q.
+value, one array entry per unit: 1, -1, i or -i, or None when q (or q/2)
+is an odd square.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ class ModulusCase(NamedTuple):
     variant: str  # the series whose law the normalized sums follow
     label: str  # how g(w,p,q)/D(p) is written
     norm_sq: int  # |D(p)|^2 exactly: 2q for even q, q for odd q
-    class_kind: str  # "quarter", "mod4", "half" or "none": a property of q, not of p
     units: object  # p mod q
     complete: object  # the complete sum g_1(p, q); 0 for q = 2 mod 4
     normalizers: object  # D(p)
     factors: object  # D(p) without its constant: (1+i) eps_p^-1 (q/p), (p/q) or (2p/(q/2))
     characters: object  # the twist eps_p (q/p), (p/q) or (2p/(q/2))
-    classes: object  # the sigma class of each unit: 1, -1, i or -i; None for kind "none"
+    classes: object  # the sigma class of each unit: 1, -1, i or -i; None for an odd square
     point_map: tuple[int, int]  # (a, q') of the fast-path point x_p = t_p/q'
 
     def points(self):
@@ -92,11 +91,11 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
     """The paper's case analysis of q, at p (an int, exact for any q) or an int64 array.
 
     q = 0 mod 4:  G_plus,  D(p) = (1+i) eps_p^{-1} (q/p) sqrt(q),   x_p = -inv(p, q)/q,
-                  class eps_p (q/p) ("quarter"), or p mod 4 ("mod4") for square q
+                  class eps_p (q/p), or p mod 4 for square q
     q odd:        G_full,  D(p) = eps_q (p/q) sqrt(q),              x_p = -inv(4p, q)/q,
-                  class (p/q) ("half"), or none for square q
+                  class (p/q), or none for square q
     q = 2 mod 4:  G_minus, D(p) = 2 eps_{q/2} (2p/(q/2)) sqrt(q/2), x_p = -inv(8p, q/2)/(q/2),
-                  class (2p/(q/2)) ("half"), or none for square q/2
+                  class (2p/(q/2)), or none for square q/2
 
     Every p must be a unit of q (NotCoprime otherwise).
     """
@@ -111,29 +110,26 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
         characters = eps * jac
         factors = (1 + 1j) * np.conj(eps) * jac
         normalizers = factors * math.sqrt(q)
-        if arith.is_perfect_square(q):
-            kind, classes = "mod4", 2 * (ps % 4 == 1) - 1
-        else:
-            kind, classes = "quarter", characters
-        return ModulusCase(G_PLUS, "g_phi(p,q)/g_1(p,q)", 2 * q, kind, ps,
+        classes = 2 * (ps % 4 == 1) - 1 if arith.is_perfect_square(q) else characters
+        return ModulusCase(G_PLUS, "g_phi(p,q)/g_1(p,q)", 2 * q, ps,
                            normalizers, normalizers, factors, characters, classes, (1, q))
     if q % 2 == 1:
         jac = arith.jacobi_array(ps, q)
         normalizers = arith.epsilon(q) * jac * math.sqrt(q)
         if arith.is_perfect_square(q):
-            kind, label, classes = "none", "g_phi(p,q)/(eps_q sqrt(q))", np.full(np.shape(ps), None)
+            label, classes = "g_phi(p,q)/(eps_q sqrt(q))", np.full(np.shape(ps), None)
         else:
-            kind, label, classes = "half", "g_phi(p,q)/g_1(p,q)", jac
-        return ModulusCase(G_FULL, label, q, kind, ps, normalizers, normalizers, jac, jac,
+            label, classes = "g_phi(p,q)/g_1(p,q)", jac
+        return ModulusCase(G_FULL, label, q, ps, normalizers, normalizers, jac, jac,
                            classes, (4, q))
     q0 = q // 2
     jac = arith.jacobi_array(2 * ps, q0)
     normalizers = 2.0 * (arith.epsilon(q0) * jac * math.sqrt(q0))
     if arith.is_perfect_square(q0):
-        kind, label, classes = "none", "g_phi(p,q)/(eps_{q/2} sqrt(2q))", np.full(np.shape(ps), None)
+        label, classes = "g_phi(p,q)/(eps_{q/2} sqrt(2q))", np.full(np.shape(ps), None)
     else:
-        kind, label, classes = "half", "g_phi(p,q)/(2 g_1(2p,q/2))", jac
-    return ModulusCase(G_MINUS, label, 2 * q, kind, ps, np.zeros_like(normalizers), normalizers,
+        label, classes = "g_phi(p,q)/(2 g_1(2p,q/2))", jac
+    return ModulusCase(G_MINUS, label, 2 * q, ps, np.zeros_like(normalizers), normalizers,
                        jac, jac, classes, (8, q0))
 
 
@@ -457,5 +453,5 @@ def gauss_sum_fast(w: WeightFunction, p: int, q: int) -> complex:
 # ---------------------------------------------------------------------------
 
 def sigma_class(p: int, q: int):
-    """modulus_case(q, p).classes for one unit p: 1, -1, i or -i, or None for kind "none"."""
+    """modulus_case(q, p).classes for one unit p: 1, -1, i or -i, or None for an odd square."""
     return np.asarray(modulus_case(q, p).classes).tolist()

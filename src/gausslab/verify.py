@@ -9,6 +9,7 @@ directly.  All suites are deterministic (fixed seeds).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .gauss_sums import (
     DirectEvaluator,
     gauss_sum_closed,
     gauss_sum_fast_batch,
+    modulus_case,
     reduce_noncoprime,
 )
 from .weights import constant_weight, fourier_weight
@@ -67,27 +69,21 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, n_p: int = 5,
 
     Random finite-series weights with the given support, every modulus
     up to q_max (all three classes mod 4), a few random units each.  The
-    weights and their units are drawn first, weight by weight; then each
-    modulus makes one fast call and one direct call for all weights, with
-    a (weights, units) array of p, and violations are listed q by q.  The
-    direct side stays the O(q) definition for every (weight, p).
+    weights are drawn first; then each modulus draws the units of all
+    weights at once, row w holding min(n_p, phi(q)) distinct units for
+    weight w in ascending order, and makes one fast call and one direct
+    call for all weights, so violations are listed q by q.  The direct
+    side stays the O(q) definition for every (weight, p).
     """
     rng = np.random.default_rng(seed)
-    qs = range(3, q_max + 1)
-    phis = [arith.analyze_modulus(q).phi for q in qs]
-    # picks[i][w] indexes the units of qs[i] checked for weight w; choosing
-    # from phi draws what choosing from the units array draws
-    picks = [np.empty((n_weights, min(n_p, phi)), dtype=np.int64) for phi in phis]
-    weights = []
-    for w in range(n_weights):
-        weights.append(fourier_weight({int(k): complex(rng.normal(), rng.normal())
-                                       for k in range(-support, support + 1)}))
-        for phi, picked in zip(phis, picks):
-            picked[w] = (np.sort(rng.choice(phi, n_p, replace=False)) if phi > n_p
-                         else np.arange(phi))
+    weights = [fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                               for k in range(-support, support + 1)})
+               for _ in range(n_weights)]
     res = SuiteResult("functional_eq", 0)
-    for q, picked in zip(qs, picks):
-        ps = arith.units(q)[picked]
+    for q in range(3, q_max + 1):
+        units = arith.units(q)
+        order = np.argsort(rng.random((n_weights, units.size)), axis=1)
+        ps = np.sort(units[order[:, :n_p]], axis=1)
         gaps = np.abs(gauss_sum_fast_batch(weights, ps, q) - DirectEvaluator(weights, q)(ps))
         scale = tol * math.sqrt(q)
         res.record(~(gaps < scale), gaps / scale,
@@ -118,17 +114,19 @@ def class_count_suite(q_max: int = 2000) -> SuiteResult:
 
     Quarter classes (q = 0 mod 4, non-square) each hold phi(q)/4 units;
     the two p mod 4 classes (any q = 0 mod 4) and the half classes of
-    odd non-squares each hold phi(q)/2.
+    odd non-squares each hold phi(q)/2.  The p mod 4 classes are read from
+    the twist eps_p (q/p), whose square is +1 for p = 1 and -1 for p = 3 mod 4.
     """
     res = SuiteResult("class_counts", 0)
     for q in range(3, q_max + 1):
         mod = arith.analyze_modulus(q)
         checks = []  # (label, counts, number of classes)
-        if mod.q_mod4 == 0:
-            checks.append(("mod4", class_counts(q, by_mod4=True), 2))
+        if q % 4 == 0:
+            squares = modulus_case(q, arith.units(q)).characters ** 2
+            checks.append(("mod4", dict(Counter(squares.real.astype(np.int64).tolist())), 2))
             if not mod.is_square:
                 checks.append(("quarter", class_counts(q), 4))
-        elif mod.q_mod4 % 2 == 1 and not mod.is_square:
+        elif q % 2 == 1 and not mod.is_square:
             checks.append(("half", class_counts(q), 2))
         for label, counts, k in checks:
             bad = sorted(counts.values()) != [mod.phi // k] * k

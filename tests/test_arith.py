@@ -140,7 +140,6 @@ class TestAnalyzeModulus:
         assert m.factorization == ((2, 2), (7, 1), (179, 1))
         assert m.phi == 2136
         assert m.tau == 12
-        assert m.q_mod4 == 0
         assert not m.is_square
 
     def test_5013(self):
@@ -174,7 +173,6 @@ class TestAnalyzeModulus:
         assert m.phi == sympy.totient(n)
         assert m.tau == sympy.divisor_count(n)
         assert m.is_square == sympy.integer_nthroot(n, 2)[1]
-        assert m.q_mod4 == n % 4
 
     def test_phi_recomputable_from_factorization(self):
         for q in (2, 36, 5012, 5013, 5014):

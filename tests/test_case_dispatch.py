@@ -141,7 +141,7 @@ class TestLargeModuli:
 
     def test_quarter_class_beyond_int64_products(self):
         assert gs.sigma_class(5, 4 * 10**12 + 4) == 1
-        assert gs.modulus_case(4 * 10**12 + 4, 5).class_kind == "quarter"
+        assert gs.sigma_class(7, 4 * 10**12 + 4) in (1j, -1j)  # a quarter value
 
     def test_beyond_int64(self):
         q = 4 * (2**89 - 1)

@@ -52,8 +52,8 @@ class TestVerifyCommand:
 
         real = verify_mod.class_counts
 
-        def corrupted(q, by_mod4=False):
-            counts = dict(real(q, by_mod4=by_mod4))
+        def corrupted(q):
+            counts = dict(real(q))
             key = next(iter(counts))
             counts[key] += 1  # off by one
             return counts
@@ -79,6 +79,52 @@ class TestVerifyCommand:
         assert result.checked == len(reports)
         assert result.worst == pytest.approx(
             max(abs(r.value) / (r.weil_bound + WEIL_SLACK) for r in reports), rel=1e-12)
+
+
+def totients(n):
+    """phi(0..n) by a sieve."""
+    phi = np.arange(n + 1)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # p is prime
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+class TestSuiteCounts:
+    """Each suite makes the number of checks its definition gives, counted per modulus."""
+
+    SIZES = {"closed_form": {"q_max": 60}, "functional_eq": {"q_max": 40, "n_weights": 3, "n_p": 4},
+             "weil": {"q_max": 40, "mn_max": 3}, "class_counts": {"q_max": 150},
+             "reduction": {"q_max": 50}}
+
+    @staticmethod
+    def expected(suite, q_max, n_weights=50, n_p=5, mn_max=4):
+        phi = totients(q_max)
+        square = lambda q: math.isqrt(q) ** 2 == q
+        per_q = {
+            "closed_form": lambda q: phi[q],  # every unit
+            "functional_eq": lambda q: n_weights * min(n_p, phi[q]) * (q >= 3),
+            # Kloosterman always, twisted for q = 0 mod 4, Salie for odd q
+            "weil": lambda q: (mn_max + 1) ** 2 * (1 + (q % 4 == 0) + (q % 2)),
+            # q = 0 mod 4: p mod 4 classes, and quarter classes unless square; odd: half classes
+            "class_counts": lambda q: (q >= 3) * (2 - square(q) if q % 4 == 0
+                                                  else q % 2 * (not square(q))),
+            "reduction": lambda q: q - phi[q],  # every non-unit p in 1..q
+        }[suite]
+        return sum(int(per_q(q)) for q in range(1, q_max + 1))
+
+    @pytest.mark.parametrize("suite", sorted(SIZES))
+    def test_small_sizes(self, suite):
+        result = verify.run_suite(suite, **self.SIZES[suite])
+        assert result.passed and result.checked == self.expected(suite, **self.SIZES[suite])
+
+    def test_cli_sizes(self):
+        # the counts `gausslab verify` prints at its default sizes, for every suite
+        assert set(self.SIZES) == set(verify.SUITES)
+        assert [self.expected(*args) for args in [("closed_form", 512), ("functional_eq", 400),
+                                                  ("weil", 1000), ("class_counts", 2000),
+                                                  ("reduction", 200)]] == [
+            79852, 98850, 43750, 1956, 7868]
 
 
 class TestBatchedSuiteFaults:

@@ -267,6 +267,23 @@ class TestQuadraticGrid:
             scale = max(1.0, float(np.max(np.abs(direct))))
             assert np.max(np.abs(grid[ps % q] - direct)) < 1e-13 * q * scale, q
 
+    def test_numerator_grid_against_square_counts(self):
+        # g(p) = sum_a B_a e(p a / q) with B_a = #{h in the interval: h^2 = a mod q}, so by
+        # orthogonality sum_p |g(p)|^2 e(-p t / q) = q sum_a B_a B_{a+t}: integers, with no FFT
+        w = weights.interval_indicator(0.0, 1 / math.sqrt(7), cutoff=16)
+        for q in [*range(3, 301), 200003, 200012, 200013, 200014]:
+            values = weights.evaluate_grid(w, q)
+            hs = np.flatnonzero(values)
+            assert np.all(values[hs] == 1)
+            counts = np.bincount(hs * hs % q, minlength=q)
+            power = np.abs(gs.quadratic_grid(np.arange(q), values, q)) ** 2
+            total = q * int(counts @ counts)
+            p = np.arange(q)
+            for t in (0, 1, 2, q // 3, q - 1):
+                lhs = power @ np.exp(-2j * np.pi * (p * t % q) / q)
+                rhs = q * int(counts @ np.roll(counts, -t))
+                assert abs(lhs - rhs) <= 1e-12 * total, (q, t)
+
 
 class TestCompletingTheSquare:
     @pytest.mark.parametrize("q", [4, 8, 12, 16, 20])
@@ -362,24 +379,28 @@ class TestFast:
 
 
 class TestSigmaClass:
+    @staticmethod
+    def values(q):
+        return set(gs.modulus_case(q, arith.units(q)).classes.tolist())
+
     def test_quarter(self):
-        assert gs.sigma_class(1, 8) == 1 and gs.modulus_case(8).class_kind == "quarter"
+        assert gs.sigma_class(1, 8) == 1 and self.values(8) == {1, -1, 1j, -1j}
 
     def test_half(self):
-        assert gs.sigma_class(2, 5) == -1 and gs.modulus_case(5).class_kind == "half"
+        assert gs.sigma_class(2, 5) == -1 and self.values(5) == {1, -1}
 
     def test_odd_square_none(self):
-        assert gs.sigma_class(1, 9) is None and gs.modulus_case(9).class_kind == "none"
+        assert gs.sigma_class(1, 9) is None and self.values(9) == {None}
 
     def test_even_square_mod4(self):
         assert gs.sigma_class(5, 16) == 1 and gs.sigma_class(3, 16) == -1
-        assert gs.modulus_case(16).class_kind == "mod4"
+        assert self.values(16) == {1, -1}
 
     def test_two_mod_four(self):
         # q/2 = 3 non-square: (2/3) = -1
-        assert gs.sigma_class(1, 6) == -1 and gs.modulus_case(6).class_kind == "half"
+        assert gs.sigma_class(1, 6) == -1 and self.values(6) == {1, -1}
         # q/2 = 9 square
-        assert gs.sigma_class(1, 18) is None and gs.modulus_case(18).class_kind == "none"
+        assert gs.sigma_class(1, 18) is None and self.values(18) == {None}
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -433,18 +454,20 @@ class TestSymmetricWeights:
 def functional_eq_reference(q_max, n_weights, n_p=5, support=8, tol=1e-6, seed=20260809):
     """verify.functional_eq_suite as one fast and one direct call per (weight, q).
 
-    The same draws in the same order, weight by weight; returns
-    (checked, worst, failure lines).
+    The same draws in the same order: every weight, then per modulus one
+    random key per (weight, unit); weight w checks the units of its n_p
+    smallest keys.  Returns (checked, worst, failure lines).
     """
     rng = np.random.default_rng(seed)
+    ws = [weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
+                                  for k in range(-support, support + 1)})
+          for _ in range(n_weights)]
     checked, worst, failures = 0, 0.0, []
-    for _ in range(n_weights):
-        w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
-                                    for k in range(-support, support + 1)})
-        for q in range(3, q_max + 1):
-            ps = arith.units(q)
-            if len(ps) > n_p:
-                ps = np.sort(rng.choice(ps, n_p, replace=False))
+    for q in range(3, q_max + 1):
+        units = arith.units(q)
+        keys = rng.random((n_weights, len(units)))
+        for w, key in zip(ws, keys):
+            ps = np.sort(units[np.argsort(key)[:n_p]])
             gaps = np.abs(gs.gauss_sum_fast_batch(w, ps, q) - gs.DirectEvaluator(w, q)(ps))
             scale = tol * math.sqrt(q)
             checked += len(ps)
