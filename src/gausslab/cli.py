@@ -31,8 +31,10 @@ from . import arith, weights
 from .errors import BadModulus, DomainError
 from .expsums import expsum_report, weyl_statistics
 from .distlab import (
+    _limit_moments,
+    _limit_variant,
+    _moment_reports,
     empirical_batch,
-    empirical_moment,
     histogram,
     ks_distance,
     sample_limit_law,
@@ -288,11 +290,12 @@ def cmd_moments(args) -> int:
         "k_list": args.k_list,
         "method": "fast" if args.fast else "direct",
     }
-    # a range skips the moduli below 3, which have no normalized law
-    reports = _per_modulus(args.q, args.q_range,
-                           lambda q: empirical_moment(q, weight, window, k_list, fast=args.fast))
+    # a range skips the moduli below 3 (no normalized law); one limit call per variant
+    variants = dict(_per_modulus(args.q, args.q_range, lambda q: _limit_variant(q, window)))
+    limits = {v: _limit_moments(v, weight, k_list) for v in dict.fromkeys(variants.values())}
     rows = [(q, r.k, float(r.empirical), float(r.limit), float(r.relative_gap))
-            for q, reps in reports for r in reps]
+            for q, v in variants.items()
+            for r in _moment_reports(q, weight, window, k_list, args.fast, limits[v])]
     _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], rows)
     return 0
 

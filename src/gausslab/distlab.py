@@ -21,9 +21,9 @@ rule for dense series; error below 1e-11 at the figure truncations), in
 pieces spread over the usable cores, each piece writing its own slice of
 one preallocated sample array.  A point gets the same bits alone as in
 any piece, so the values do not depend on the core count or the piece
-size.  Its moments integrate the series on a prime grid, whose
-values are again one quadratic_grid call; every moment order k of one
-empirical_moment call shares that grid and the numerator grid of q.
+size.  Its moments k = 0, 2 and 4 are exact from the coefficients, once
+per series variant in a moments run; any other k integrates the series on
+one prime grid (a quadratic_grid call), which aliases for even k >= 6.
 Histograms, moments, and the two-sample KS distance quantify the agreement;
 the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
 points, so beside the two sorted samples it holds O(_KS_BLOCK) memory.
@@ -56,6 +56,8 @@ from .weights import WeightFunction, check_interval, evaluate_grid, grid_in_inte
 _CHUNK = 3 << 13
 # points per block of ks_distance's CDF evaluation
 _KS_BLOCK = 1 << 16
+# sums s per block of _fourth_moment's bincounts; 2^17 cost more RSS than a 65537-point grid
+_SUM_BLOCK = 1 << 14
 
 
 @dataclass
@@ -148,37 +150,63 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
-    """The k-th absolute moments of the series for each k of ks, all from one grid.
+def _fourth_moment(ns: np.ndarray, cs: np.ndarray) -> float:
+    """Mean of |sum_j cs[j] e(ns[j]^2 x)|^4 over x in [0, 1), exactly: sum_s |C_s|^2.
 
-    On the default grid k = 0 and k = 2 are exact and k >= 4 aliases; see limit_moment.
+    C_s sums c_i c_j over n_i^2 + n_j^2 = s, binned _SUM_BLOCK values of s at a time from
+    the pairs i <= j of distinct ascending ns (twice for i < j), with each n^2 mapped to
+    (n^2 - n_0^2) / gcd: equal sums stay equal, and the odd-n series packs 8-fold.
     """
+    if ns.size and ns[-1] > arith.INT64_ROOT // 2:
+        raise DomainError(f"the fourth moment needs series indices <= {arith.INT64_ROOT // 2}")
+    sq = ns * ns - ns[:1] ** 2
+    sq //= max(int(np.gcd.reduce(sq)), 1)
+    cs2, total, lo = 2 * cs, 0.0, 0 if ns.size else None
+    first = np.arange(ns.size)  # per row i, its first j >= i whose pair is not binned yet
+    while lo is not None:
+        hi = lo + _SUM_BLOCK
+        r0, r1 = int(np.searchsorted(sq, lo - sq[-1])), int(np.searchsorted(2 * sq, hi))
+        rows, begin = np.arange(r0, r1), first[r0:r1]
+        stop = np.maximum(rows, np.searchsorted(sq, hi - sq[r0:r1]))
+        counts = stop - begin
+        starts = np.cumsum(counts) - counts
+        j = np.arange(counts.sum()) + np.repeat(begin - starts, counts)
+        terms = np.repeat(cs[r0:r1], counts) * cs2[j]
+        terms[starts[(begin == rows) & (counts > 0)]] /= 2  # the pair i = j counts once
+        s = np.repeat(sq[r0:r1] - lo, counts) + sq[j]
+        total += sum(float(c @ c) for c in (np.bincount(s, terms.real), np.bincount(s, terms.imag)))
+        begin[:] = stop
+        left = np.flatnonzero(first < ns.size)
+        lo = int((sq[left] + sq[first[left]]).min()) if left.size else None
+    return total
+
+
+def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
+    """limit_moment for each k of ks, with at most one quadratic_grid call, made only if needed."""
     if not all(0 <= k < math.inf for k in ks):
         raise DomainError(f"moment orders must be finite and >= 0, got {ks}")
-    ns, cs = _variant_terms(w.coefficients, variant, None)
-    if grid_size is None:
-        grid_size = _next_prime(max(65537, 2 * int(ns.max(initial=0)) + 1))
-    if grid_size < 2:
+    if grid_size is not None and grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
-    a = np.abs(quadratic_grid(ns, cs, grid_size))
-    return [float(np.sum(a ** k)) / grid_size for k in ks]
+    ns, cs = _variant_terms(w.coefficients, variant, None)
+    exact = {} if grid_size else {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
+    if 4 in ks and not grid_size:
+        exact[4] = _fourth_moment(ns, cs)
+    if any(k not in exact for k in ks):
+        grid_size = grid_size or _next_prime(max(65537, 2 * int(ns.max(initial=0)) + 1))
+        a = np.abs(quadratic_grid(ns, cs, grid_size))
+    return [exact[k] if k in exact else float(np.sum(a ** k)) / grid_size for k in ks]
 
 
 def limit_moment(variant: str, w: WeightFunction, k: float,
                  grid_size: int | None = None) -> float:
-    """k-th absolute moment of the series by periodic rectangle rule.
+    """k-th absolute moment of the series G(x) = sum_n c_n e(n^2 x) at a uniform x.
 
-    One quadratic_grid call gives the grid values; empirical_moment shares it among its k.
-
-    The default grid is a prime N exceeding twice the largest series
-    index n_max.  It makes k = 0 exact and k = 2 alias-free: quadratic
-    frequencies n^2 - m^2 = (n-m)(n+m) cannot vanish mod such a prime
-    unless n = m.  For k >= 4 it aliases: the frequencies
-    n1^2 + n2^2 - n3^2 - n4^2 reach 2 n_max^2 and fold mod N.  For
-    interval:0,0.3 at trunc 600 the default k = 4 value is off from the
-    one on N = 1048583 > 2 * 600^2 by 1.65e-3 (G_full), 8.0e-4 (G_plus)
-    and 8.9e-7 (G_minus), relative; a grid_size above 2 n_max^2 removes
-    that aliasing for k = 4.
+    By default k = 0, 2 and 4 are exact, from the coefficients: 1, sum |c_n|^2 (Parseval)
+    and sum_s |C_s|^2, C_s = sum_{n1^2 + n2^2 = s} c_n1 c_n2.  Any other k, and every k
+    given a grid_size, is the rectangle rule on one quadratic_grid of that size, by default
+    the least prime N >= 65537 above twice the largest index n_max.  A non-even k is a
+    quadrature there, and an even k >= 6 aliases: |G|^k has frequencies up to (k/2) n_max^2,
+    which fold mod N (k = 6 at G_full, interval:0,0.3, trunc 600: 3.4e-3 relative).
     """
     return _limit_moments(variant, w, [k], grid_size)[0]
 
@@ -208,22 +236,31 @@ def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | No
     The empirical side is (1/(phi(q)(b - a))) sum |g(w,p,q)|^k over the units
     p with p/q in the window [a, b) (every unit and b - a = 1 for window None),
     divided by |D(p)|^k: (2q)^{k/2} for even q and q^{k/2} for odd q.  A bad
-    window or q is refused before any grid.  The limit side integrates the
-    matching series variant; for indicator weights that is their truncated series.
+    window or q is refused before any grid.  The limit side is limit_moment of
+    the matching series variant; for indicator weights that is their truncated series.
 
     k may be a sequence of orders: the reports then come as a list in k
-    order, and all k share one numerator grid and one limit-series grid.
+    order, and all k share one numerator grid and one _limit_moments call.
     """
     ks = list(k) if np.ndim(k) else [k]
-    _check_input(q, window)
+    limits = _limit_moments(_limit_variant(q, window), w, ks)
+    reports = _moment_reports(q, w, window, ks, fast, limits)
+    return reports if np.ndim(k) else reports[0]
+
+
+def _limit_variant(q: int, window: tuple[float, float] | None) -> str:
+    _check_input(q, window)  # a bad window or q is refused before any work
+    return modulus_case(q).variant
+
+
+def _moment_reports(q: int, w: WeightFunction, window, ks: list, fast: bool, limits: list) -> list:
+    """empirical_moment's reports at a checked q for the orders ks, beside their limit values."""
     case = modulus_case(q)
-    limits = _limit_moments(case.variant, w, ks)
     mags = np.abs(_admissible_sums(q, w, window, fast)[1])
     measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
     empirical = [float(np.sum(mags ** j)) / measure / case.norm_sq ** (j / 2) for j in ks]
-    reports = [MomentReport(j, e, lim, abs(e - lim) / max(lim, 1e-12))
-               for j, e, lim in zip(ks, empirical, limits)]
-    return reports if np.ndim(k) else reports[0]
+    return [MomentReport(j, e, lim, abs(e - lim) / max(lim, 1e-12))
+            for j, e, lim in zip(ks, empirical, limits)]
 
 
 @dataclass

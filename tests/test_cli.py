@@ -387,19 +387,36 @@ class TestMomentsCommand:
         monkeypatch.setattr(distlab, "quadratic_grid", counted)
         return calls
 
-    def test_one_limit_grid_and_one_numerator_grid_per_modulus(self, monkeypatch, capsys):
+    def test_one_limit_grid_per_variant_and_one_numerator_grid_per_modulus(self, monkeypatch, capsys):
         calls = self.count_grids(monkeypatch)
         assert run(["moments", "--q-range", "13..18", "--k-list", "0,2,4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 3
-        # per modulus: the limit series on its prime grid, then the numerators on the grid of q
-        assert len(calls) == 12
-        assert calls[1::2] == list(range(13, 19))
+        # k = 0, 2, 4 are exact from the coefficients: only the numerators of each q on its grid
+        assert calls == list(range(13, 19))
+        calls.clear()
+        assert run(["moments", "--q-range", "13..18", "--k-list", "0,1,2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 3
+        # k = 1 takes the limit grid, once for each of G_full (13), G_minus (14) and G_plus (16)
+        assert calls == [65537] * 3 + list(range(13, 19))
 
     def test_moduli_below_3_build_no_grid(self, monkeypatch, capsys):
         calls = self.count_grids(monkeypatch)
-        assert run(["moments", "--q-range", "1..4", "--k-list", "0,2"]) == 0
+        assert run(["moments", "--q-range", "1..4", "--k-list", "1,2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
-        assert calls == [65537, 3, 65537, 4]
+        assert calls == [65537, 65537, 3, 4]
+
+    def test_limits_once_per_variant_and_rows_as_for_one_modulus(self, monkeypatch, capsys):
+        variants = []
+        real = cli._limit_moments
+        monkeypatch.setattr(cli, "_limit_moments", lambda v, *args: variants.append(v) or real(v, *args))
+        argv = ["--weight", "interval:0,0.3", "--trunc", "600", "--k-list", "0,2,4"]
+        assert run(["moments", "--q-range", "5010..5015", *argv]) == 0
+        sweep = capsys.readouterr().out.splitlines()
+        assert sorted(variants) == ["G_full", "G_minus", "G_plus"]
+        assert run(["moments", "--q", "5013", *argv]) == 0
+        single = capsys.readouterr().out.splitlines()
+        assert [line for line in sweep if line.startswith("5013,")] == single[1:]
+        assert len(single) == 4
 
     @pytest.mark.parametrize("k_list", ["2,-1", "nan", "inf", "2,nan,4", "-inf"])
     def test_bad_orders_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, k_list):

@@ -1,6 +1,7 @@
 """Distribution laboratory: batches, limit sampling, moments, histograms, KS."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,26 @@ def midpoint_moment(w, k, size=10_001):
     for n, c in w.coefficients.items():
         vals += c * np.exp(2j * np.pi * (n * n) * xs)
     return float(np.mean(np.abs(vals) ** k))
+
+
+def fold(variant, w):
+    """The series terms {n: c_n} of a variant, each n >= 0 once, from the weight's coefficient map."""
+    terms = {}
+    for k, c in w.coefficients.items():
+        if variant == G_FULL or (k % 2 == 1) == (variant == G_MINUS):
+            n = abs(k) // 2 if variant == G_PLUS else abs(k)
+            terms[n] = terms.get(n, 0) + c
+    return terms
+
+
+def quadruple_fourth_moment(variant, w):
+    """Mean of |G|^4 as the sum of c1 c2 conj(c3 c4) over every quadruple n1^2 + n2^2 = n3^2 + n4^2."""
+    terms = fold(variant, w)
+    ns, cs = np.array(list(terms)), np.array(list(terms.values()), dtype=complex)
+    s = (ns[:, None] ** 2 + ns[None, :] ** 2).ravel()
+    pairs = (cs[:, None] * cs[None, :]).ravel()
+    same = (s[:, None] == s[None, :]).astype(float)
+    return float((pairs @ same @ pairs.conj()).real)
 
 
 def fraction_window(q, a, b):
@@ -236,7 +257,7 @@ class TestLimitMoment:
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-12, 13)})
         for variant in (G_PLUS, G_FULL, G_MINUS):
-            quad = distlab.limit_moment(variant, w, 2.0)
+            quad = distlab.limit_moment(variant, w, 2.0, grid_size=65537)
             closed = distlab.mean_square_from_coefficients(variant, w)
             assert abs(quad - closed) < 1e-10
 
@@ -244,6 +265,59 @@ class TestLimitMoment:
         w = weights.fourier_weight({-2: 0.3, 1: 1.0, 3: -0.5j})
         oracle = midpoint_moment(w, 2.0)
         assert distlab.limit_moment(G_FULL, w, 2.0) == pytest.approx(oracle, abs=1e-6)
+
+    def test_default_k2_against_midpoint_oracle(self):
+        # the phases n^2 are 0..81, so |G|^2 has degree below the midpoint grid: exact up to rounding
+        rng = np.random.default_rng(72)
+        w = weights.fourier_weight({k: complex(rng.normal(), rng.normal()) for k in range(-9, 10)})
+        assert distlab.limit_moment(G_FULL, w, 2.0) == pytest.approx(midpoint_moment(w, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("variant", [G_PLUS, G_FULL, G_MINUS])
+    def test_k4_against_quadruple_enumeration(self, variant):
+        rng = np.random.default_rng(74)
+        cutoff = 80 if variant == G_PLUS else 40  # n_max = 40, or 39 for the odd n of G_minus
+        random = weights.fourier_weight({k: complex(rng.normal(), rng.normal())
+                                         for k in range(-cutoff, cutoff + 1)})
+        indicator = weights.interval_indicator(0.0, 0.3, cutoff)
+        for w in (random, indicator):
+            assert 39 <= max(fold(variant, w)) <= 40
+            oracle = quadruple_fourth_moment(variant, w)
+            assert distlab.limit_moment(variant, w, 4.0) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("variant", [G_PLUS, G_FULL, G_MINUS])
+    def test_k4_against_alias_free_grid(self, variant):
+        # 1048583 > 2 * 600^2 exceeds every frequency n1^2 + n2^2 - n3^2 - n4^2 of |G|^4
+        w = weights.interval_indicator(0.0, 0.3, 600)
+        grid = distlab.limit_moment(variant, w, 4.0, grid_size=1048583)
+        assert distlab.limit_moment(variant, w, 4.0) == pytest.approx(grid, rel=1e-12, abs=0)
+
+    def test_k4_sparse_and_empty_series(self):
+        # one term is |c|^4; n = 0, 1 and 10^5 give pair sums 0, 1, 2, then 10^10 and beyond,
+        # and the next block starts there, not 10^10 / _SUM_BLOCK empty blocks later; G_minus
+        # of the constant weight has no terms at all
+        assert distlab.limit_moment(G_FULL, weights.fourier_weight({40000: 2.0}), 4.0) == 16.0
+        w = weights.fourier_weight({0: 1.0, 1: 0.5, 100000: 1j})
+        assert distlab.limit_moment(G_FULL, w, 4.0) == pytest.approx(quadruple_fourth_moment(G_FULL, w))
+        assert distlab.limit_moment(G_MINUS, ONE, 4.0) == 0.0
+
+    def test_exact_orders_at_indices_beyond_any_grid(self):
+        # k = 2 needs no grid at any index; k = 4 refuses indices whose squares would wrap int64
+        far = weights.fourier_weight({2 ** 40: 3.0})
+        assert distlab.limit_moment(G_FULL, far, 2.0) == 9.0
+        with pytest.raises(ValueError, match="fourth moment needs series indices"):
+            distlab.limit_moment(G_FULL, far, 4.0)
+
+    @pytest.mark.parametrize("variant", [G_PLUS, G_FULL, G_MINUS])
+    def test_exact_orders_in_bounded_memory(self, variant):
+        # the default 65537-point grid, which these orders no longer build, peaks near 3.7 MB
+        w = weights.interval_indicator(0.0, 0.3, 600)
+        tracemalloc.start()
+        try:
+            distlab._limit_moments(variant, w, [0, 2, 4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     @pytest.mark.parametrize("k", [2.0, 4.0])
     def test_composite_grid_against_independent_quadrature(self, k):
@@ -256,7 +330,7 @@ class TestLimitMoment:
     def test_indicator_k2(self):
         w = weights.interval_indicator(0.0, B7, cutoff=1000)
         series = weights.as_fourier_series(w)
-        quad = distlab.limit_moment(G_FULL, series, 2.0)
+        quad = distlab.limit_moment(G_FULL, series, 2.0, grid_size=65537)
         closed = distlab.mean_square_from_coefficients(G_FULL, series)
         assert abs(quad - closed) < 1e-6
 
@@ -271,8 +345,13 @@ class TestNextPrime:
         sizes = []
         real = distlab.quadratic_grid
         monkeypatch.setattr(distlab, "quadratic_grid", lambda ns, cs, n: sizes.append(n) or real(ns, cs, n))
-        distlab.limit_moment(G_FULL, ONE, 2.0)
-        distlab.limit_moment(G_FULL, weights.fourier_weight({40000: 1.0}), 2.0)
+        far = weights.fourier_weight({40000: 1.0})
+        for k in (0.0, 2.0, 4.0):  # exact from the coefficients: no grid
+            distlab.limit_moment(G_FULL, ONE, k)
+            distlab.limit_moment(G_FULL, far, k)
+        assert sizes == []
+        distlab.limit_moment(G_FULL, ONE, 1.0)
+        distlab.limit_moment(G_FULL, far, 3.0)
         assert sizes == [65537, sympy.nextprime(2 * 40000)]
 
 

@@ -48,7 +48,11 @@ def test_table_is_not_empty():
 
 
 def test_traced_moments_run(tmp_path):
-    """The tracer's hooks accept what the moments command passes: one call per modulus."""
+    """The tracer's hooks accept what the moments command passes: one weight grid per modulus.
+
+    The command shares its limit moments per series variant, so it reaches the empirical
+    side of each modulus below empirical_moment, which the tracer then never sees.
+    """
     stats = tmp_path / "stats.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -58,4 +62,6 @@ def test_traced_moments_run(tmp_path):
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 1 + 3 * 2
     calls = json.loads(stats.read_text())["calls"]
-    assert calls["distlab.empirical_moment"] == 3
+    assert calls["cli.cmd_moments"] == 1
+    assert calls["weights.evaluate_grid"] == 3
+    assert calls.get("distlab.empirical_moment", 0) == 0
