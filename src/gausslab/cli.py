@@ -34,6 +34,7 @@ from .distlab import (
     _limit_moments,
     _limit_variant,
     _moment_reports,
+    _seeded_rng,
     empirical_batch,
     histogram,
     ks_distance,
@@ -204,6 +205,8 @@ def cmd_figure(args) -> int:
     if trunc < 1 or n_samples < 1 or bins < 1:
         raise CommandError(f"--trunc, --samples and --bins must be positive, "
                            f"got {trunc}, {n_samples} and {bins}")
+    if args.seed < 0:
+        raise CommandError(f"--seed must be >= 0, got {args.seed}")
     variant = modulus_case(q).variant
     # the even-index series at truncation K reads coefficients up to 2K
     coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
@@ -311,15 +314,18 @@ def cmd_expsum(args) -> int:
 
 def cmd_equidist(args) -> int:
     q = args.q
+    if args.seed < 0:  # refused for every --t, so no output echoes a seed no draw accepts
+        raise CommandError(f"--seed must be >= 0, got {args.seed}")
     if args.t == "all":
         ts = arith.units(q).tolist()
     elif args.t.startswith("random:"):
         count = args.t[len("random:"):]
         if not count.isdecimal() or int(count) < 1:
             raise CommandError(f"bad --t value {args.t!r}: N must be a positive integer")
-        pool = arith.units(q)
-        rng = np.random.default_rng(args.seed)
-        ts = sorted(int(t) for t in rng.choice(pool, min(int(count), len(pool)), replace=False))
+        units = arith.units(q)
+        # ascending indices into the ascending units, drawn without a list of the pool
+        picks = _seeded_rng(args.seed).sample(range(units.size), min(int(count), units.size))
+        ts = units[sorted(picks)].tolist()
     else:
         try:
             ts = [int(args.t)]

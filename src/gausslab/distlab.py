@@ -24,6 +24,16 @@ any piece, so the values do not depend on the core count or the piece
 size.  Its moments k = 0, 2 and 4 are exact from the coefficients, once
 per series variant in a moments run; any other k integrates the series on
 one prime grid (a quadratic_grid call), which aliases for even k >= 6.
+
+Every seeded draw of the package (these points, the functional_eq and
+reduction suites, equidist's random:N) comes from the standard library's
+random.Random(seed), for seeds >= 0, through _seeded_rng, so no command
+imports numpy.random.  A point is (k >> 11) 2^-53 for a 64-bit word k of
+one randbytes call (_uniform_words, _points).  A seed gives the same
+points on every run, but not the points numpy's default_rng(seed) gave
+before: the figure limit.csv and KS values, the suites' draws and the
+equidist picks changed with this stream, the empirical side did not.
+
 Histograms, moments, and the two-sample KS distance quantify the agreement;
 the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
 points, so beside the two sorted samples it holds O(_KS_BLOCK) memory.
@@ -32,7 +42,9 @@ points, so beside the two sorted samples it holds O(_KS_BLOCK) memory.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,33 +124,56 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _seeded_rng(seed: int) -> random.Random:
+    """random.Random(seed), the generator of every seeded draw, for an integer seed >= 0.
+
+    Random would read a negative seed as |seed|, so one is refused (DomainError).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _uniform_words(rng: random.Random, n: int) -> np.ndarray:
+    """n uniform 64-bit words: one rng.randbytes(8 n), read in place as little-endian uint64."""
+    return np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
+
+
+def _points(words: np.ndarray) -> np.ndarray:
+    """The uniform points (k >> 11) 2^-53 of [0, 1) of the 64-bit words k, numpy's random() rule."""
+    return (words >> 11) * 2.0 ** -53
+
+
 def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
                      n_samples: int, seed: int) -> np.ndarray:
     """Series values at n_samples uniform points, deterministic in seed.
 
-    The points are cut into equal contiguous pieces, a multiple of the
-    usable cores with at most _CHUNK points each, and worker threads
-    evaluate them (numpy releases the GIL inside each array pass), each
-    into its own slice of the one complex128 result array.  The evaluator
-    gives every point the same bits alone as in any batch, so the values
-    do not depend on the core count or the piece size.
+    The points are the _points of n_samples _uniform_words of
+    random.Random(seed), for a seed >= 0 (a negative seed is a DomainError).
+    The words are cut into equal contiguous pieces, a multiple of the usable
+    cores with at most _CHUNK words each, and worker threads turn each piece
+    into its points and evaluate them (numpy releases the GIL inside each
+    array pass), each into its own slice of the one complex128 result
+    array; beside that array the draw holds only the words' byte buffer.
+    The evaluator gives every point the same bits alone as in any batch,
+    so the values do not depend on the core count or the piece size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    xs = rng.random(n_samples)
+    words = _uniform_words(_seeded_rng(seed), n_samples)
     ns, cs = _variant_terms(w.coefficients, variant, cutoff)
     cores = _usable_cores()
     pieces = cores * -(-n_samples // (cores * _CHUNK))
     values = np.empty(n_samples, dtype=np.complex128)
 
-    def fill(x: np.ndarray, dest: np.ndarray) -> None:
-        dest[:] = _quadratic_series(ns, cs, x)
+    def fill(k: np.ndarray, dest: np.ndarray) -> None:
+        dest[:] = _quadratic_series(ns, cs, _points(k))
 
     with ThreadPoolExecutor(max_workers=cores) as pool:
-        list(pool.map(fill, np.array_split(xs, pieces), np.array_split(values, pieces)))
+        list(pool.map(fill, np.array_split(words, pieces), np.array_split(values, pieces)))
     return values
 
 

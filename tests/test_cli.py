@@ -34,6 +34,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "0 violations" in out
 
+    @pytest.mark.parametrize("suite", ["functional_eq", "reduction"])
+    def test_negative_seed_refused(self, suite):
+        # random.Random would read it as |seed|, an alias of another seed's draws
+        with pytest.raises(errors.DomainError, match="seed must be >= 0, got -1"):
+            verify.run_suite(suite, q_max=10, seed=-1)
+
     def test_unknown_suite_rejected(self):
         assert run(["verify", "bogus"]) == 2
         with pytest.raises(errors.DomainError, match="unknown suite 'bogus'"):
@@ -269,6 +275,14 @@ class TestFigureCommand:
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # refused with the size checks, before any work and before --out-dir is made
+        out = tmp_path / "out"
+        assert run(["figure", "fig2", "--samples", "10", "--trunc", "10", "--seed", "-1",
+                    "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_zero_bins_leaves_out_dir_empty(self, tmp_path):
         # the check runs before the batch and the sampling, so no CSV is half written
         out = tmp_path / "out"
@@ -489,6 +503,23 @@ class TestEquidistCommand:
 
     def test_bad_t(self):
         assert run(["equidist", "--q", "11", "--t", "sometimes", "--m", "1", "--n", "0"]) == 2
+
+    @pytest.mark.parametrize("t", ["random:3", "all", "5"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, t):
+        path = tmp_path / "e.csv"
+        assert run(["equidist", "--q", "997", "--t", t, "--m", "1", "--n", "1",
+                    "--seed", "-3", "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --seed must be >= 0, got -3\n"
+        assert not path.exists()
+
+    def test_random_t_are_sorted_distinct_units(self, tmp_path):
+        path = tmp_path / "e.csv"
+        assert run(["equidist", "--q", "1000", "--t", "random:30", "--m", "1", "--n", "1",
+                    "--seed", "8", "--out", str(path)]) == 0
+        ts = [int(r[1]) for r in self.rows(path)]
+        assert len(ts) == 30 and ts == sorted(set(ts))
+        assert set(ts) <= set(arith.units(1000).tolist())
 
     @pytest.mark.parametrize("t", ["random:x", "random:-3", "random:0", "random:", "random:1.5"])
     def test_bad_random_count_is_a_usage_error(self, capsys, t):
@@ -731,6 +762,21 @@ class TestExitCodes:
                           preexec_fn=limit_memory)
         assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.startswith("error: ") and str(arith.INT64_ROOT) in done.stderr
+
+    def test_no_command_imports_numpy_random(self, tmp_path):
+        # numpy imports numpy.random lazily, and with it 11 extension modules and hashlib:
+        # every seeded draw goes through random.Random, so no command may load it
+        done = self.child("-c", "import sys\n"
+                          "from gausslab import cli, verify\n"
+                          f"assert cli.main(['figure', 'fig1', '--samples', '500', '--trunc', '50',"
+                          f" '--out-dir', {str(tmp_path)!r}]) == 0\n"
+                          "assert cli.main(['equidist', '--q', '101', '--t', 'random:5',"
+                          " '--m', '1', '--n', '1']) == 0\n"
+                          "assert verify.run_suite('functional_eq', q_max=20, n_weights=2).passed\n"
+                          "assert verify.run_suite('reduction', q_max=20).passed\n"
+                          "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "fig1_limit.csv").exists()
 
     def test_child_process_exit_codes(self):
         done = self.child("-m", "gausslab.cli", "equidist", "--q", "0", "--m", "1", "--n", "1")

@@ -10,11 +10,16 @@ import scipy.stats
 import sympy
 
 from gausslab import arith, distlab, gauss_sums, weights
-from gausslab.errors import BadInterval, BadModulus, EmptyInput, IndicatorKind
+from gausslab.errors import BadInterval, BadModulus, DomainError, EmptyInput, IndicatorKind
 from gausslab.gauss_sums import G_FULL, G_MINUS, G_PLUS
 
 B7 = 1 / math.sqrt(7)
 ONE = weights.constant_weight()
+
+
+def uniform_points(seed, n):
+    """The n points sample_limit_law draws for seed, rebuilt through the package's draw helpers."""
+    return distlab._points(distlab._uniform_words(distlab._seeded_rng(seed), n))
 
 
 def midpoint_moment(w, k, size=10_001):
@@ -202,15 +207,32 @@ class TestSampleLimitLaw:
         c = distlab.sample_limit_law(G_FULL, w, None, 1000, seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+        assert np.array_equal(distlab.sample_limit_law(G_FULL, w, None, 1000, seed=np.int64(9)), a)
+
+    @pytest.mark.parametrize("seed", [-1, -2**70])
+    def test_negative_seed_refused(self, seed):
+        # random.Random would read it as |seed|, an alias of another seed's stream
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            distlab.sample_limit_law(G_FULL, ONE, None, 10, seed=seed)
+
+    def test_points_are_the_top_53_bits_of_little_endian_words(self):
+        import random
+
+        data = random.Random(31).randbytes(8 * 300)
+        words = [int.from_bytes(data[i:i + 8], "little") for i in range(0, len(data), 8)]
+        got = uniform_points(31, 300)
+        assert got.dtype == np.float64
+        assert got.tolist() == [(k >> 11) / 2**53 for k in words]
+        assert 0.0 <= got.min() and got.max() < 1.0
 
     @pytest.mark.parametrize("variant,trunc", [(G_PLUS, 4000), (G_FULL, 4000), (G_MINUS, 5000)])
     def test_matches_exact_phases_at_figure_truncations(self, variant, trunc):
-        # rng.random gives x = k / 2^53, so n^2 x mod 1 = (n^2 k mod 2^53) / 2^53
+        # each point is x = k / 2^53, so n^2 x mod 1 = (n^2 k mod 2^53) / 2^53
         # exactly in Python ints, and each e(n^2 x) is rounded only once
         coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
         vals = distlab.sample_limit_law(variant, w, trunc, 1000, seed=17)
-        xs = np.random.default_rng(17).random(1000)[::10]
+        xs = uniform_points(17, 1000)[::10]
         ns, cs = gauss_sums._variant_terms(w.coefficients, variant, trunc)
         squares = np.array([n * n for n in ns.tolist()], dtype=object)
         exact = np.empty(xs.size, dtype=complex)
@@ -227,7 +249,7 @@ class TestSampleLimitLaw:
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 300))
         ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 300)
         for n in (1, 511, 512, 513, 1025, 50_000):
-            xs = np.random.default_rng(23).random(n)
+            xs = uniform_points(23, n)
             whole = gauss_sums._quadratic_series(ns, cs, xs)
             assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 300, n, seed=23), whole), n
 
@@ -238,7 +260,7 @@ class TestSampleLimitLaw:
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
         ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 50)
         for n in (513, 1025):
-            xs = np.random.default_rng(29).random(n)
+            xs = uniform_points(29, n)
             whole = gauss_sums._quadratic_series(ns, cs, xs)
             assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 50, n, seed=29), whole), n
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -269,7 +270,9 @@ class TestQuadraticGrid:
 
     def test_numerator_grid_against_square_counts(self):
         # g(p) = sum_a B_a e(p a / q) with B_a = #{h in the interval: h^2 = a mod q}, so by
-        # orthogonality sum_p |g(p)|^2 e(-p t / q) = q sum_a B_a B_{a+t}: integers, with no FFT
+        # orthogonality sum_p |g(p)|^2 e(-p t / q) = q sum_a B_a B_{a+t}: integers, with no FFT.
+        # g(p)^2 = sum_s C_s e(p s / q) with C = B * B cyclic mod q, so
+        # sum_p |g(p)|^4 = q sum_s C_s^2, over every p = 0..q-1
         w = weights.interval_indicator(0.0, 1 / math.sqrt(7), cutoff=16)
         for q in [*range(3, 301), 200003, 200012, 200013, 200014]:
             values = weights.evaluate_grid(w, q)
@@ -283,6 +286,12 @@ class TestQuadraticGrid:
                 lhs = power @ np.exp(-2j * np.pi * (p * t % q) / q)
                 rhs = q * int(counts @ np.roll(counts, -t))
                 assert abs(lhs - rhs) <= 1e-12 * total, (q, t)
+            if q <= 300:  # np.convolve is O(q^2)
+                linear = np.convolve(counts, counts)  # exact int64: every entry is at most q^2
+                folded = linear[:q].copy()
+                folded[:q - 1] += linear[q:]
+                fourth = q * int(folded @ folded)
+                assert abs(power @ power - fourth) <= 1e-12 * fourth, q
 
 
 class TestCompletingTheSquare:
@@ -454,18 +463,20 @@ class TestSymmetricWeights:
 def functional_eq_reference(q_max, n_weights, n_p=5, support=8, tol=1e-6, seed=20260809):
     """verify.functional_eq_suite as one fast and one direct call per (weight, q).
 
-    The same draws in the same order: every weight, then per modulus one
-    random key per (weight, unit); weight w checks the units of its n_p
-    smallest keys.  Returns (checked, worst, failure lines).
+    The same draws of random.Random(seed) in the same order: every weight's
+    coefficients as pairs of gauss draws, then per modulus one little-endian
+    uint64 key of randbytes per (weight, unit); weight w checks the units
+    of its n_p smallest keys.  Returns (checked, worst, failure lines).
     """
-    rng = np.random.default_rng(seed)
-    ws = [weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
+    rng = random.Random(seed)
+    ws = [weights.fourier_weight({k: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
                                   for k in range(-support, support + 1)})
           for _ in range(n_weights)]
     checked, worst, failures = 0, 0.0, []
     for q in range(3, q_max + 1):
         units = arith.units(q)
-        keys = rng.random((n_weights, len(units)))
+        keys = np.frombuffer(rng.randbytes(8 * n_weights * len(units)), dtype="<u8")
+        keys = keys.reshape(n_weights, len(units))
         for w, key in zip(ws, keys):
             ps = np.sort(units[np.argsort(key)[:n_p]])
             gaps = np.abs(gs.gauss_sum_fast_batch(w, ps, q) - gs.DirectEvaluator(w, q)(ps))
