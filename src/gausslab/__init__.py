@@ -23,7 +23,6 @@ from .distlab import (
     histogram,
     ks_distance,
     limit_moment,
-    mean_square_from_coefficients,
     sample_limit_law,
 )
 from .expsums import (

@@ -74,6 +74,7 @@ def epsilon(a: int) -> complex:
 
 
 def is_perfect_square(n: int) -> bool:
+    """Whether n is the square of an integer; False for negative n."""
     if n < 0:
         return False
     r = math.isqrt(n)
@@ -101,31 +102,26 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus q with the derived quantities used throughout.
+    """A modulus q with its factorization, Euler's totient phi and divisor count tau.
 
-    phi is Euler's totient, tau the divisor count, and is_square says
-    whether q is a perfect square.
+    Whether q is a square is is_perfect_square(q), the package's one squareness rule.
     """
 
     q: int
     factorization: tuple[tuple[int, int], ...]
     phi: int
     tau: int
-    is_square: bool
 
 
 def analyze_modulus(q: int) -> Modulus:
-    """Factor q and derive totient, divisor count and squareness."""
+    """Factor q and derive its totient and divisor count."""
     factors = factorize(q)
     phi = q
     tau = 1
-    square = True
     for p, e in factors:
         phi -= phi // p
         tau *= e + 1
-        if e % 2:
-            square = False
-    return Modulus(q, tuple(factors), phi, tau, square)
+    return Modulus(q, tuple(factors), phi, tau)
 
 
 def units(q: int) -> np.ndarray:

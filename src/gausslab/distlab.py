@@ -30,9 +30,7 @@ reduction suites, equidist's random:N) comes from the standard library's
 random.Random(seed), for seeds >= 0, through _seeded_rng, so no command
 imports numpy.random.  A point is (k >> 11) 2^-53 for a 64-bit word k of
 one randbytes call (_uniform_words, _points).  A seed gives the same
-points on every run, but not the points numpy's default_rng(seed) gave
-before: the figure limit.csv and KS values, the suites' draws and the
-equidist picks changed with this stream, the empirical side did not.
+points on every run.
 
 Histograms, moments, and the two-sample KS distance quantify the agreement;
 the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
@@ -54,6 +52,7 @@ import numpy as np
 from . import arith
 from .errors import BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
+    G_PLUS,
     ModulusCase,
     _quadratic_series,
     _variant_terms,
@@ -163,8 +162,8 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
 
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
+    ns, cs = _variant_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
     words = _uniform_words(_seeded_rng(seed), n_samples)
-    ns, cs = _variant_terms(w.coefficients, variant, cutoff)
     cores = _usable_cores()
     pieces = cores * -(-n_samples // (cores * _CHUNK))
     values = np.empty(n_samples, dtype=np.complex128)
@@ -223,8 +222,8 @@ def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = 
     if grid_size is not None and grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
     ns, cs = _variant_terms(w.coefficients, variant, None)
-    exact = {} if grid_size else {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
-    if 4 in ks and not grid_size:
+    exact = {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
+    if 4 in ks:
         exact[4] = _fourth_moment(ns, cs)
     if any(k not in exact for k in ks):
         grid_size = grid_size or _next_prime(max(65537, 2 * int(ns.max(initial=0)) + 1))
@@ -236,24 +235,15 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
                  grid_size: int | None = None) -> float:
     """k-th absolute moment of the series G(x) = sum_n c_n e(n^2 x) at a uniform x.
 
-    By default k = 0, 2 and 4 are exact, from the coefficients: 1, sum |c_n|^2 (Parseval)
-    and sum_s |C_s|^2, C_s = sum_{n1^2 + n2^2 = s} c_n1 c_n2.  Any other k, and every k
-    given a grid_size, is the rectangle rule on one quadratic_grid of that size, by default
-    the least prime N >= 65537 above twice the largest index n_max.  A non-even k is a
-    quadrature there, and an even k >= 6 aliases: |G|^k has frequencies up to (k/2) n_max^2,
-    which fold mod N (k = 6 at G_full, interval:0,0.3, trunc 600: 3.4e-3 relative).
+    k = 0, 2 and 4 are exact from the coefficients, whatever grid_size is: 1,
+    sum |c_n|^2 over the folded c_n (Parseval) and sum_s |C_s|^2,
+    C_s = sum_{n1^2 + n2^2 = s} c_n1 c_n2.  Every other k is the rectangle rule on
+    one quadratic_grid of grid_size points, by default the least prime N >= 65537 above
+    twice the largest index n_max.  A non-even k is a quadrature there, and an even
+    k >= 6 aliases: |G|^k has frequencies up to (k/2) n_max^2, which fold mod N
+    (k = 6 at G_full, interval:0,0.3, trunc 600: 3.4e-3 relative).
     """
     return _limit_moments(variant, w, [k], grid_size)[0]
-
-
-def mean_square_from_coefficients(variant: str, w: WeightFunction) -> float:
-    """Closed form for the k = 2 moment: |c_0|^2 + sum_{n>=1} |c_n + c_{-n}|^2.
-
-    Coefficient algebra only (orthogonality of e(n^2 x) across distinct
-    n^2); independent of the quadrature path in limit_moment.
-    """
-    _, cs = _variant_terms(w.coefficients, variant, None)
-    return float(np.sum(np.abs(cs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -369,10 +359,12 @@ def ks_distance(a, b) -> float:
 def discrete_factor_counts(q: int) -> dict[complex, Fraction]:
     """Exact frequencies of the normalized complete sum over the units.
 
-    These are the factors of modulus_case, computed exactly from integer
-    data: (1+i) eps_p^{-1} (q/p) = g_1(p,q)/sqrt(q) for q = 0 mod 4,
-    (p/q) for odd q and (2p/(q/2)) for q = 2 mod 4.
+    These are the normalizers D(p) of modulus_case without their constant,
+    computed exactly from its characters: (1+i) eps_p^{-1} (q/p) =
+    g_1(p,q)/sqrt(q) for q = 0 mod 4, (p/q) for odd q and (2p/(q/2)) for
+    q = 2 mod 4.
     """
-    factors = modulus_case(q, arith.units(q)).factors
+    case = modulus_case(q, arith.units(q))
+    factors = (1 + 1j) * np.conj(case.characters) if case.variant == G_PLUS else case.characters
     counts = Counter(factors.astype(np.complex128).tolist())
     return {v: Fraction(c, factors.size) for v, c in counts.items()}

@@ -74,9 +74,7 @@ class ModulusCase(NamedTuple):
     label: str  # how g(w,p,q)/D(p) is written
     norm_sq: int  # |D(p)|^2 exactly: 2q for even q, q for odd q
     units: object  # p mod q
-    complete: object  # the complete sum g_1(p, q); 0 for q = 2 mod 4
-    normalizers: object  # D(p)
-    factors: object  # D(p) without its constant: (1+i) eps_p^-1 (q/p), (p/q) or (2p/(q/2))
+    normalizers: object  # D(p), also the complete sum g_1(p, q) unless q = 2 mod 4
     characters: object  # the twist eps_p (q/p), (p/q) or (2p/(q/2))
     classes: object  # the sigma class of each unit: 1, -1, i or -i; None for an odd square
     point_map: tuple[int, int]  # (a, q') of the fast-path point x_p = t_p/q'
@@ -108,11 +106,10 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
                * _MINUS_ONE[ps % 4] ** (m // 2 % 2))
         eps = _EPS[ps % 4]
         characters = eps * jac
-        factors = (1 + 1j) * np.conj(eps) * jac
-        normalizers = factors * math.sqrt(q)
+        normalizers = (1 + 1j) * np.conj(eps) * jac * math.sqrt(q)
         classes = 2 * (ps % 4 == 1) - 1 if arith.is_perfect_square(q) else characters
         return ModulusCase(G_PLUS, "g_phi(p,q)/g_1(p,q)", 2 * q, ps,
-                           normalizers, normalizers, factors, characters, classes, (1, q))
+                           normalizers, characters, classes, (1, q))
     if q % 2 == 1:
         jac = arith.jacobi_array(ps, q)
         normalizers = arith.epsilon(q) * jac * math.sqrt(q)
@@ -120,8 +117,7 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
             label, classes = "g_phi(p,q)/(eps_q sqrt(q))", np.full(np.shape(ps), None)
         else:
             label, classes = "g_phi(p,q)/g_1(p,q)", jac
-        return ModulusCase(G_FULL, label, q, ps, normalizers, normalizers, jac, jac,
-                           classes, (4, q))
+        return ModulusCase(G_FULL, label, q, ps, normalizers, jac, classes, (4, q))
     q0 = q // 2
     jac = arith.jacobi_array(2 * ps, q0)
     normalizers = 2.0 * (arith.epsilon(q0) * jac * math.sqrt(q0))
@@ -129,8 +125,7 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
         label, classes = "g_phi(p,q)/(eps_{q/2} sqrt(2q))", np.full(np.shape(ps), None)
     else:
         label, classes = "g_phi(p,q)/(2 g_1(2p,q/2))", jac
-    return ModulusCase(G_MINUS, label, 2 * q, ps, np.zeros_like(normalizers), normalizers,
-                       jac, jac, classes, (8, q0))
+    return ModulusCase(G_MINUS, label, 2 * q, ps, normalizers, jac, classes, (8, q0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +193,11 @@ def gauss_sum_closed(p, q: int):
     (1+i) eps_p^{-1} (q/p) sqrt(q)  if q = 0 mod 4,
     eps_q (p/q) sqrt(q)             if q odd,
     0                               if q = 2 mod 4.
-    One p gives a complex, an array of units an array.
+    One p gives a complex, an array of units an array: modulus_case's
+    normalizers D(p), or zeros for q = 2 mod 4.
     """
-    complete = modulus_case(q, p).complete
+    case = modulus_case(q, p)
+    complete = np.zeros_like(case.normalizers) if case.variant == G_MINUS else case.normalizers
     return complex(complete) if np.ndim(complete) == 0 else complete
 
 
@@ -220,14 +217,16 @@ def reduce_noncoprime(w: WeightFunction, p: int, q: int):
 # quadratic series kernel
 # ---------------------------------------------------------------------------
 
-def _variant_terms(coefficients, variant: str,
-                   cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _variant_terms(coefficients, variant: str, cutoff: int | None = None,
+                   index_max: int = 2**63 - 1) -> tuple[np.ndarray, np.ndarray]:
     """Fold a coefficient map into series terms c_n e(n^2 x), n >= 0.
 
     Indices n and -n share e(n^2 x), so their coefficients are summed.
     cutoff bounds the series index |n| (not the coefficient index).  A
     sequence of W maps gives a (W, terms) block over the union of their
-    terms, zero where a map has none.
+    terms, zero where a map has none.  An index above index_max is a
+    DomainError: the indices are int64, and series evaluated at float
+    points pass arith.INT64_ROOT (see _quadratic_series).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -240,6 +239,8 @@ def _variant_terms(coefficients, variant: str,
                 if cutoff is None or n <= cutoff:
                     out[n] = out.get(n, 0j) + complex(c)
     ns = sorted(set().union(*folded))
+    if ns and ns[-1] > index_max:
+        raise DomainError(f"series indices must be <= {index_max}, got {ns[-1]}")
     cs = np.array([[out.get(n, 0j) for n in ns] for out in folded], dtype=np.complex128)
     cs = cs.reshape(len(rows), len(ns))
     return np.array(ns, dtype=np.int64), cs[0] if isinstance(coefficients, dict) else cs
@@ -290,6 +291,9 @@ def _quadratic_series(ns: np.ndarray, cs: np.ndarray, x, N: int | None = None) -
     numpy multiplies a one-element array in place through another loop,
     which can round differently.  So a point gets the same bits alone as in
     any batch, and a row of a block the same bits as its weight alone.
+    At float points each phase k must fit int64, so the indices must be at
+    most arith.INT64_ROOT, and the step 2 d^2 is taken only from three terms
+    on, where d <= n_max / 2.
     """
     phase = _phases(x, N)
     terms = ns.tolist()
@@ -302,8 +306,8 @@ def _quadratic_series(ns: np.ndarray, cs: np.ndarray, x, N: int | None = None) -
             out += c * phase(n * n)
         return out
     a = terms[0]
-    step = phase(-2 * d * d)
     last = len(coeffs) - 1
+    step = phase(-2 * d * d if last > 1 else 0)
     acc = np.full(step.shape, coeffs[last], dtype=np.complex128)
     spare = np.empty_like(acc)
     for j in range(last - 1, -1, -1):
@@ -400,7 +404,7 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
     e(n^2 x) is read from an exact phase (_quadratic_series), and a scalar
     gives the same bits as the same x inside an array of any size.
     """
-    ns, cs = _variant_terms(w.coefficients, variant, cutoff)
+    ns, cs = _variant_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
     xs = np.asarray(x, dtype=np.float64)
     out = _quadratic_series(ns, cs, np.atleast_1d(xs))
     return complex(out[0]) if xs.ndim == 0 else out

@@ -130,9 +130,9 @@ def class_count_suite(q_max: int = 2000) -> SuiteResult:
         if q % 4 == 0:
             squares = modulus_case(q, arith.units(q)).characters ** 2
             checks.append(("mod4", dict(Counter(squares.real.astype(np.int64).tolist())), 2))
-            if not mod.is_square:
+            if not arith.is_perfect_square(q):
                 checks.append(("quarter", class_counts(q), 4))
-        elif q % 2 == 1 and not mod.is_square:
+        elif q % 2 == 1 and not arith.is_perfect_square(q):
             checks.append(("half", class_counts(q), 2))
         for label, counts, k in checks:
             bad = sorted(counts.values()) != [mod.phi // k] * k

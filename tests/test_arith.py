@@ -140,7 +140,7 @@ class TestAnalyzeModulus:
         assert m.factorization == ((2, 2), (7, 1), (179, 1))
         assert m.phi == 2136
         assert m.tau == 12
-        assert not m.is_square
+        assert not arith.is_perfect_square(m.q)
 
     def test_5013(self):
         m = arith.analyze_modulus(5013)
@@ -152,12 +152,12 @@ class TestAnalyzeModulus:
         assert m.factorization == ((2, 2),)
         assert m.phi == 2
         assert m.tau == 3
-        assert m.is_square
+        assert arith.is_perfect_square(m.q)
 
     def test_one(self):
         m = arith.analyze_modulus(1)
         assert m.factorization == ()
-        assert m.phi == 1 and m.tau == 1 and m.is_square
+        assert m.phi == 1 and m.tau == 1 and arith.is_perfect_square(m.q)
 
     def test_phi_tau_against_direct_count(self):
         for q in range(1, 2001):
@@ -172,7 +172,7 @@ class TestAnalyzeModulus:
         assert m.factorization == tuple(sorted(sympy.factorint(n).items()))
         assert m.phi == sympy.totient(n)
         assert m.tau == sympy.divisor_count(n)
-        assert m.is_square == sympy.integer_nthroot(n, 2)[1]
+        assert arith.is_perfect_square(n) == sympy.integer_nthroot(n, 2)[1]
 
     def test_phi_recomputable_from_factorization(self):
         for q in (2, 36, 5012, 5013, 5014):

@@ -570,6 +570,13 @@ class TestWeightParsing:
         assert run(["moments", "--q", "13", "--weight", f"fourier:{path}",
                     "--k-list", "0"]) == 0
 
+    def test_index_beyond_int64_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text(f"k,re,im\n{10**30},0.5,0\n")
+        assert run(["moments", "--q", "13", "--weight", f"fourier:{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: series indices must be <= {2**63 - 1}, got {10**30}\n"
+
     def test_missing_fourier_file(self):
         assert run(["moments", "--q", "13", "--weight", "fourier:/nonexistent.csv"]) == 2
 

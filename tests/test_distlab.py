@@ -41,6 +41,13 @@ def fold(variant, w):
     return terms
 
 
+def grid_moment(variant, w, k, size):
+    """Mean of |G|^k by the rectangle rule on the points t/size: quadratic_grid of fold's terms."""
+    terms = fold(variant, w)
+    ns, cs = np.array(list(terms)), np.array(list(terms.values()), dtype=complex)
+    return float(np.mean(np.abs(gauss_sums.quadratic_grid(ns, cs, size)) ** k))
+
+
 def quadruple_fourth_moment(variant, w):
     """Mean of |G|^4 as the sum of c1 c2 conj(c3 c4) over every quadruple n1^2 + n2^2 = n3^2 + n4^2."""
     terms = fold(variant, w)
@@ -215,6 +222,13 @@ class TestSampleLimitLaw:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             distlab.sample_limit_law(G_FULL, ONE, None, 10, seed=seed)
 
+    def test_index_beyond_float_phases_refused(self, monkeypatch):
+        # n^2 of a series index above INT64_ROOT would not fit the int64 phase product;
+        # the weight is refused before any point is drawn
+        monkeypatch.setattr(distlab, "_uniform_words", lambda *args: pytest.fail("drew points"))
+        with pytest.raises(DomainError, match=f"series indices must be <= {arith.INT64_ROOT},"):
+            distlab.sample_limit_law(G_FULL, weights.fourier_weight({2**40: 1.0}), None, 10, seed=1)
+
     def test_points_are_the_top_53_bits_of_little_endian_words(self):
         import random
 
@@ -279,8 +293,8 @@ class TestLimitMoment:
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-12, 13)})
         for variant in (G_PLUS, G_FULL, G_MINUS):
-            quad = distlab.limit_moment(variant, w, 2.0, grid_size=65537)
-            closed = distlab.mean_square_from_coefficients(variant, w)
+            quad = grid_moment(variant, w, 2.0, 65537)
+            closed = distlab.limit_moment(variant, w, 2.0)
             assert abs(quad - closed) < 1e-10
 
     def test_k2_against_independent_quadrature(self):
@@ -310,7 +324,7 @@ class TestLimitMoment:
     def test_k4_against_alias_free_grid(self, variant):
         # 1048583 > 2 * 600^2 exceeds every frequency n1^2 + n2^2 - n3^2 - n4^2 of |G|^4
         w = weights.interval_indicator(0.0, 0.3, 600)
-        grid = distlab.limit_moment(variant, w, 4.0, grid_size=1048583)
+        grid = grid_moment(variant, w, 4.0, 1048583)
         assert distlab.limit_moment(variant, w, 4.0) == pytest.approx(grid, rel=1e-12, abs=0)
 
     def test_k4_sparse_and_empty_series(self):
@@ -347,13 +361,26 @@ class TestLimitMoment:
         # of degree 4k, below both grid sizes: both rules are exact up to rounding
         w = weights.fourier_weight({-2: 0.3, 1: 1.0, 3: -0.5j})
         oracle = midpoint_moment(w, k)
-        assert distlab.limit_moment(G_FULL, w, k, grid_size=1000) == pytest.approx(oracle, rel=1e-12)
+        assert grid_moment(G_FULL, w, k, 1000) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", [G_PLUS, G_FULL, G_MINUS])
+    def test_grid_size_sizes_only_the_other_orders(self, variant):
+        # k = 0, 2 and 4 are exact whatever the grid; other orders take the rectangle
+        # rule on grid_size points, prime (Rader) or composite
+        w = weights.interval_indicator(0.0, 0.3, 300)
+        for size in (2, 1000, 65537):
+            for k in (0, 2.0, 4):
+                assert distlab.limit_moment(variant, w, k, grid_size=size) == \
+                    distlab.limit_moment(variant, w, k)
+            for k in (1.0, 3.0):
+                assert distlab.limit_moment(variant, w, k, grid_size=size) == \
+                    pytest.approx(grid_moment(variant, w, k, size), rel=1e-12)
 
     def test_indicator_k2(self):
         w = weights.interval_indicator(0.0, B7, cutoff=1000)
         series = weights.as_fourier_series(w)
-        quad = distlab.limit_moment(G_FULL, series, 2.0, grid_size=65537)
-        closed = distlab.mean_square_from_coefficients(G_FULL, series)
+        quad = grid_moment(G_FULL, series, 2.0, 65537)
+        closed = distlab.limit_moment(G_FULL, series, 2.0)
         assert abs(quad - closed) < 1e-6
 
 
@@ -368,9 +395,10 @@ class TestNextPrime:
         real = distlab.quadratic_grid
         monkeypatch.setattr(distlab, "quadratic_grid", lambda ns, cs, n: sizes.append(n) or real(ns, cs, n))
         far = weights.fourier_weight({40000: 1.0})
-        for k in (0.0, 2.0, 4.0):  # exact from the coefficients: no grid
+        for k in (0.0, 2.0, 4.0):  # exact from the coefficients: no grid, even given a size
             distlab.limit_moment(G_FULL, ONE, k)
             distlab.limit_moment(G_FULL, far, k)
+            distlab.limit_moment(G_FULL, far, k, grid_size=1000)
         assert sizes == []
         distlab.limit_moment(G_FULL, ONE, 1.0)
         distlab.limit_moment(G_FULL, far, 3.0)

@@ -277,11 +277,11 @@ class TestClassCounts:
             mod = arith.analyze_modulus(q)
             if q % 4 == 0:
                 counts = expsums.class_counts(q)
-                if mod.is_square:
+                if arith.is_perfect_square(q):
                     assert counts == {1: mod.phi // 2, -1: mod.phi // 2}
                 else:
                     assert len(counts) == 4 and set(counts.values()) == {mod.phi // 4}
-            elif q % 2 == 1 and not mod.is_square:
+            elif q % 2 == 1 and not arith.is_perfect_square(q):
                 counts = expsums.class_counts(q)
                 assert len(counts) == 2 and set(counts.values()) == {mod.phi // 2}
 

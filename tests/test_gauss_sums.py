@@ -9,7 +9,7 @@ import pytest
 
 from gausslab import arith, weights
 from gausslab import gauss_sums as gs
-from gausslab.errors import IndicatorKind, NotCoprime
+from gausslab.errors import DomainError, IndicatorKind, NotCoprime
 
 ONE = weights.constant_weight()
 
@@ -185,6 +185,16 @@ class TestLimitSeries:
         cut = gs.limit_series(gs.G_FULL, w, 0.3, cutoff=3)
         assert cut == pytest.approx(cmath.exp(2j * cmath.pi * 0.3))
         assert abs(full - cut) > 0.1
+
+    def test_indices_up_to_int64_root(self):
+        # at float points every phase must fit int64: n^2 for n <= INT64_ROOT, and the
+        # Horner step 2 d^2 of a two-term progression {0, d} is never taken
+        d = 3 * 10**9
+        one = gs.limit_series(gs.G_FULL, weights.fourier_weight({d: 1.0}), 0.3)
+        two = gs.limit_series(gs.G_FULL, weights.fourier_weight({0: 1.0, d: 1.0}), 0.3)
+        assert two == pytest.approx(1 + one, abs=1e-12)
+        with pytest.raises(DomainError, match=f"series indices must be <= {arith.INT64_ROOT},"):
+            gs.limit_series(gs.G_FULL, weights.fourier_weight({2**40: 1.0}), 0.3)
 
     def test_plus_uses_even_indices(self):
         w = weights.fourier_weight({2: 1.0, 3: 5.0})

@@ -2,18 +2,22 @@
 
 perfbench/tracer.py wraps every `<module>.<function>` (or
 `<module>.<Class>.<method>`) of its LAYERS table by name, and
-`perfbench/run.py --trace 1` fails if one of them is gone.  The layer
-tests read the table without installing the tracer, so nothing is
+`perfbench/run.py --trace 1` fails if one of them is gone.  Its hooks
+also read arguments and attributes by name, which one test checks.  The
+layer tests read the table without installing the tracer, so nothing is
 patched; one test runs the tracer in a child process on a small
 `moments` command, so a hook that rejects what the CLI passes fails here.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,25 @@ def test_layer_resolves_to_a_callable(module, attr):
 
 def test_table_is_not_empty():
     assert len(LAYERS) > 20
+
+
+def test_names_the_hooks_read_exist():
+    """The hooks bind limit_moment's and sample_limit_law's arguments by name, read
+    DirectEvaluator(...).q and the .checked count of every verify suite's result."""
+    from gausslab import distlab, verify
+    from gausslab.gauss_sums import DirectEvaluator
+    from gausslab.weights import constant_weight
+
+    def parameters(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert {"variant", "w", "k", "grid_size"} <= parameters(distlab.limit_moment)
+    assert {"variant", "w", "cutoff", "n_samples"} <= parameters(distlab.sample_limit_law)
+    assert DirectEvaluator(constant_weight(), 7).q == 7
+    assert "checked" in {f.name for f in dataclasses.fields(verify.SuiteResult)}
+    for module, attr in LAYERS:
+        if module == "verify":
+            assert typing.get_type_hints(getattr(verify, attr))["return"] is verify.SuiteResult
 
 
 def test_traced_moments_run(tmp_path):
