@@ -51,10 +51,10 @@ from .weights import (
 )
 
 FIGURES = {
-    # which: (q, series truncation, limit samples, center); the variant is modulus_case(q)'s
-    "fig1": (5012, 4000, 300_000, "tq"),
-    "fig2": (5013, 4000, 300_000, "tq"),
-    "fig3": (5014, 5000, 500_000, "none"),
+    # which: (q, series truncation, limit samples); the variant is modulus_case(q)'s
+    "fig1": (5012, 4000, 300_000),
+    "fig2": (5013, 4000, 300_000),
+    "fig3": (5014, 5000, 500_000),
 }
 
 
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
 
 def cmd_figure(args) -> int:
     which = args.which
-    q, trunc_default, samples_default, center_default = FIGURES[which]
+    q, trunc_default, samples_default = FIGURES[which]
     trunc = trunc_default if args.trunc is None else args.trunc
     n_samples = samples_default if args.samples is None else args.samples
     bins = args.bins
@@ -210,7 +210,8 @@ def cmd_figure(args) -> int:
     variant = modulus_case(q).variant
     # the even-index series at truncation K reads coefficients up to 2K
     coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
-    center = args.center or center_default
+    # the real part is shifted by t/q exactly when the series has the constant term c_0
+    center = "none" if variant == G_MINUS else "tq"
     b = 1.0 / math.sqrt(7.0)
 
     weight = interval_indicator(0.0, b, coeff_cutoff)
@@ -220,7 +221,7 @@ def cmd_figure(args) -> int:
     t_over_q = batch.grid_mass / q
 
     limit = sample_limit_law(variant, weight, trunc, n_samples, args.seed)
-    shift = {"tq": t_over_q, "phihat0": weight.mean.real, "none": 0.0}[center]
+    shift = t_over_q if center == "tq" else 0.0
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="limit-law sample count")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--center", choices=["tq", "phihat0", "none"], default=None)
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_figure)
 
@@ -402,6 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Refuse an --out or --out-dir that cannot be written, before any work."""
+    out, out_dir = getattr(args, "out", None), getattr(args, "out_dir", None)
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise CommandError(f"--out {out}: not a file in an existing directory")
+    # mkdir starts at the nearest of out_dir and its parents that exists
+    if out_dir and not next(filter(Path.exists, (Path(out_dir), *Path(out_dir).parents))).is_dir():
+        raise CommandError(f"--out-dir {out_dir}: it or a parent is an existing non-directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -410,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else 0
     try:
+        _check_outputs(args)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

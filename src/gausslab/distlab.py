@@ -290,49 +290,38 @@ def _moment_reports(q: int, w: WeightFunction, window, ks: list, fast: bool, lim
 
 @dataclass
 class Histogram:
-    """Binned counts with a density normalized to unit mass in range.
+    """Counts of every value in equal bins over the data's own range, with a density of unit mass.
 
-    Out-of-range values land in the below/above overflow counters, never
-    silently dropped; total counts the in-range values only.
+    total is the number of values, all of them binned.
     """
 
     bin_edges: np.ndarray
     counts: np.ndarray
     density: np.ndarray
     total: int
-    below: int
-    above: int
 
 
-def histogram(values, bins: int = 40, value_range: tuple[float, float] | None = None) -> Histogram:
+def histogram(values, bins: int = 40) -> Histogram:
+    """Bin the values over their own range [min, max]; constant data gets [v - 0.5, v + 0.5]."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInput("cannot bin an empty sample set")
     if bins < 1:
         raise DomainError(f"need at least one bin, got {bins}")
-    if value_range is None:
-        lo, hi = float(arr.min()), float(arr.max())
-        if lo == hi:
-            # constant data: one unit-wide range centred on the value
-            lo, hi = lo - 0.5, hi + 0.5
-        value_range = (lo, hi)
-    lo, hi = value_range
-    if not lo < hi:
+    lo, hi = float(arr.min()), float(arr.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    if not lo < hi:  # NaN data
         raise DomainError(f"need lo < hi, got ({lo}, {hi})")
     # edge i is the rounding of lo + (hi-lo)*i/bins, so a data value that
     # is the rounding of the same rational lands in the half-open bin to
     # its right; the top edge is closed
     edges = lo + (hi - lo) * np.arange(bins + 1, dtype=np.float64) / bins
     edges[-1] = hi
-    below = int(np.count_nonzero(arr < lo))
-    above = int(np.count_nonzero(arr > hi))
-    in_range = arr[(arr >= lo) & (arr <= hi)]
-    idx = np.clip(np.searchsorted(edges, in_range, side="right") - 1, 0, bins - 1)
+    idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)
-    total = int(counts.sum())
-    widths = np.diff(edges)
-    density = counts / (total * widths) if total else np.zeros(bins)
-    return Histogram(edges, counts, density, total, below, above)
+    density = counts / (arr.size * np.diff(edges))
+    return Histogram(edges, counts, density, arr.size)
 
 
 def ks_distance(a, b) -> float:

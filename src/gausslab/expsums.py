@@ -89,11 +89,11 @@ SUMS = {"kloosterman": kloosterman, "twisted": twisted_kloosterman, "salie": sal
 
 
 def weil_bound(m, n, q: int, tau: int | None = None):
-    """gcd(m, n, q)^{1/2} q^{1/2} tau(q), for ints m, n or arrays of them."""
+    """gcd(m, n, q)^{1/2} q^{1/2} tau(q), for integers m, n (Python or numpy) or arrays of them."""
     if tau is None:
         tau = arith.analyze_modulus(q).tau
-    if isinstance(m, int) and isinstance(n, int):
-        return math.sqrt(math.gcd(m, n, q)) * math.sqrt(q) * tau
+    if isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer)):
+        return math.sqrt(math.gcd(int(m), int(n), q)) * math.sqrt(q) * tau
     g = np.gcd(np.gcd(arith.residues(m, q), arith.residues(n, q)), q)
     return np.sqrt(g) * math.sqrt(q) * tau
 

@@ -31,18 +31,13 @@ class WeightFunction:
     coefficients: dict[int, complex]
     interval: tuple[float, float] | None = None
 
-    @property
-    def mean(self) -> complex:
-        """c_0, the average of the weight over one period."""
-        return complex(self.coefficients.get(0, 0j))
-
 
 def fourier_weight(coefficients: dict[int, complex]) -> WeightFunction:
     return WeightFunction({int(k): complex(c) for k, c in coefficients.items()})
 
 
-def constant_weight(value: complex = 1.0) -> WeightFunction:
-    return fourier_weight({0: complex(value)})
+def constant_weight() -> WeightFunction:
+    return fourier_weight({0: 1.0})
 
 
 def indicator_coefficients(a: float, b: float, cutoff: int) -> dict[int, complex]:

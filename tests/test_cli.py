@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -242,11 +244,31 @@ class TestFigureCommand:
     @pytest.mark.parametrize("q", [5012, 5013, 5014, 16, 9, 18])
     def test_sample_lines_equal_row_wise_reference(self, tmp_path, monkeypatch, q):
         # fig1 rerun at modulus q, so the writer also meets the classes no figure has
-        monkeypatch.setitem(cli.FIGURES, "fig1", (q, 8, 10, "none"))
+        monkeypatch.setitem(cli.FIGURES, "fig1", (q, 8, 10))
         assert run(["figure", "fig1", "--out-dir", str(tmp_path)]) == 0
         lines = (tmp_path / "fig1_samples.csv").read_text().splitlines()
         batch = distlab.empirical_batch(q, weights.interval_indicator(0.0, 1 / math.sqrt(7), 16))
         assert lines[lines.index("p,sigma,re,im") + 1:] == reference_sample_lines(batch, q)
+
+    @pytest.mark.parametrize("which,center", [("fig1", "tq"), ("fig2", "tq"), ("fig3", "none")])
+    def test_real_part_centered_on_t_over_q_iff_the_series_has_c0(self, tmp_path, which, center):
+        assert run(["figure", which, "--trunc", "20", "--samples", "100",
+                    "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / f"{which}_summary.json").read_text())
+        assert summary["center"] == center
+        shift = summary["t_over_q"] if center == "tq" else 0.0
+        samples = (tmp_path / f"{which}_samples.csv").read_text().splitlines()
+        re_min = min(float(l.split(",")[2]) for l in samples[samples.index("p,sigma,re,im") + 1:])
+        hist = (tmp_path / f"{which}_hist_re.csv").read_text().splitlines()
+        first_bin = hist[hist.index("bin_lo,bin_hi,count,density") + 1]
+        assert float(first_bin.split(",")[0]) == re_min - shift
+
+    def test_center_is_not_an_option(self, tmp_path, capsys):
+        # the centering follows from the series variant alone
+        assert run(["figure", "fig1", "--center", "tq", "--trunc", "10", "--samples", "10",
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "--center" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig3_limit_is_single_column(self, tmp_path):
         out = tmp_path / "out"
@@ -719,6 +741,27 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--q", "7", "--out", "MISSING/x.csv"],
+        ["equidist", "--q", "7", "--m", "1", "--n", "1", "--out", "MISSING/y.csv"],
+        ["expsum", "--kind", "kloosterman", "--m", "1", "--n", "1", "--q", "7", "--out", "FILE/x.csv"],
+        ["moments", "--q", "7", "--out", "DIR"],
+        ["figure", "fig1", "--out-dir", "FILE"],
+        ["figure", "fig1", "--out-dir", "FILE/sub"],
+    ], ids=["moments", "equidist", "expsum", "out-is-a-dir", "figure", "figure-under-file"])
+    def test_unwritable_output_path_refused_before_any_work(self, monkeypatch, capsys, tmp_path,
+                                                            argv):
+        (tmp_path / "FILE").write_text("kept\n")
+        (tmp_path / "DIR").mkdir()
+        for name in ("cmd_moments", "cmd_equidist", "cmd_expsum", "cmd_figure"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("the command ran"))
+        argv = [str(tmp_path / a) if a.startswith(("MISSING", "FILE", "DIR")) else a for a in argv]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert (tmp_path / "FILE").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "FILE"]
+
     @staticmethod
     def raise_in_suite(monkeypatch, exc):
         def raising(name):
@@ -797,3 +840,18 @@ class TestExitCodes:
                           "sys.exit(cli.main(['verify', 'reduction']))\n")
         assert done.returncode == 1
         assert "Traceback" in done.stderr and "ValueError: boom" in done.stderr
+
+
+class TestReadme:
+    README = SRC.parent / "README.md"
+
+    def command_lines(self):
+        """The `gausslab ...` lines of the README's sh blocks, continuations joined."""
+        blocks = re.findall(r"^```sh\n(.*?)^```", self.README.read_text(), re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        return [shlex.split(l, comments=True) for l in lines if l.startswith("gausslab ")]
+
+    def test_example_command_lines_parse(self):
+        parsed = [cli.build_parser().parse_args(argv[1:]) for argv in self.command_lines()]
+        assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
+                                                     "equidist"}

@@ -465,13 +465,14 @@ class TestEmpiricalMoment:
 
 class TestHistogram:
     def test_single_bin(self):
-        h = distlab.histogram([0.5] * 100, bins=1, value_range=(0.0, 1.0))
+        h = distlab.histogram([0.5] * 100, bins=1)
         assert h.counts.tolist() == [100]
         assert h.total == 100
 
     def test_uniform_grid(self):
         vals = np.arange(4000) / 4000
-        h = distlab.histogram(vals, bins=40, value_range=(0.0, 1.0))
+        h = distlab.histogram(vals, bins=40)
+        assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == vals[-1]
         assert h.counts.tolist() == [100] * 40
 
     def test_density_integrates_to_one(self):
@@ -480,23 +481,18 @@ class TestHistogram:
         widths = np.diff(h.bin_edges)
         assert float(np.sum(h.density * widths)) == pytest.approx(1.0, abs=1e-10)
 
-    def test_overflow_counted(self):
-        h = distlab.histogram([-1.0, 0.5, 0.6, 2.0, 3.0], bins=4, value_range=(0.0, 1.0))
-        assert h.below == 1 and h.above == 2
-        assert h.total == 2
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            distlab.histogram([], bins=10, value_range=(0, 1))
+            distlab.histogram([], bins=10)
 
     def test_constant_data_gets_unit_range(self):
         h = distlab.histogram([0.5] * 10, bins=4)
         assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0
-        assert h.total == 10 and h.below == 0 and h.above == 0
+        assert h.total == 10 and h.counts.tolist() == [0, 0, 10, 0]
 
-    def test_explicit_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            distlab.histogram([0.5] * 10, bins=4, value_range=(0.5, 0.5))
+    def test_nan_data_rejected(self):
+        with pytest.raises(DomainError, match="need lo < hi"):
+            distlab.histogram([0.5, math.nan], bins=4)
 
 
 class TestKSDistance:

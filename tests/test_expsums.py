@@ -116,6 +116,13 @@ class TestArrayForms:
         assert expsums.weil_bound(big, big + 6, q).tolist() == [
             expsums.weil_bound(b, b + 6, q) for b in self.BIG]
 
+    def test_weil_bound_numpy_scalars_beyond_int64(self):
+        # numpy integer scalars take the exact math.gcd path too, not np.gcd's int64
+        q = 2**70
+        assert expsums.weil_bound(np.int64(3), 5, q) == expsums.weil_bound(3, 5, q)
+        assert expsums.weil_bound(np.int64(3), np.uint8(5), q) == 2**35 * 71
+        assert expsums.weil_bound(np.int64(6), np.int64(4), q) == math.sqrt(2) * 2**35 * 71
+
 
 class TestKloosterman:
     @pytest.mark.parametrize("q", [1, 2, 5, 12, 36, 101])

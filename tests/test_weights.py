@@ -183,4 +183,4 @@ class TestConversion:
 
     def test_indicator_mean_is_interval_length(self):
         w = weights.interval_indicator(0.0, 0.5, cutoff=64)
-        assert w.mean == pytest.approx(0.5)
+        assert w.coefficients[0] == pytest.approx(0.5)
