@@ -23,6 +23,7 @@ from .distlab import (
     histogram,
     ks_distance,
     limit_moment,
+    moment_reports,
     sample_limit_law,
 )
 from .expsums import (

@@ -31,14 +31,12 @@ from . import arith, weights
 from .errors import BadModulus, DomainError
 from .expsums import expsum_report, weyl_statistics
 from .distlab import (
-    _limit_moments,
-    _limit_variant,
-    _moment_reports,
-    _seeded_rng,
     empirical_batch,
     histogram,
     ks_distance,
+    moment_reports,
     sample_limit_law,
+    seeded_rng,
 )
 from .gauss_sums import G_MINUS, G_PLUS, modulus_case
 from .verify import SUITES, run_suite
@@ -294,12 +292,10 @@ def cmd_moments(args) -> int:
         "k_list": args.k_list,
         "method": "fast" if args.fast else "direct",
     }
-    # a range skips the moduli below 3 (no normalized law); one limit call per variant
-    variants = dict(_per_modulus(args.q, args.q_range, lambda q: _limit_variant(q, window)))
-    limits = {v: _limit_moments(v, weight, k_list) for v in dict.fromkeys(variants.values())}
+    # a range skips the moduli below 3 (no normalized law)
+    reports = _per_modulus(args.q, args.q_range, moment_reports(weight, window, k_list, args.fast))
     rows = [(q, r.k, float(r.empirical), float(r.limit), float(r.relative_gap))
-            for q, v in variants.items()
-            for r in _moment_reports(q, weight, window, k_list, args.fast, limits[v])]
+            for q, reps in reports for r in reps]
     _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], rows)
     return 0
 
@@ -325,7 +321,7 @@ def cmd_equidist(args) -> int:
             raise CommandError(f"bad --t value {args.t!r}: N must be a positive integer")
         units = arith.units(q)
         # ascending indices into the ascending units, drawn without a list of the pool
-        picks = _seeded_rng(args.seed).sample(range(units.size), min(int(count), units.size))
+        picks = seeded_rng(args.seed).sample(range(units.size), min(int(count), units.size))
         ts = units[sorted(picks)].tolist()
     else:
         try:

@@ -22,15 +22,15 @@ pieces spread over the usable cores, each piece writing its own slice of
 one preallocated sample array.  A point gets the same bits alone as in
 any piece, so the values do not depend on the core count or the piece
 size.  Its moments k = 0, 2 and 4 are exact from the coefficients, once
-per series variant in a moments run; any other k integrates the series on
-one prime grid (a quadratic_grid call), which aliases for even k >= 6.
+per series variant of a moment_reports call; any other k integrates the
+series on one prime grid (a quadratic_grid call), which aliases for even k >= 6.
 
 Every seeded draw of the package (these points, the functional_eq and
 reduction suites, equidist's random:N) comes from the standard library's
-random.Random(seed), for seeds >= 0, through _seeded_rng, so no command
-imports numpy.random.  A point is (k >> 11) 2^-53 for a 64-bit word k of
-one randbytes call (_uniform_words, _points).  A seed gives the same
-points on every run.
+random.Random(seed), for seeds >= 0, through seeded_rng, so no command
+imports numpy.random; uniform_words reads one randbytes call as 64-bit
+words k, and a point is (k >> 11) 2^-53 (_points).  A seed gives the
+same points on every run.
 
 Histograms, moments, and the two-sample KS distance quantify the agreement;
 the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
@@ -44,6 +44,7 @@ import operator
 import os
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,11 +55,11 @@ from .errors import BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
     G_PLUS,
     ModulusCase,
-    _quadratic_series,
-    _variant_terms,
     gauss_sum_fast_batch,
     modulus_case,
     quadratic_grid,
+    quadratic_series,
+    series_terms,
 )
 from .weights import WeightFunction, check_interval, evaluate_grid, grid_in_interval
 
@@ -123,7 +124,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _seeded_rng(seed: int) -> random.Random:
+def seeded_rng(seed: int) -> random.Random:
     """random.Random(seed), the generator of every seeded draw, for an integer seed >= 0.
 
     Random would read a negative seed as |seed|, so one is refused (DomainError).
@@ -134,7 +135,7 @@ def _seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _uniform_words(rng: random.Random, n: int) -> np.ndarray:
+def uniform_words(rng: random.Random, n: int) -> np.ndarray:
     """n uniform 64-bit words: one rng.randbytes(8 n), read in place as little-endian uint64."""
     return np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
 
@@ -148,7 +149,7 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
                      n_samples: int, seed: int) -> np.ndarray:
     """Series values at n_samples uniform points, deterministic in seed.
 
-    The points are the _points of n_samples _uniform_words of
+    The points are the _points of n_samples uniform_words of
     random.Random(seed), for a seed >= 0 (a negative seed is a DomainError).
     The words are cut into equal contiguous pieces, a multiple of the usable
     cores with at most _CHUNK words each, and worker threads turn each piece
@@ -162,14 +163,14 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
 
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
-    ns, cs = _variant_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
-    words = _uniform_words(_seeded_rng(seed), n_samples)
+    ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
+    words = uniform_words(seeded_rng(seed), n_samples)
     cores = _usable_cores()
     pieces = cores * -(-n_samples // (cores * _CHUNK))
     values = np.empty(n_samples, dtype=np.complex128)
 
     def fill(k: np.ndarray, dest: np.ndarray) -> None:
-        dest[:] = _quadratic_series(ns, cs, _points(k))
+        dest[:] = quadratic_series(ns, cs, _points(k))
 
     with ThreadPoolExecutor(max_workers=cores) as pool:
         list(pool.map(fill, np.array_split(words, pieces), np.array_split(values, pieces)))
@@ -221,7 +222,7 @@ def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = 
         raise DomainError(f"moment orders must be finite and >= 0, got {ks}")
     if grid_size is not None and grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
-    ns, cs = _variant_terms(w.coefficients, variant, None)
+    ns, cs = series_terms(w.coefficients, variant, None)
     exact = {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
     if 4 in ks:
         exact[4] = _fourth_moment(ns, cs)
@@ -254,38 +255,38 @@ class MomentReport:
     relative_gap: float
 
 
-def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
-                     k: float = 2.0, fast: bool = False) -> MomentReport | list[MomentReport]:
-    """Normalized empirical k-th moment next to its limit value.
+def moment_reports(w: WeightFunction, window: tuple[float, float] | None, ks,
+                   fast: bool = False) -> Callable[[int], list[MomentReport]]:
+    """The function q -> [MomentReport for each k of ks]: empirical next to limit moments.
 
-    The empirical side is (1/(phi(q)(b - a))) sum |g(w,p,q)|^k over the units
-    p with p/q in the window [a, b) (every unit and b - a = 1 for window None),
-    divided by |D(p)|^k: (2q)^{k/2} for even q and q^{k/2} for odd q.  A bad
-    window or q is refused before any grid.  The limit side is limit_moment of
-    the matching series variant; for indicator weights that is their truncated series.
-
-    k may be a sequence of orders: the reports then come as a list in k
-    order, and all k share one numerator grid and one _limit_moments call.
+    The empirical side at q is (1/(phi(q)(b - a))) sum |g(w,p,q)|^k over the
+    units p with p/q in the window [a, b) (every unit and b - a = 1 for window
+    None), divided by |D(p)|^k: (2q)^{k/2} for even q and q^{k/2} for odd q;
+    all k share one numerator grid.  The limit side is limit_moment of the
+    matching series variant (for indicator weights, their truncated series),
+    computed at the first modulus of each variant and reused for the later
+    ones.  A bad window or q is refused before any grid.
     """
-    ks = list(k) if np.ndim(k) else [k]
-    limits = _limit_moments(_limit_variant(q, window), w, ks)
-    reports = _moment_reports(q, w, window, ks, fast, limits)
-    return reports if np.ndim(k) else reports[0]
+    ks, limits = list(ks), {}  # limits: variant -> _limit_moments of ks
+
+    def reports(q: int) -> list[MomentReport]:
+        _check_input(q, window)
+        case = modulus_case(q)
+        if case.variant not in limits:
+            limits[case.variant] = _limit_moments(case.variant, w, ks)
+        mags = np.abs(_admissible_sums(q, w, window, fast)[1])
+        measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
+        empirical = [float(np.sum(mags ** k)) / measure / case.norm_sq ** (k / 2) for k in ks]
+        return [MomentReport(k, e, lim, abs(e - lim) / max(lim, 1e-12))
+                for k, e, lim in zip(ks, empirical, limits[case.variant])]
+
+    return reports
 
 
-def _limit_variant(q: int, window: tuple[float, float] | None) -> str:
-    _check_input(q, window)  # a bad window or q is refused before any work
-    return modulus_case(q).variant
-
-
-def _moment_reports(q: int, w: WeightFunction, window, ks: list, fast: bool, limits: list) -> list:
-    """empirical_moment's reports at a checked q for the orders ks, beside their limit values."""
-    case = modulus_case(q)
-    mags = np.abs(_admissible_sums(q, w, window, fast)[1])
-    measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
-    empirical = [float(np.sum(mags ** j)) / measure / case.norm_sq ** (j / 2) for j in ks]
-    return [MomentReport(j, e, lim, abs(e - lim) / max(lim, 1e-12))
-            for j, e, lim in zip(ks, empirical, limits)]
+def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
+                     k: float = 2.0, fast: bool = False) -> MomentReport:
+    """The MomentReport of the one order k at q: moment_reports(w, window, [k], fast)(q)[0]."""
+    return moment_reports(w, window, [k], fast)(q)[0]
 
 
 @dataclass
@@ -302,17 +303,17 @@ class Histogram:
 
 
 def histogram(values, bins: int = 40) -> Histogram:
-    """Bin the values over their own range [min, max]; constant data gets [v - 0.5, v + 0.5]."""
+    """Bin finite values over their own range [min, max]; constant data gets [v - 0.5, v + 0.5]."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInput("cannot bin an empty sample set")
     if bins < 1:
         raise DomainError(f"need at least one bin, got {bins}")
+    if not np.isfinite(arr).all():  # NaN or +-inf: no finite range to split
+        raise DomainError("cannot bin NaN or infinite values")
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    if not lo < hi:  # NaN data
-        raise DomainError(f"need lo < hi, got ({lo}, {hi})")
     # edge i is the rounding of lo + (hi-lo)*i/bins, so a data value that
     # is the rounding of the same rational lands in the half-open bin to
     # its right; the top edge is closed
@@ -325,7 +326,7 @@ def histogram(values, bins: int = 40) -> Histogram:
 
 
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|; NaN is refused, +-inf is kept.
 
     The supremum is attained at a sample point: both CDFs are evaluated at
     the points of a, then of b, _KS_BLOCK at a time, with the quotients of
@@ -335,6 +336,8 @@ def ks_distance(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise EmptyInput("cannot compare empty sample sets")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
+        raise DomainError("cannot compare samples holding NaN")
     worst = 0.0
     for points in (a, b):
         for lo in range(0, points.size, _KS_BLOCK):

@@ -19,7 +19,8 @@ The quadratic series come in three variants keyed to q mod 4:
 
 Evaluating these at a uniformly random point of [0, 1) gives the limit
 law of the normalized incomplete sums; `distlab` builds on that.  One
-evaluator, _quadratic_series, serves the limit law and the fast path.
+evaluator, quadratic_series, serves the limit law and the fast path on
+the terms of series_terms; quadratic_grid is its sibling on a grid.
 It reads every e(k x) from an exact phase of its points: a float x is
 split into its top 26 bits and a remainder, a fast-path point t/q' is
 reduced as k t mod q'.  A support on an arithmetic progression (every
@@ -217,19 +218,22 @@ def reduce_noncoprime(w: WeightFunction, p: int, q: int):
 # quadratic series kernel
 # ---------------------------------------------------------------------------
 
-def _variant_terms(coefficients, variant: str, cutoff: int | None = None,
-                   index_max: int = 2**63 - 1) -> tuple[np.ndarray, np.ndarray]:
+def series_terms(coefficients, variant: str, cutoff: int | None = None,
+                 index_max: int = 2**63 - 1) -> tuple[np.ndarray, np.ndarray]:
     """Fold a coefficient map into series terms c_n e(n^2 x), n >= 0.
 
     Indices n and -n share e(n^2 x), so their coefficients are summed.
-    cutoff bounds the series index |n| (not the coefficient index).  A
+    cutoff bounds the series index |n| (not the coefficient index); a
+    negative one, which would keep no term, is a DomainError.  A
     sequence of W maps gives a (W, terms) block over the union of their
     terms, zero where a map has none.  An index above index_max is a
     DomainError: the indices are int64, and series evaluated at float
-    points pass arith.INT64_ROOT (see _quadratic_series).
+    points pass arith.INT64_ROOT (see quadratic_series).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
+    if cutoff is not None and cutoff < 0:
+        raise DomainError(f"series cutoff must be >= 0, got {cutoff}")
     rows = [coefficients] if isinstance(coefficients, dict) else coefficients
     folded = [{} for _ in rows]
     for row, out in zip(rows, folded):
@@ -274,7 +278,7 @@ def _phases(x, N: int | None = None):
     return lambda k: np.exp(2j * np.pi * ((k * hi & mask) / float(1 << _PHASE_BITS) + k * lo))
 
 
-def _quadratic_series(ns: np.ndarray, cs: np.ndarray, x, N: int | None = None) -> np.ndarray:
+def quadratic_series(ns: np.ndarray, cs: np.ndarray, x, N: int | None = None) -> np.ndarray:
     """sum_j cs[..., j] e(ns[j]^2 x) at every point of _phases(x, N), as an array.
 
     cs is one coefficient vector, or a (W, terms) block with one row per
@@ -402,12 +406,12 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
 
     The truncation is on the series index: terms with |n| > cutoff are
     dropped; cutoff None keeps the weight's full finite support.  Each
-    e(n^2 x) is read from an exact phase (_quadratic_series), and a scalar
+    e(n^2 x) is read from an exact phase (quadratic_series), and a scalar
     gives the same bits as the same x inside an array of any size.
     """
-    ns, cs = _variant_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
+    ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
     xs = np.asarray(x, dtype=np.float64)
-    out = _quadratic_series(ns, cs, np.atleast_1d(xs))
+    out = quadratic_series(ns, cs, np.atleast_1d(xs))
     return complex(out[0]) if xs.ndim == 0 else out
 
 
@@ -435,9 +439,9 @@ def gauss_sum_fast_batch(w, ps, q: int):
     if not single and (np.ndim(ps) != 2 or len(ps) != len(weights)):
         raise DomainError(f"{len(weights)} weights need a p array with one row per weight")
     case = modulus_case(q, ps)
-    ns, cs = _variant_terms(w.coefficients if single else [v.coefficients for v in weights],
-                            case.variant)
-    series = _quadratic_series(ns, cs, case.points(), case.point_map[1])
+    ns, cs = series_terms(w.coefficients if single else [v.coefficients for v in weights],
+                          case.variant)
+    series = quadratic_series(ns, cs, case.points(), case.point_map[1])
     values = np.atleast_1d(case.normalizers) * series
     return values[0] if np.ndim(case.units) == 0 else values
 

@@ -4,8 +4,8 @@ Each suite re-checks one family of identities over an exhaustive desk-
 scale range and reports every violation with the offending tuple.  The
 CLI `verify` command wraps these; the acceptance tests call them
 directly.  All suites are deterministic: the two that draw (functional_eq,
-reduction) take a seed >= 0 for random.Random, through distlab's
-_seeded_rng, and refuse a negative one with a DomainError.
+reduction) take a seed >= 0 through distlab.seeded_rng, the package's
+seeded random.Random, and refuse a negative one with a DomainError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .distlab import _seeded_rng, _uniform_words
+from .distlab import seeded_rng, uniform_words
 from .errors import BadModulus, DomainError
 from .expsums import SUMS, WEIL_SLACK, class_counts, weil_bound
 from .gauss_sums import (
@@ -74,20 +74,20 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, n_p: int = 5,
     up to q_max (all three classes mod 4), a few random units each.  All
     draws come from random.Random(seed), seed >= 0.  The weights are drawn
     first, each coefficient a complex of two gauss draws; then each modulus
-    draws one uint64 key per (weight, unit) from _uniform_words, and row w
+    draws one uint64 key per (weight, unit) from uniform_words, and row w
     checks the min(n_p, phi(q)) units of its smallest keys in ascending
     order.  One fast call and one direct call serve all weights, so
     violations are listed q by q.  The direct side stays the O(q)
     definition for every (weight, p).
     """
-    rng = _seeded_rng(seed)
+    rng = seeded_rng(seed)
     weights = [fourier_weight({k: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
                                for k in range(-support, support + 1)})
                for _ in range(n_weights)]
     res = SuiteResult("functional_eq", 0)
     for q in range(3, q_max + 1):
         units = arith.units(q)
-        keys = _uniform_words(rng, n_weights * units.size).reshape(n_weights, units.size)
+        keys = uniform_words(rng, n_weights * units.size).reshape(n_weights, units.size)
         order = np.argsort(keys, axis=1)
         ps = np.sort(units[order[:, :n_p]], axis=1)
         gaps = np.abs(gauss_sum_fast_batch(weights, ps, q) - DirectEvaluator(weights, q)(ps))
@@ -147,7 +147,7 @@ def reduction_suite(q_max: int = 200, tol: float = 1e-8,
 
     The weight's coefficients are gauss draws of random.Random(seed), seed >= 0.
     """
-    rng = _seeded_rng(seed)
+    rng = seeded_rng(seed)
     w = fourier_weight({k: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
                         for k in range(-6, 7)})
     res = SuiteResult("reduction", 0)

@@ -432,19 +432,28 @@ class TestMomentsCommand:
         calls.clear()
         assert run(["moments", "--q-range", "13..18", "--k-list", "0,1,2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 3
-        # k = 1 takes the limit grid, once for each of G_full (13), G_minus (14) and G_plus (16)
-        assert calls == [65537] * 3 + list(range(13, 19))
+        # k = 1 takes the limit grid, once for each of G_full (13), G_minus (14) and G_plus (16),
+        # right before the numerator grid of the first modulus of its variant
+        assert calls == [65537, 13, 65537, 14, 15, 65537, 16, 17, 18]
+
+    def test_one_modulus_case_per_modulus(self, monkeypatch, capsys):
+        cases = []
+        real = distlab.modulus_case
+        monkeypatch.setattr(distlab, "modulus_case", lambda q, *args: cases.append(q) or real(q, *args))
+        assert run(["moments", "--q-range", "1..6", "--k-list", "0,2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 2
+        assert cases == [3, 4, 5, 6]
 
     def test_moduli_below_3_build_no_grid(self, monkeypatch, capsys):
         calls = self.count_grids(monkeypatch)
         assert run(["moments", "--q-range", "1..4", "--k-list", "1,2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
-        assert calls == [65537, 65537, 3, 4]
+        assert calls == [65537, 3, 65537, 4]
 
     def test_limits_once_per_variant_and_rows_as_for_one_modulus(self, monkeypatch, capsys):
         variants = []
-        real = cli._limit_moments
-        monkeypatch.setattr(cli, "_limit_moments", lambda v, *args: variants.append(v) or real(v, *args))
+        real = distlab._limit_moments
+        monkeypatch.setattr(distlab, "_limit_moments", lambda v, *args: variants.append(v) or real(v, *args))
         argv = ["--weight", "interval:0,0.3", "--trunc", "600", "--k-list", "0,2,4"]
         assert run(["moments", "--q-range", "5010..5015", *argv]) == 0
         sweep = capsys.readouterr().out.splitlines()

@@ -19,7 +19,7 @@ ONE = weights.constant_weight()
 
 def uniform_points(seed, n):
     """The n points sample_limit_law draws for seed, rebuilt through the package's draw helpers."""
-    return distlab._points(distlab._uniform_words(distlab._seeded_rng(seed), n))
+    return distlab._points(distlab.uniform_words(distlab.seeded_rng(seed), n))
 
 
 def midpoint_moment(w, k, size=10_001):
@@ -111,10 +111,10 @@ class TestDomainWindow:
             with pytest.raises(BadInterval):
                 distlab.empirical_batch(5, ONE, window)
             with pytest.raises(BadInterval):
-                distlab.empirical_moment(5, ONE, window, k=[0, 2])
+                distlab.moment_reports(ONE, window, [0, 2])(5)
             # the window is refused first, also where q has no normalized law
             with pytest.raises(BadInterval):
-                distlab.empirical_moment(2, ONE, window, k=[0, 2])
+                distlab.moment_reports(ONE, window, [0, 2])(2)
         assert calls == []
 
     @pytest.mark.parametrize("q", [9, 20, 101, 5013])
@@ -132,7 +132,7 @@ class TestEmpiricalBatch:
         with pytest.raises(BadModulus, match="modulus must be >= 3"):
             distlab.empirical_batch(q, ONE)
         with pytest.raises(BadModulus, match="modulus must be >= 3"):
-            distlab.empirical_moment(q, ONE, k=[0, 2])
+            distlab.moment_reports(ONE, None, [0, 2])(q)
 
     def test_constant_weight_q4(self):
         batch = distlab.empirical_batch(4, ONE)
@@ -225,9 +225,15 @@ class TestSampleLimitLaw:
     def test_index_beyond_float_phases_refused(self, monkeypatch):
         # n^2 of a series index above INT64_ROOT would not fit the int64 phase product;
         # the weight is refused before any point is drawn
-        monkeypatch.setattr(distlab, "_uniform_words", lambda *args: pytest.fail("drew points"))
+        monkeypatch.setattr(distlab, "uniform_words", lambda *args: pytest.fail("drew points"))
         with pytest.raises(DomainError, match=f"series indices must be <= {arith.INT64_ROOT},"):
             distlab.sample_limit_law(G_FULL, weights.fourier_weight({2**40: 1.0}), None, 10, seed=1)
+
+    def test_negative_cutoff_refused(self, monkeypatch):
+        # a negative cutoff kept no term, so every sample read 0; refused before any draw
+        monkeypatch.setattr(distlab, "uniform_words", lambda *args: pytest.fail("drew points"))
+        with pytest.raises(DomainError, match="series cutoff must be >= 0"):
+            distlab.sample_limit_law(G_FULL, ONE, -5, 3, 1)
 
     def test_points_are_the_top_53_bits_of_little_endian_words(self):
         import random
@@ -247,7 +253,7 @@ class TestSampleLimitLaw:
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
         vals = distlab.sample_limit_law(variant, w, trunc, 1000, seed=17)
         xs = uniform_points(17, 1000)[::10]
-        ns, cs = gauss_sums._variant_terms(w.coefficients, variant, trunc)
+        ns, cs = gauss_sums.series_terms(w.coefficients, variant, trunc)
         squares = np.array([n * n for n in ns.tolist()], dtype=object)
         exact = np.empty(xs.size, dtype=complex)
         for i, x in enumerate(xs.tolist()):
@@ -261,10 +267,10 @@ class TestSampleLimitLaw:
     def test_bits_do_not_depend_on_core_count(self, monkeypatch, cores):
         monkeypatch.setattr(distlab, "_usable_cores", lambda: cores)
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 300))
-        ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 300)
+        ns, cs = gauss_sums.series_terms(w.coefficients, G_FULL, 300)
         for n in (1, 511, 512, 513, 1025, 50_000):
             xs = uniform_points(23, n)
-            whole = gauss_sums._quadratic_series(ns, cs, xs)
+            whole = gauss_sums.quadratic_series(ns, cs, xs)
             assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 300, n, seed=23), whole), n
 
     def test_bits_do_not_depend_on_piece_size(self, monkeypatch):
@@ -272,10 +278,10 @@ class TestSampleLimitLaw:
         monkeypatch.setattr(distlab, "_usable_cores", lambda: 2)
         monkeypatch.setattr(distlab, "_CHUNK", 1)
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
-        ns, cs = gauss_sums._variant_terms(w.coefficients, G_FULL, 50)
+        ns, cs = gauss_sums.series_terms(w.coefficients, G_FULL, 50)
         for n in (513, 1025):
             xs = uniform_points(29, n)
-            whole = gauss_sums._quadratic_series(ns, cs, xs)
+            whole = gauss_sums.quadratic_series(ns, cs, xs)
             assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 50, n, seed=29), whole), n
 
 
@@ -437,7 +443,7 @@ class TestEmpiricalMoment:
         if fast:
             w = weights.as_fourier_series(w)
         ks = (0, 1, 2, 4)
-        reports = distlab.empirical_moment(q, w, window, ks, fast=fast)
+        reports = distlab.moment_reports(w, window, ks, fast=fast)(q)
         assert isinstance(reports, list) and len(reports) == len(ks)
         for k, rep in zip(ks, reports):
             one = distlab.empirical_moment(q, w, window, float(k), fast=fast)
@@ -448,7 +454,7 @@ class TestEmpiricalMoment:
     @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
     def test_bad_orders_rejected(self, k):
         for call in (lambda: distlab.empirical_moment(15, ONE, k=k),
-                     lambda: distlab.empirical_moment(15, ONE, k=(2.0, k)),
+                     lambda: distlab.moment_reports(ONE, None, (2.0, k))(15),
                      lambda: distlab.limit_moment(G_FULL, ONE, k)):
             with pytest.raises(ValueError, match="moment order"):
                 call()
@@ -491,8 +497,10 @@ class TestHistogram:
         assert h.total == 10 and h.counts.tolist() == [0, 0, 10, 0]
 
     def test_nan_data_rejected(self):
-        with pytest.raises(DomainError, match="need lo < hi"):
-            distlab.histogram([0.5, math.nan], bins=4)
+        # infinite data too: an infinite maximum gave the edges [nan, inf, inf, inf, inf]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="cannot bin NaN or infinite values"):
+                distlab.histogram([0.0, 1.0, bad], bins=4)
 
 
 class TestKSDistance:
@@ -520,6 +528,18 @@ class TestKSDistance:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             distlab.ks_distance([], [1.0])
+
+    @pytest.mark.parametrize("a, b", [([0.1, math.nan, 0.3], [0.1, 0.2, 0.3]),
+                                      ([0.1, 0.2, 0.3], [math.nan, 0.2]),
+                                      ([math.nan] * 3, [math.nan] * 3)])
+    def test_nan_rejected(self, a, b):
+        # NaN has no place in an order: these read 0.333 and 0.0 before
+        with pytest.raises(DomainError, match="NaN"):
+            distlab.ks_distance(a, b)
+
+    def test_infinite_values_keep_their_order(self):
+        assert distlab.ks_distance([-math.inf, 0.0, math.inf], [-math.inf, 0.0, math.inf]) == 0.0
+        assert distlab.ks_distance([0.0, math.inf], [0.0, 1.0]) == 0.5
 
     @staticmethod
     def merged_grid_ks(a, b):

@@ -186,6 +186,14 @@ class TestLimitSeries:
         assert cut == pytest.approx(cmath.exp(2j * cmath.pi * 0.3))
         assert abs(full - cut) > 0.1
 
+    def test_negative_cutoff_refused(self):
+        # a negative cutoff kept no term, so the series read 0 at every point
+        w = weights.fourier_weight({0: 1.0, 1: 1.0})
+        assert gs.limit_series(gs.G_FULL, w, [0.1, 0.2], cutoff=0).tolist() == [1, 1]
+        for cutoff in (-1, -5):
+            with pytest.raises(DomainError, match="series cutoff must be >= 0"):
+                gs.limit_series(gs.G_FULL, w, [0.1, 0.2], cutoff=cutoff)
+
     def test_indices_up_to_int64_root(self):
         # at float points every phase must fit int64: n^2 for n <= INT64_ROOT, and the
         # Horner step 2 d^2 of a two-term progression {0, d} is never taken
@@ -540,7 +548,7 @@ class TestWeightAxis:
         assert type(gs.gauss_sum_fast_batch(w, 7, q)) is np.complex128
         assert gs.gauss_sum_fast_batch(w, ps, q).shape == (4,)
         assert weights.evaluate_grid(w, q).shape == (q,)
-        ns, cs = gs._variant_terms(w.coefficients, gs.G_FULL)
+        ns, cs = gs.series_terms(w.coefficients, gs.G_FULL)
         assert ns.shape == cs.shape == (3,)
         assert type(gs.limit_series(gs.G_FULL, w, 0.25)) is complex
         assert gs.limit_series(gs.G_FULL, w, np.array([0.1, 0.2])).shape == (2,)

@@ -73,8 +73,8 @@ def test_names_the_hooks_read_exist():
 def test_traced_moments_run(tmp_path):
     """The tracer's hooks accept what the moments command passes: one weight grid per modulus.
 
-    The command shares its limit moments per series variant, so it reaches the empirical
-    side of each modulus below empirical_moment, which the tracer then never sees.
+    The command takes its rows from one moment_reports function, which shares the limit
+    moments per series variant, so it never calls empirical_moment, which the tracer wraps.
     """
     stats = tmp_path / "stats.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
