@@ -42,7 +42,6 @@ from .gauss_sums import G_MINUS, G_PLUS, modulus_case
 from .verify import SUITES, run_suite
 from .weights import (
     WeightFunction,
-    as_fourier_series,
     constant_weight,
     fourier_weight,
     interval_indicator,
@@ -213,8 +212,7 @@ def cmd_figure(args) -> int:
     b = 1.0 / math.sqrt(7.0)
 
     weight = interval_indicator(0.0, b, coeff_cutoff)
-    # --fast evaluates the truncated series; meta records trunc and method
-    batch = empirical_batch(q, as_fourier_series(weight) if args.fast else weight, fast=args.fast)
+    batch = empirical_batch(q, weight)
     values = batch.values
     t_over_q = batch.grid_mass / q
 
@@ -234,7 +232,7 @@ def cmd_figure(args) -> int:
         "seed": args.seed,
         "bins": bins,
         "center": center,
-        "method": "fast" if args.fast else "direct",
+        "method": "direct",
     }
 
     def write(name: str, header: list[str], columns: list) -> None:
@@ -277,8 +275,6 @@ def cmd_figure(args) -> int:
 
 def cmd_moments(args) -> int:
     weight = _parse_weight(args.weight, args.trunc)
-    if args.fast:
-        weight = as_fourier_series(weight)
     window = _parse_domain(args.domain)
     try:
         k_list = [float(k) for k in args.k_list.split(",")]
@@ -290,10 +286,10 @@ def cmd_moments(args) -> int:
         "domain": args.domain,
         "trunc": args.trunc,
         "k_list": args.k_list,
-        "method": "fast" if args.fast else "direct",
+        "method": "direct",
     }
     # a range skips the moduli below 3 (no normalized law)
-    reports = _per_modulus(args.q, args.q_range, moment_reports(weight, window, k_list, args.fast))
+    reports = _per_modulus(args.q, args.q_range, moment_reports(weight, window, k_list))
     rows = [(q, r.k, float(r.empirical), float(r.limit), float(r.relative_gap))
             for q, reps in reports for r in reps]
     _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], rows)
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="limit-law sample count")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("moments", help="empirical vs limit moments")
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=4000)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("expsum", help="exponential sums with Weil bounds")

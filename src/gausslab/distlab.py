@@ -55,7 +55,6 @@ from .errors import BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
     G_PLUS,
     ModulusCase,
-    gauss_sum_fast_batch,
     modulus_case,
     quadratic_grid,
     quadratic_series,
@@ -92,27 +91,24 @@ def _check_input(q: int, window: tuple[float, float] | None) -> None:
         raise BadModulus(f"modulus must be >= 3, got {q}")
 
 
-def _admissible_sums(q: int, w: WeightFunction, window: tuple[float, float] | None, fast: bool):
+def _admissible_sums(q: int, w: WeightFunction, window: tuple[float, float] | None):
     """Units p of q (in [1, q) for q >= 3) in the window, g(w, p, q) at each, and w on h/q."""
     ps = arith.units(q)
     if window is not None:
         ps = ps[grid_in_interval(ps, q, *window)]
     grid = evaluate_grid(w, q)
-    if fast:
-        return ps, gauss_sum_fast_batch(w, ps, q), grid
     return ps, quadratic_grid(np.arange(q), grid, q)[ps], grid
 
 
-def empirical_batch(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
-                    fast: bool = False) -> EmpiricalBatch:
+def empirical_batch(q: int, w: WeightFunction,
+                    window: tuple[float, float] | None = None) -> EmpiricalBatch:
     """One normalized sample per admissible p, sorted by p.
 
     window None keeps every unit, a pair (a, b) the units with p/q in [a, b).
-    fast=True routes the numerator through the functional equations and requires
-    a finite-series weight; the default direct route is exact for indicators too.
+    Exact for indicators; as_fourier_series(w) gives the law of w's truncated series.
     """
     _check_input(q, window)
-    ps, numerators, grid = _admissible_sums(q, w, window, fast)
+    ps, numerators, grid = _admissible_sums(q, w, window)
     case = modulus_case(q, ps)
     return EmpiricalBatch(case, numerators / case.normalizers, float(grid.sum().real))
 
@@ -216,10 +212,16 @@ def _fourth_moment(ns: np.ndarray, cs: np.ndarray) -> float:
     return total
 
 
-def _limit_moments(variant: str, w: WeightFunction, ks, grid_size: int | None = None) -> list:
-    """limit_moment for each k of ks, with at most one quadratic_grid call, made only if needed."""
+def _checked_orders(ks) -> list:
+    """The moment orders ks as a list, refused (DomainError) unless each is finite and >= 0."""
+    ks = list(ks)
     if not all(0 <= k < math.inf for k in ks):
         raise DomainError(f"moment orders must be finite and >= 0, got {ks}")
+    return ks
+
+
+def _limit_moments(variant: str, w: WeightFunction, ks: list, grid_size: int | None = None) -> list:
+    """limit_moment for each (checked) k of ks, with at most one quadratic_grid call, if any."""
     if grid_size is not None and grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
     ns, cs = series_terms(w.coefficients, variant, None)
@@ -244,7 +246,7 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
     k >= 6 aliases: |G|^k has frequencies up to (k/2) n_max^2, which fold mod N
     (k = 6 at G_full, interval:0,0.3, trunc 600: 3.4e-3 relative).
     """
-    return _limit_moments(variant, w, [k], grid_size)[0]
+    return _limit_moments(variant, w, _checked_orders([k]), grid_size)[0]
 
 
 @dataclass(frozen=True)
@@ -255,8 +257,8 @@ class MomentReport:
     relative_gap: float
 
 
-def moment_reports(w: WeightFunction, window: tuple[float, float] | None, ks,
-                   fast: bool = False) -> Callable[[int], list[MomentReport]]:
+def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
+                   ks) -> Callable[[int], list[MomentReport]]:
     """The function q -> [MomentReport for each k of ks]: empirical next to limit moments.
 
     The empirical side at q is (1/(phi(q)(b - a))) sum |g(w,p,q)|^k over the
@@ -265,16 +267,17 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None, ks,
     all k share one numerator grid.  The limit side is limit_moment of the
     matching series variant (for indicator weights, their truncated series),
     computed at the first modulus of each variant and reused for the later
-    ones.  A bad window or q is refused before any grid.
+    ones.  A negative or non-finite k is refused here, a bad window or q
+    before any grid.
     """
-    ks, limits = list(ks), {}  # limits: variant -> _limit_moments of ks
+    ks, limits = _checked_orders(ks), {}  # limits: variant -> _limit_moments of ks
 
     def reports(q: int) -> list[MomentReport]:
         _check_input(q, window)
         case = modulus_case(q)
         if case.variant not in limits:
             limits[case.variant] = _limit_moments(case.variant, w, ks)
-        mags = np.abs(_admissible_sums(q, w, window, fast)[1])
+        mags = np.abs(_admissible_sums(q, w, window)[1])
         measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
         empirical = [float(np.sum(mags ** k)) / measure / case.norm_sq ** (k / 2) for k in ks]
         return [MomentReport(k, e, lim, abs(e - lim) / max(lim, 1e-12))
@@ -284,9 +287,9 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None, ks,
 
 
 def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
-                     k: float = 2.0, fast: bool = False) -> MomentReport:
-    """The MomentReport of the one order k at q: moment_reports(w, window, [k], fast)(q)[0]."""
-    return moment_reports(w, window, [k], fast)(q)[0]
+                     k: float = 2.0) -> MomentReport:
+    """The MomentReport of the one order k at q: moment_reports(w, window, [k])(q)[0]."""
+    return moment_reports(w, window, [k])(q)[0]
 
 
 @dataclass

@@ -407,10 +407,13 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
     The truncation is on the series index: terms with |n| > cutoff are
     dropped; cutoff None keeps the weight's full finite support.  Each
     e(n^2 x) is read from an exact phase (quadratic_series), and a scalar
-    gives the same bits as the same x inside an array of any size.
+    gives the same bits as the same x inside an array of any size.  NaN or
+    +-inf is a DomainError.
     """
     ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
     xs = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(xs).all():
+        raise DomainError("a series is evaluated at finite points only")
     out = quadratic_series(ns, cs, np.atleast_1d(xs))
     return complex(out[0]) if xs.ndim == 0 else out
 

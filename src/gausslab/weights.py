@@ -94,9 +94,11 @@ def evaluate(w: WeightFunction, x):
     """Value of the weight at x (scalar or array), period one.
 
     A series: the exact finite sum.  An indicator: the exact 0/1
-    indicator of [a, b), not the truncated series.
+    indicator of [a, b), not the truncated series.  NaN or +-inf is a DomainError.
     """
     xs = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(xs).all():
+        raise DomainError("a weight is evaluated at finite points only")
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs) % 1.0
     if w.interval is not None:
@@ -117,8 +119,10 @@ def evaluate_grid(w, q: int) -> np.ndarray:
     evaluate() stays the pointwise reference at float x.  Indicators are
     exact 0/1 by grid_in_interval, the rule domain windows use too.
     A sequence of W weights gives a (W, q) array, one row per weight, with
-    one row-wise inverse FFT for all of its series.
+    one row-wise inverse FFT for all of its series.  q < 1 is a DomainError.
     """
+    if q < 1:
+        raise DomainError(f"grid size must be positive, got {q}")
     single = isinstance(w, WeightFunction)
     grid = np.arange(q)
     if single and w.interval is not None:

@@ -1,5 +1,6 @@
 """CLI surface: commands, schemas, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -313,12 +314,16 @@ class TestFigureCommand:
                     "--out-dir", str(out)]) == 2
         assert list(out.iterdir()) == []
 
-    def test_fast_interval_weight(self, tmp_path):
+    def test_fast_interval_weight(self, tmp_path, capsys):
+        # the numerators have one route, the numerator grid, and no option selects it
         out = tmp_path / "out"
-        assert run(["figure", "fig2", "--trunc", "100", "--samples", "1000", "--fast",
-                    "--out-dir", str(out)]) == 0
+        argv = ["figure", "fig2", "--trunc", "100", "--samples", "1000", "--out-dir", str(out)]
+        assert run(argv + ["--fast"]) == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv) == 0
         summary = json.loads((out / "fig2_summary.json").read_text())
-        assert summary["method"] == "fast"
+        assert summary["method"] == "direct"
         assert summary["total_samples"] == 3336
 
     def test_determinism(self, tmp_path):
@@ -401,15 +406,17 @@ class TestMomentsCommand:
         rows = [l for l in path.read_text().splitlines() if l[0].isdigit()]
         assert [int(r.split(",")[0]) for r in rows] == [3, 4]
 
-    def test_fast_interval_weight(self, capsys):
-        argv = ["moments", "--q", "101", "--weight", "interval:0,0.3", "--trunc", "200"]
-        assert run(argv + ["--fast"]) == 0
-        fast = capsys.readouterr().out.splitlines()[1:]
+    def test_fast_interval_weight(self, tmp_path, capsys):
+        # the numerators have one route, the numerator grid, and no option selects it
+        path = tmp_path / "m.json"
+        argv = ["moments", "--q", "101", "--weight", "interval:0,0.3", "--trunc", "200",
+                "--format", "json", "--out", str(path)]
+        assert run(argv + ["--fast"]) == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+        assert not path.exists()
         assert run(argv) == 0
-        direct = capsys.readouterr().out.splitlines()[1:]
-        assert len(fast) == len(direct) == 2
-        for f, d in zip(fast, direct):
-            assert f.split(",")[3] == d.split(",")[3]  # limit column
+        table = json.loads(path.read_text())
+        assert table["method"] == "direct" and len(table["rows"]) == 2
 
     @staticmethod
     def count_grids(monkeypatch):
@@ -470,6 +477,13 @@ class TestMomentsCommand:
         assert run(["moments", "--q", "15", f"--k-list={k_list}", "--out", str(path)]) == 2
         assert calls == [] and not path.exists()
         assert "orders must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_list", ["nan", "-1"])
+    def test_bad_orders_rejected_with_no_modulus_above_2(self, capsys, k_list):
+        # a range with no modulus >= 3 still checks the orders
+        assert run(["moments", "--q-range", "1..2", f"--k-list={k_list}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "moment orders must be finite and >= 0" in err
 
     def test_bad_weight_spec(self):
         assert run(["moments", "--q", "15", "--weight", "nope"]) == 2
@@ -864,3 +878,15 @@ class TestReadme:
         parsed = [cli.build_parser().parse_args(argv[1:]) for argv in self.command_lines()]
         assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
                                                      "equidist"}
+
+    def test_options_are_exactly_the_parsers(self):
+        # every --option the README names outside Installation is a subcommand option, and back
+        text = self.README.read_text()
+        start = text.index("## Installation")
+        text = text[:start] + text[text.index("\n## ", start + 1):]
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {s for p in subparsers.choices.values() for a in p._actions
+                   for s in a.option_strings if s.startswith("--")} - {"--help"}
+        assert named == options

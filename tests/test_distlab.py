@@ -10,7 +10,7 @@ import scipy.stats
 import sympy
 
 from gausslab import arith, distlab, gauss_sums, weights
-from gausslab.errors import BadInterval, BadModulus, DomainError, EmptyInput, IndicatorKind
+from gausslab.errors import BadInterval, BadModulus, DomainError, EmptyInput
 from gausslab.gauss_sums import G_FULL, G_MINUS, G_PLUS
 
 B7 = 1 / math.sqrt(7)
@@ -29,6 +29,12 @@ def midpoint_moment(w, k, size=10_001):
     for n, c in w.coefficients.items():
         vals += c * np.exp(2j * np.pi * (n * n) * xs)
     return float(np.mean(np.abs(vals) ** k))
+
+
+def fast_values(w, q):
+    """The functional equation's normalized values at every unit of q, in empirical_batch's order."""
+    ps = arith.units(q)
+    return gauss_sums.gauss_sum_fast_batch(w, ps, q) / gauss_sums.modulus_case(q, ps).normalizers
 
 
 def fold(variant, w):
@@ -162,18 +168,18 @@ class TestEmpiricalBatch:
         assert batch.case.units.size == 0 and batch.values.size == 0
 
     def test_fast_matches_direct(self):
+        # the batch's numerator grid against the functional equation, per unit
         rng = np.random.default_rng(61)
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-8, 9)})
         for q in (12, 15, 18, 25, 98):
-            direct = distlab.empirical_batch(q, w, fast=False)
-            fast = distlab.empirical_batch(q, w, fast=True)
-            assert np.max(np.abs(direct.values - fast.values)) < 1e-8
+            assert np.max(np.abs(distlab.empirical_batch(q, w).values - fast_values(w, q))) < 1e-8
 
-    def test_fast_refuses_indicator(self):
-        w = weights.interval_indicator(0.0, 0.5, cutoff=16)
-        with pytest.raises(IndicatorKind):
-            distlab.empirical_batch(12, w, fast=True)
+    @pytest.mark.parametrize("q, cutoff", [(5012, 8000), (5013, 4000), (5014, 5000)])
+    def test_truncated_figure_weights_match_fast_path(self, q, cutoff):
+        # the figure weight's truncated series at its preset cutoff, over every unit of q
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, cutoff))
+        assert np.max(np.abs(distlab.empirical_batch(q, w).values - fast_values(w, q))) < 1e-11
 
     def test_sorted_by_residue(self):
         batch = distlab.empirical_batch(35, ONE)
@@ -435,28 +441,30 @@ class TestEmpiricalMoment:
             assert rep.empirical == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("q", [9, 12, 18, 101, 5012, 5013, 5014])
-    @pytest.mark.parametrize("fast", [False, True], ids=["direct", "fast"])
+    # the indicator, exact on the grid ("direct"), or its truncated series, the fast path's input
+    @pytest.mark.parametrize("series", [False, True], ids=["direct", "fast"])
     @pytest.mark.parametrize("window", [None, (0.1, 0.6)],
                              ids=["full", "window"])
-    def test_k_sequence_matches_scalar_calls(self, q, fast, window):
+    def test_k_sequence_matches_scalar_calls(self, q, series, window):
         w = weights.interval_indicator(0.0, B7, cutoff=32)
-        if fast:
+        if series:
             w = weights.as_fourier_series(w)
         ks = (0, 1, 2, 4)
-        reports = distlab.moment_reports(w, window, ks, fast=fast)(q)
+        reports = distlab.moment_reports(w, window, ks)(q)
         assert isinstance(reports, list) and len(reports) == len(ks)
         for k, rep in zip(ks, reports):
-            one = distlab.empirical_moment(q, w, window, float(k), fast=fast)
+            one = distlab.empirical_moment(q, w, window, float(k))
             assert isinstance(one, distlab.MomentReport)
             assert (rep.k, rep.empirical, rep.limit, rep.relative_gap) == \
                 (one.k, one.empirical, one.limit, one.relative_gap)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
     def test_bad_orders_rejected(self, k):
+        # moment_reports refuses them itself, before its function meets any modulus
         for call in (lambda: distlab.empirical_moment(15, ONE, k=k),
-                     lambda: distlab.moment_reports(ONE, None, (2.0, k))(15),
+                     lambda: distlab.moment_reports(ONE, None, (2.0, k)),
                      lambda: distlab.limit_moment(G_FULL, ONE, k)):
-            with pytest.raises(ValueError, match="moment order"):
+            with pytest.raises(DomainError, match="moment orders must be finite and >= 0"):
                 call()
 
     def test_series_weight_gap_shrinks(self):

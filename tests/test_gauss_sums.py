@@ -194,6 +194,13 @@ class TestLimitSeries:
             with pytest.raises(DomainError, match="series cutoff must be >= 0"):
                 gs.limit_series(gs.G_FULL, w, [0.1, 0.2], cutoff=cutoff)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+    def test_non_finite_point_refused(self, x):
+        # it read nan+nanj after a RuntimeWarning from the phase reduction
+        w = weights.interval_indicator(0.0, 0.3, 50)
+        with pytest.raises(DomainError, match="finite points only"):
+            gs.limit_series(gs.G_FULL, w, x)
+
     def test_indices_up_to_int64_root(self):
         # at float points every phase must fit int64: n^2 for n <= INT64_ROOT, and the
         # Horner step 2 d^2 of a two-term progression {0, d} is never taken

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gausslab import weights
-from gausslab.errors import BadInterval, IndicatorKind
+from gausslab.errors import BadInterval, DomainError, IndicatorKind
 from gausslab.gauss_sums import gauss_sum_fast
 
 
@@ -44,6 +44,13 @@ class TestEvaluate:
         vec = weights.evaluate(w, xs)
         for x, v in zip(xs, vec):
             assert v == pytest.approx(weights.evaluate(w, float(x)))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+    def test_non_finite_point_refused(self, x):
+        # x % 1.0 is NaN there, which the indicator read as 0 and a series as NaN
+        for w in (weights.interval_indicator(0.0, 0.3, 50), weights.fourier_weight({1: 1.0})):
+            with pytest.raises(DomainError, match="finite points only"):
+                weights.evaluate(w, x)
 
 
 class TestIndicatorCoefficients:
@@ -165,6 +172,14 @@ class TestGridEvaluation:
         w = weights.interval_indicator(0.0, 0.5, cutoff=4)
         grid = weights.evaluate_grid(w, 4)
         assert grid.tolist() == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_grid_size_below_1_refused(self, q):
+        # a series raised ZeroDivisionError or "negative dimensions", an indicator gave []
+        for w in (weights.interval_indicator(0.0, 0.3, 50), weights.fourier_weight({1: 1.0}),
+                  [weights.constant_weight()]):
+            with pytest.raises(DomainError, match=f"grid size must be positive, got {q}"):
+                weights.evaluate_grid(w, q)
 
 
 class TestConversion:
