@@ -15,17 +15,21 @@ values binned at h^2 mod q (gauss_sums.quadratic_grid), which is exact
 for indicators; the O(q) DirectEvaluator is kept as the independent
 per-p reference for verify and the tests.
 
-The limit side samples the matching quadratic series at uniform random
-points with the series evaluator of the fast path (exact phases, Horner's
-rule for dense series; error below 1e-11 at the figure truncations), in
-pieces spread over the usable cores, each piece writing its own slice of
-one preallocated sample array.  A point gets the same bits alone as in
-any piece, so the values do not depend on the core count or the piece
-size.  Its moments k = 0, 2 and 4 are exact from the coefficients, once
-per series variant of a moment_reports call; any other k integrates the
-series on one prime grid (a quadratic_grid call), which aliases for even k >= 6.
+The limit side samples the matching quadratic series by a randomly
+shifted lattice rule: each uniform base point x0 of [0, 1/M), M = _LATTICE
+= 31, gives the M samples G(x0 + j/M), j = 0..M-1.  Each of them is uniform
+on [0, 1), so each sample follows the limit law, but the M samples of one
+base point are dependent (stratified), and a sample count counts them all.
+The series evaluator of the fast path (exact phases, Horner's rule for
+dense series) sums the terms of each class n mod M at the base points, and
+one length-M inverse DFT per base point spreads them over the M shifts:
+one Horner step per M samples, with errors below 1e-11 at the figure
+truncations.  Its moments k = 0, 2 and 4 are exact from the coefficients,
+once per series variant of a moment_reports call; any other k integrates
+the series on one prime grid (a quadratic_grid call), which aliases for
+even k >= 6.
 
-Every seeded draw of the package (these points, the functional_eq and
+Every seeded draw of the package (the base points, the functional_eq and
 reduction suites, equidist's random:N) comes from the standard library's
 random.Random(seed), for seeds >= 0, through seeded_rng, so no command
 imports numpy.random; uniform_words reads one randbytes call as 64-bit
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import random
 from collections import Counter
 from collections.abc import Callable
@@ -62,9 +65,10 @@ from .gauss_sums import (
 )
 from .weights import WeightFunction, check_interval, evaluate_grid, grid_in_interval
 
-# most points per sampling piece: on 2 cores pieces of 4k-8k points lost to
-# the serial loop through GIL hand-offs between ufunc calls, 16k-24k did best
-_CHUNK = 3 << 13
+# shifts per base point of sample_limit_law: an odd prime, so n^2 mod M takes (M + 1)/2
+# classes (a power of 2 would only rotate the odd-n series); at the benchmark's figure
+# sizes 31 drew in 0.025-0.028 s, 17 in 0.035-0.038 s, and 61 gained nothing more
+_LATTICE = 31
 # points per block of ks_distance's CDF evaluation
 _KS_BLOCK = 1 << 16
 # sums s per block of _fourth_moment's bincounts; 2^17 cost more RSS than a 65537-point grid
@@ -113,13 +117,6 @@ def empirical_batch(q: int, w: WeightFunction,
     return EmpiricalBatch(case, numerators / case.normalizers, float(grid.sum().real))
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def seeded_rng(seed: int) -> random.Random:
     """random.Random(seed), the generator of every seeded draw, for an integer seed >= 0.
 
@@ -143,34 +140,28 @@ def _points(words: np.ndarray) -> np.ndarray:
 
 def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
                      n_samples: int, seed: int) -> np.ndarray:
-    """Series values at n_samples uniform points, deterministic in seed.
+    """Series values at n_samples points of a randomly shifted lattice, deterministic in seed.
 
-    The points are the _points of n_samples uniform_words of
-    random.Random(seed), for a seed >= 0 (a negative seed is a DomainError).
-    The words are cut into equal contiguous pieces, a multiple of the usable
-    cores with at most _CHUNK words each, and worker threads turn each piece
-    into its points and evaluate them (numpy releases the GIL inside each
-    array pass), each into its own slice of the one complex128 result
-    array; beside that array the draw holds only the words' byte buffer.
-    The evaluator gives every point the same bits alone as in any batch,
-    so the values do not depend on the core count or the piece size.
+    The base points are x0 = u/M for the _points u of ceil(n_samples/M)
+    uniform_words of random.Random(seed), for a seed >= 0 (a negative seed
+    is a DomainError), and M = _LATTICE.  The terms n = r mod M, summed by
+    quadratic_series at x0, go to F_{r^2 mod M}, so G(x0 + j/M) =
+    sum_a F_a e(a j/M) for j = 0..M-1 is one inverse DFT of F.  The values
+    are listed base point by base point, j inside, and the first n_samples
+    are kept: each x0 + j/M is uniform on [0, 1), and the M values of one
+    base point are dependent.  A base point gets the same bits in any draw,
+    so a draw of n samples is the first n of any larger draw of that seed.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
     ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
-    words = uniform_words(seeded_rng(seed), n_samples)
-    cores = _usable_cores()
-    pieces = cores * -(-n_samples // (cores * _CHUNK))
-    values = np.empty(n_samples, dtype=np.complex128)
-
-    def fill(k: np.ndarray, dest: np.ndarray) -> None:
-        dest[:] = quadratic_series(ns, cs, _points(k))
-
-    with ThreadPoolExecutor(max_workers=cores) as pool:
-        list(pool.map(fill, np.array_split(words, pieces), np.array_split(values, pieces)))
-    return values
+    base = _points(uniform_words(seeded_rng(seed), -(-n_samples // _LATTICE))) / _LATTICE
+    sums = np.zeros((base.size, _LATTICE), dtype=np.complex128)
+    residues = ns % _LATTICE
+    for r in np.unique(residues).tolist():
+        kept = residues == r
+        sums[:, r * r % _LATTICE] += quadratic_series(ns[kept], cs[kept], base)
+    return np.fft.ifft(sums, norm="forward").ravel()[:n_samples]
 
 
 def _next_prime(n: int) -> int:

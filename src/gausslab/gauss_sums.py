@@ -261,16 +261,20 @@ _RESEED = 256  # Horner steps between exact re-seeds of the term ratio
 def _phases(x, N: int | None = None):
     """The function k -> e(k x) over a point set, with k x reduced mod 1 before rounding.
 
-    x is a float array, or, given N, the numerators t of the points t/N:
-    one int (exact in Python ints for any N) or an int64 array (for
-    N <= arith.INT64_ROOT, so k t mod N cannot wrap).  The phases are
-    always an array, so one point runs through the same loops as many.
+    x is a float array (NaN or +-inf is a DomainError), or, given N, the
+    numerators t of the points t/N, which are not checked: one int (exact
+    in Python ints for any N) or an int64 array (for N <= arith.INT64_ROOT,
+    so k t mod N cannot wrap).  The phases are always an array, so one
+    point runs through the same loops as many.
     """
     if N is not None:
         if isinstance(x, int):
             return lambda k: np.exp(2j * np.pi * np.array([k % N * x % N / N]))
         return lambda k: np.exp(2j * np.pi * (k % N * x % N / N))
-    xs = np.asarray(x, dtype=np.float64) % 1.0  # e(k x) has period 1; keeps hi within int64
+    xs = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(xs).all():
+        raise DomainError("a series is evaluated at finite points only")
+    xs = xs % 1.0  # e(k x) has period 1; keeps hi within int64
     scaled = np.floor(xs * float(1 << _PHASE_BITS))
     hi = scaled.astype(np.int64)
     lo = xs - scaled / float(1 << _PHASE_BITS)
@@ -412,8 +416,6 @@ def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
     """
     ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
     xs = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(xs).all():
-        raise DomainError("a series is evaluated at finite points only")
     out = quadratic_series(ns, cs, np.atleast_1d(xs))
     return complex(out[0]) if xs.ndim == 0 else out
 

@@ -282,6 +282,13 @@ class TestFigureCommand:
         assert summary["total_samples"] == 2376
         assert summary["variant"] == "G_minus"
 
+    def test_sample_count_off_the_lattice(self, tmp_path):
+        # 1000 is no multiple of the 31 shifts per base point: the draw keeps the first 1000
+        assert run(["figure", "fig3", "--samples", "1000", "--trunc", "200",
+                    "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig3_limit.csv").read_text().splitlines()
+        assert len(lines) - lines.index("im") - 1 == 1000
+
     def test_histogram_counts_sum_to_total(self, tmp_path):
         out = tmp_path / "out"
         run(["figure", "fig2", "--trunc", "100", "--samples", "1000",

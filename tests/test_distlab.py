@@ -253,42 +253,52 @@ class TestSampleLimitLaw:
 
     @pytest.mark.parametrize("variant,trunc", [(G_PLUS, 4000), (G_FULL, 4000), (G_MINUS, 5000)])
     def test_matches_exact_phases_at_figure_truncations(self, variant, trunc):
-        # each point is x = k / 2^53, so n^2 x mod 1 = (n^2 k mod 2^53) / 2^53
-        # exactly in Python ints, and each e(n^2 x) is rounded only once
+        # sample i sits at x0 + j/M for the base point x0 = u/M of b = i // M and j = i % M;
+        # x0 is a binary fraction t/2^e, so n^2 (x0 + j/M) mod 1 = (n^2 (M t + j 2^e) mod M 2^e)
+        # / (M 2^e) exactly in Python ints, and each e(n^2 x) is rounded only once
+        m = distlab._LATTICE
         coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
         vals = distlab.sample_limit_law(variant, w, trunc, 1000, seed=17)
-        xs = uniform_points(17, 1000)[::10]
+        base = uniform_points(17, -(-1000 // m)) / m
         ns, cs = gauss_sums.series_terms(w.coefficients, variant, trunc)
         squares = np.array([n * n for n in ns.tolist()], dtype=object)
-        exact = np.empty(xs.size, dtype=complex)
-        for i, x in enumerate(xs.tolist()):
-            k = int(x * 2**53)
-            assert k == x * 2**53
-            frac = ((squares * k) % 2**53).astype(np.float64) / 2**53
-            exact[i] = np.sum(cs * np.exp(2j * np.pi * frac))
+        picked = range(0, 1000, 10)
+        exact = np.empty(len(picked), dtype=complex)
+        for row, i in enumerate(picked):
+            t, den = Fraction(float(base[i // m])).as_integer_ratio()
+            modulus = m * den
+            frac = ((squares * (m * t + i % m * den)) % modulus).astype(np.float64) / modulus
+            exact[row] = np.sum(cs * np.exp(2j * np.pi * frac))
         assert np.max(np.abs(vals[::10] - exact)) <= 1e-11
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_bits_do_not_depend_on_core_count(self, monkeypatch, cores):
-        monkeypatch.setattr(distlab, "_usable_cores", lambda: cores)
+    def test_a_draw_is_the_head_of_any_larger_draw(self):
+        # a base point gets the same bits in any draw, whatever the count cuts off
+        m = distlab._LATTICE
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 300))
-        ns, cs = gauss_sums.series_terms(w.coefficients, G_FULL, 300)
-        for n in (1, 511, 512, 513, 1025, 50_000):
-            xs = uniform_points(23, n)
-            whole = gauss_sums.quadratic_series(ns, cs, xs)
-            assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 300, n, seed=23), whole), n
+        whole = distlab.sample_limit_law(G_FULL, w, 300, 50_000, seed=23)
+        assert whole.shape == (50_000,)
+        for n in (1, m - 1, m, m + 1, 1025, 50_000):
+            head = distlab.sample_limit_law(G_FULL, w, 300, n, seed=23)
+            assert np.array_equal(head, whole[:n]), n
 
-    def test_bits_do_not_depend_on_piece_size(self, monkeypatch):
-        # one-point pieces, which an in-place product would round differently
-        monkeypatch.setattr(distlab, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(distlab, "_CHUNK", 1)
-        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
-        ns, cs = gauss_sums.series_terms(w.coefficients, G_FULL, 50)
-        for n in (513, 1025):
-            xs = uniform_points(29, n)
-            whole = gauss_sums.quadratic_series(ns, cs, xs)
-            assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 50, n, seed=29), whole), n
+    @pytest.mark.parametrize("variant", [G_PLUS, G_FULL, G_MINUS])
+    def test_seed_to_seed_spread_no_wider_than_iid(self, variant):
+        # the M shifts of a base point stratify [0, 1): the KS distance between two seeds'
+        # draws spreads no wider than between two draws of independent uniform points
+        # (evaluated by the same series evaluator); 20 seed pairs fixed in advance
+        trunc, n = 200, 5000
+        coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
+        ns, cs = gauss_sums.series_terms(w.coefficients, variant, trunc)
+        lattice, iid = [], []
+        for seed in range(20):
+            a, b = (distlab.sample_limit_law(variant, w, trunc, n, s) for s in (seed, seed + 20))
+            lattice.append(distlab.ks_distance(a.real, b.real))
+            a, b = (gauss_sums.quadratic_series(ns, cs, uniform_points(s, n))
+                    for s in (seed, seed + 20))
+            iid.append(distlab.ks_distance(a.real, b.real))
+        assert np.median(lattice) <= np.median(iid), (np.median(lattice), np.median(iid))
 
 
 class TestLimitMoment:

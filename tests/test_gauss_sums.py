@@ -201,6 +201,11 @@ class TestLimitSeries:
         with pytest.raises(DomainError, match="finite points only"):
             gs.limit_series(gs.G_FULL, w, x)
 
+    def test_series_evaluator_refuses_non_finite_points(self):
+        # the check sits in the float phases, so every caller of the evaluator meets it
+        with pytest.raises(DomainError, match="finite points only"):
+            gs.quadratic_series(np.array([0, 1]), np.array([1, 1j]), np.array([np.nan]))
+
     def test_indices_up_to_int64_root(self):
         # at float points every phase must fit int64: n^2 for n <= INT64_ROOT, and the
         # Horner step 2 d^2 of a two-term progression {0, d} is never taken
