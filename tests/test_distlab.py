@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -272,8 +273,25 @@ class TestSampleLimitLaw:
             exact[row] = np.sum(cs * np.exp(2j * np.pi * frac))
         assert np.max(np.abs(vals[::10] - exact)) <= 1e-11
 
-    def test_a_draw_is_the_head_of_any_larger_draw(self):
-        # a base point gets the same bits in any draw, whatever the count cuts off
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_bits_do_not_depend_on_core_count(self, cores):
+        # the sampler keeps no shared state: draws run at once in `cores` threads
+        # give the bits of one draw run alone
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 300))
+
+        def draw(n):
+            return distlab.sample_limit_law(G_FULL, w, 300, n, seed=23)
+
+        sizes = (1, 1025, 20_000)
+        alone = [draw(n) for n in sizes]
+        with ThreadPoolExecutor(max_workers=cores) as pool:
+            together = list(pool.map(draw, sizes * cores))
+        for i, vals in enumerate(together):
+            assert np.array_equal(vals, alone[i % len(sizes)]), sizes[i % len(sizes)]
+
+    def test_bits_do_not_depend_on_piece_size(self):
+        # a draw is the head of any larger draw: a base point's piece of M samples gets
+        # the same bits whether or not the count cuts it off
         m = distlab._LATTICE
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 300))
         whole = distlab.sample_limit_law(G_FULL, w, 300, 50_000, seed=23)
