@@ -24,10 +24,13 @@ The series evaluator of the fast path (exact phases, Horner's rule for
 dense series) sums the terms of each class n mod M at the base points, and
 one length-M inverse DFT per base point spreads them over the M shifts:
 one Horner step per M samples, with errors below 1e-11 at the figure
-truncations.  Its moments k = 0, 2 and 4 are exact from the coefficients,
-once per series variant of a moment_reports call; any other k integrates
-the series on one prime grid (a quadratic_grid call), which aliases for
-even k >= 6.
+truncations.  The DFT runs in place, _DFT_BLOCK base points at a time, so
+the sampler holds the sample array, one class's buffers of 1/M of it each
+and one block: its tracemalloc peak at 200000 samples is 1.26 outputs,
+against 2.0 with a whole-array DFT and its full-size result.  Its
+moments k = 0, 2 and 4 are exact from the coefficients, once per series
+variant of a moment_reports call; any other k integrates the series on
+one prime grid (a quadratic_grid call), which aliases for even k >= 6.
 
 Every seeded draw of the package (the base points, the functional_eq and
 reduction suites, equidist's random:N) comes from the standard library's
@@ -38,7 +41,8 @@ same points on every run.
 
 Histograms, moments, and the two-sample KS distance quantify the agreement;
 the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
-points, so beside the two sorted samples it holds O(_KS_BLOCK) memory.
+points, so beside the two sorted samples it holds about 4 _KS_BLOCK
+words of temporaries.
 """
 
 from __future__ import annotations
@@ -69,8 +73,11 @@ from .weights import WeightFunction, check_interval, evaluate_grid, grid_in_inte
 # classes (a power of 2 would only rotate the odd-n series); at the benchmark's figure
 # sizes 31 drew in 0.025-0.028 s, 17 in 0.035-0.038 s, and 61 gained nothing more
 _LATTICE = 31
-# points per block of ks_distance's CDF evaluation
-_KS_BLOCK = 1 << 16
+# base points per block of sample_limit_law's in-place inverse DFT: a 0.5 MB result per block
+_DFT_BLOCK = 1 << 10
+# points per block of ks_distance's CDF evaluation: two int64 ranks and their float64
+# quotients, 128 KB; at 2^16 a figure's 37500-62500 limit samples made 1.4-2.0 MB
+_KS_BLOCK = 1 << 12
 # sums s per block of _fourth_moment's bincounts; 2^17 cost more RSS than a 65537-point grid
 _SUM_BLOCK = 1 << 14
 
@@ -151,6 +158,8 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     are kept: each x0 + j/M is uniform on [0, 1), and the M values of one
     base point are dependent.  A base point gets the same bits in any draw,
     so a draw of n samples is the first n of any larger draw of that seed.
+    The sums F become the samples in place, _DFT_BLOCK base points at a
+    time, so no second full-size array is made: the result is a view of F.
     """
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
@@ -158,10 +167,12 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     base = _points(uniform_words(seeded_rng(seed), -(-n_samples // _LATTICE))) / _LATTICE
     sums = np.zeros((base.size, _LATTICE), dtype=np.complex128)
     residues = ns % _LATTICE
-    for r in np.unique(residues).tolist():
+    for r in sorted(set(residues.tolist())):  # np.unique would import numpy.ma
         kept = residues == r
         sums[:, r * r % _LATTICE] += quadratic_series(ns[kept], cs[kept], base)
-    return np.fft.ifft(sums, norm="forward").ravel()[:n_samples]
+    for lo in range(0, base.size, _DFT_BLOCK):
+        sums[lo:lo + _DFT_BLOCK] = np.fft.ifft(sums[lo:lo + _DFT_BLOCK], norm="forward")
+    return sums.ravel()[:n_samples]
 
 
 def _next_prime(n: int) -> int:

@@ -351,6 +351,10 @@ def _power_table(g: int, p: int) -> np.ndarray:
     return powers
 
 
+# primes of quadratic_grid below this take _rader_grid
+_RADER_BELOW = 1 << 17
+
+
 def _rader_grid(ks: np.ndarray, cs: np.ndarray, p: int) -> np.ndarray:
     """sum_j cs[j] e(ks[j] t / p) for t = 0..p-1, a prime p >= 3 and 0 <= ks < p.
 
@@ -365,6 +369,11 @@ def _rader_grid(ks: np.ndarray, cs: np.ndarray, p: int) -> np.ndarray:
     weight interval:0,0.3, 3 runs each) peak RSS read 32.4-32.6 MB with
     Rader and 33.5 MB without for moments --q 15013 --k-list 2 --trunc 500,
     31.8-31.9 and 31.7 MB for --q-range 5010..5015 --k-list 0,2,4 --trunc 600.
+    So quadratic_grid takes this route only for primes p < _RADER_BELOW = 2^17,
+    which keeps 5011 and 15013.  Above, p - 1 can keep a large prime factor
+    (1000002 = 2 3 166667), and three FFTs of that length cost more than one
+    of length p: moments --q 1000003 --k-list 2 took 1.62-1.78 s by Rader and
+    1.03-1.16 s by np.fft.ifft (4 runs each), peaking at 261 and 237 MB.
     """
     n = p - 1
     powers = _power_table(_primitive_root(p), p)
@@ -390,15 +399,15 @@ def quadratic_grid(ns, cs, N: int) -> np.ndarray:
     """sum_j cs[j] e(ns[j]^2 t / N) for every grid point t = 0..N-1.
 
     The terms are binned at n^2 mod N (in exact integer arithmetic), which
-    leaves one unnormalized inverse DFT of length N: Rader's for prime
-    N >= 3, numpy's FFT otherwise.
+    leaves one unnormalized inverse DFT of length N: Rader's for a prime
+    3 <= N < _RADER_BELOW, numpy's FFT otherwise.
     """
     if N < 1:
         raise DomainError(f"grid size must be positive, got {N}")
     r = np.asarray(ns, dtype=np.int64) % N
     squares = r * r % N
     cs = np.asarray(cs, dtype=np.complex128)
-    if N >= 3 and arith.factorize(N) == [(N, 1)]:
+    if 3 <= N < _RADER_BELOW and arith.factorize(N) == [(N, 1)]:
         return _rader_grid(squares, cs, N)
     binned = np.zeros(N, dtype=np.complex128)
     np.add.at(binned, squares, cs)

@@ -300,6 +300,31 @@ class TestSampleLimitLaw:
             head = distlab.sample_limit_law(G_FULL, w, 300, n, seed=23)
             assert np.array_equal(head, whole[:n]), n
 
+    def test_draw_across_dft_blocks_is_the_head_of_a_larger_draw(self, monkeypatch):
+        # the inverse DFT runs in place, _DFT_BLOCK base points at a time: a draw over three
+        # blocks and part of a fourth is the head of a larger draw, and of one whole-array DFT
+        m, block = distlab._LATTICE, distlab._DFT_BLOCK
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
+        n = m * 3 * block + m + 5
+        head = distlab.sample_limit_law(G_FULL, w, 50, n, seed=29)
+        whole = distlab.sample_limit_law(G_FULL, w, 50, n + m * block + 7, seed=29)
+        assert np.array_equal(head, whole[:n])
+        monkeypatch.setattr(distlab, "_DFT_BLOCK", 1 << 30)
+        assert np.array_equal(distlab.sample_limit_law(G_FULL, w, 50, n, seed=29), head)
+
+    def test_traced_peak_is_under_1_4_outputs(self):
+        # the base points' sums become the samples in place; beside them the sampler holds
+        # one class's series buffers (1/M of the output each) and one DFT block.  A
+        # whole-array DFT peaked at 2.0-2.4 outputs here (2.4 with the first numpy.ma import)
+        w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, 50))
+        tracemalloc.start()
+        try:
+            vals = distlab.sample_limit_law(G_FULL, w, 50, 200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * vals.nbytes, peak / vals.nbytes
+
     @pytest.mark.parametrize("variant", [G_PLUS, G_FULL, G_MINUS])
     def test_seed_to_seed_spread_no_wider_than_iid(self, variant):
         # the M shifts of a base point stratify [0, 1): the KS distance between two seeds'

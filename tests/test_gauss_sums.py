@@ -281,6 +281,24 @@ class TestQuadraticGrid:
         assert got.shape == (N,)
         assert np.max(np.abs(got - expected)) < 1e-12 * np.sum(np.abs(cs))
 
+    @pytest.mark.parametrize("N", [131071, 131101])
+    def test_rader_only_below_threshold(self, N):
+        # 2^17 - 1 and 131101 are the primes next to _RADER_BELOW = 2^17: both routes match
+        # the definition at each, and quadratic_grid takes Rader's only below
+        assert 131071 < gs._RADER_BELOW < 131101
+        rng = np.random.default_rng(N)
+        ns = np.array([0, 1, N - 1, N + 1, 7, 3 * N + 7] + rng.integers(0, 5 * N, 5).tolist())
+        cs = rng.normal(size=ns.size) + 1j * rng.normal(size=ns.size)
+        expected = self.brute(ns.tolist(), cs.tolist(), N)
+        squares = ns % N * (ns % N) % N
+        rader = gs._rader_grid(squares, cs, N)
+        binned = np.zeros(N, dtype=complex)
+        np.add.at(binned, squares, cs)
+        plain = np.fft.ifft(binned, norm="forward")
+        for got in (rader, plain):
+            assert np.max(np.abs(got - expected)) < 1e-12 * np.sum(np.abs(cs))
+        assert np.array_equal(gs.quadratic_grid(ns, cs, N), rader if N < gs._RADER_BELOW else plain)
+
     @pytest.mark.parametrize("kind", ["series", "indicator"])
     def test_all_p_numerators_match_direct(self, kind):
         # one call gives g(w, p, q) for every p; exact for indicators too
