@@ -139,7 +139,7 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     which is the correct exponent convention e(0) = 1.
     """
     ps = units(q)
-    return ps, _power_mod(ps, analyze_modulus(q).phi - 1, q)  # units(q) are already coprime to q
+    return ps, _power_mod(ps, ps.size - 1, q)  # Euler's theorem; phi(q) = ps.size, all coprime to q
 
 
 def residues(values, q: int):

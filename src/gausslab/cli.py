@@ -261,7 +261,7 @@ def cmd_figure(args) -> int:
         **meta,
         "normalization": batch.case.label,
         "total_samples": len(values),
-        "phi_q": arith.analyze_modulus(q).phi,
+        "phi_q": batch.case.units.size,
         "grid_mass": batch.grid_mass,
         "t_over_q": t_over_q,
         "mean_bin_count": len(values) / bins,

@@ -88,10 +88,9 @@ def salie(m, n, q: int):
 SUMS = {"kloosterman": kloosterman, "twisted": twisted_kloosterman, "salie": salie}
 
 
-def weil_bound(m, n, q: int, tau: int | None = None):
+def weil_bound(m, n, q: int):
     """gcd(m, n, q)^{1/2} q^{1/2} tau(q), for integers m, n (Python or numpy) or arrays of them."""
-    if tau is None:
-        tau = arith.analyze_modulus(q).tau
+    tau = arith.analyze_modulus(q).tau
     if isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer)):
         return math.sqrt(math.gcd(int(m), int(n), q)) * math.sqrt(q) * tau
     g = np.gcd(np.gcd(arith.residues(m, q), arith.residues(n, q)), q)

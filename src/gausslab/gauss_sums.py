@@ -136,10 +136,10 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
 class DirectEvaluator:
     """Reusable O(q) evaluator for one weight, or W weights, and one modulus: the per-p oracle.
 
-    Precomputes the weight values on the grid h/q ((W, q) for W weights)
-    and the q-th roots of unity; each sum is a gather of roots[p h^2 mod q]
-    for h <= q/2 times the weight's values at h and q - h (which share the
-    phase), summed along h, with no transcendental calls.  numpy sums each
+    Precomputes the q-th roots of unity and, for each h <= q/2, the weight's
+    values at h/q and (q - h)/q added up, since they share the phase
+    ((W, q//2 + 1) for W weights); each sum is a gather of roots[p h^2 mod q]
+    times those, summed along h, with no transcendental calls.  numpy sums each
     row in an order fixed by q alone, so a value depends on (w, p, q) only,
     not on the p sharing its call.  It never goes through quadratic_grid or
     the fast path, so it can check both.
@@ -152,9 +152,9 @@ class DirectEvaluator:
         h = np.arange(q // 2 + 1, dtype=np.int64)
         self.h2 = (h * h) % q
         self.roots = np.exp(2j * np.pi * np.arange(q) / q)
-        self.values = evaluate_grid(w, q)
-        self._paired = self.values[..., :len(h)].copy()  # 0 < h < q/2 also takes q - h
-        self._paired[..., 1:(q + 1) // 2] += self.values[..., :q // 2:-1]
+        values = evaluate_grid(w, q)
+        self._paired = values[..., :len(h)].copy()  # 0 < h < q/2 also takes q - h
+        self._paired[..., 1:(q + 1) // 2] += values[..., :q // 2:-1]
 
     def __call__(self, p):
         """g(w, p, q) for one p (a complex; exact for an int of any size) or an int64 array.
@@ -162,9 +162,9 @@ class DirectEvaluator:
         For W weights p is a (W, n) array, row w for weight w.
         """
         ps = arith.residues(p, self.q)
-        if self.values.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(self.values)):
-            raise DomainError(f"{len(self.values)} weights need a p array with one row per weight")
-        block = ps if self.values.ndim == 2 else np.reshape(ps, (1, -1))
+        if self._paired.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(self._paired)):
+            raise DomainError(f"{len(self._paired)} weights need a p array with one row per weight")
+        block = ps if self._paired.ndim == 2 else np.reshape(ps, (1, -1))
         values = self._paired.reshape(-1, 1, len(self.h2))
         out = np.empty(block.shape, dtype=np.complex128)
         n = block.shape[1]
@@ -268,9 +268,7 @@ def _phases(x, N: int | None = None):
     point runs through the same loops as many.
     """
     if N is not None:
-        if isinstance(x, int):
-            return lambda k: np.exp(2j * np.pi * np.array([k % N * x % N / N]))
-        return lambda k: np.exp(2j * np.pi * (k % N * x % N / N))
+        return lambda k: np.exp(2j * np.pi * np.atleast_1d(k % N * x % N / N))
     xs = np.asarray(x, dtype=np.float64)
     if not np.isfinite(xs).all():
         raise DomainError("a series is evaluated at finite points only")

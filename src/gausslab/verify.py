@@ -19,7 +19,7 @@ import numpy as np
 from . import arith
 from .distlab import seeded_rng, uniform_words
 from .errors import BadModulus, DomainError
-from .expsums import SUMS, WEIL_SLACK, class_counts, weil_bound
+from .expsums import SUMS, WEIL_SLACK, weil_bound
 from .gauss_sums import (
     DirectEvaluator,
     gauss_sum_closed,
@@ -102,7 +102,7 @@ def weil_suite(q_max: int = 1000, mn_max: int = 4) -> SuiteResult:
     res = SuiteResult("weil", 0)
     ms, ns = np.divmod(np.arange((mn_max + 1) ** 2), mn_max + 1)
     for q in range(1, q_max + 1):
-        bounds = weil_bound(ms, ns, q, arith.analyze_modulus(q).tau)
+        bounds = weil_bound(ms, ns, q)
         allowed = bounds + WEIL_SLACK
         for kind, sum_kind in SUMS.items():
             try:
@@ -125,17 +125,18 @@ def class_count_suite(q_max: int = 2000) -> SuiteResult:
     """
     res = SuiteResult("class_counts", 0)
     for q in range(3, q_max + 1):
-        mod = arith.analyze_modulus(q)
-        checks = []  # (label, counts, number of classes)
-        if q % 4 == 0:
-            squares = modulus_case(q, arith.units(q)).characters ** 2
-            checks.append(("mod4", dict(Counter(squares.real.astype(np.int64).tolist())), 2))
-            if not arith.is_perfect_square(q):
-                checks.append(("quarter", class_counts(q), 4))
-        elif q % 2 == 1 and not arith.is_perfect_square(q):
-            checks.append(("half", class_counts(q), 2))
+        square = arith.is_perfect_square(q)
+        if q % 4 == 2 or (q % 2 == 1 and square):  # no class identity to check
+            continue
+        case = modulus_case(q, arith.units(q))
+        classes = dict(Counter(case.classes.tolist()))
+        if q % 4 == 0:  # checks: (label, counts, number of classes)
+            mod4 = dict(Counter((case.characters ** 2).real.astype(np.int64).tolist()))
+            checks = [("mod4", mod4, 2)] + [("quarter", classes, 4)] * (not square)
+        else:
+            checks = [("half", classes, 2)]
         for label, counts, k in checks:
-            bad = sorted(counts.values()) != [mod.phi // k] * k
+            bad = sorted(counts.values()) != [case.units.size // k] * k
             res.record([bad], [math.inf if bad else 0.0],
                        lambda _: f"q={q} {label} counts {counts}")
     return res

@@ -31,6 +31,37 @@ def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def count_calls(monkeypatch, fn):
+    """Wrap fn wherever a gausslab module binds it by name; returns the args of each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gausslab":
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def flip_one_class(monkeypatch, at_q):
+    """verify.modulus_case with the sign of its first unit's class flipped at the modulus at_q."""
+    real = verify.modulus_case
+
+    def faulty(q, ps=()):
+        case = real(q, ps)
+        if q != at_q:
+            return case
+        classes = np.array(case.classes)  # a copy: for q = 0 mod 4 classes is characters
+        classes[0] = -classes[0]
+        return case._replace(classes=classes)
+
+    monkeypatch.setattr(verify, "modulus_case", faulty)
+
+
 class TestVerifyCommand:
     def test_reduction_passes(self, capsys):
         assert run(["verify", "reduction"]) == 0
@@ -57,19 +88,10 @@ class TestVerifyCommand:
         assert verify.run_suite("reduction", q_max=5) == "traced" and sizes == [{"q_max": 5}]
 
     def test_fault_injection_fails(self, monkeypatch, capsys):
-        from gausslab import verify as verify_mod
-
-        real = verify_mod.class_counts
-
-        def corrupted(q):
-            counts = dict(real(q))
-            key = next(iter(counts))
-            counts[key] += 1  # off by one
-            return counts
-
-        monkeypatch.setattr(verify_mod, "class_counts", corrupted)
+        flip_one_class(monkeypatch, 15)  # one unit moves between the half classes of 15
         assert run(["verify", "class_counts"]) == 1
-        assert "violations" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "violations" in out and "q=15 half counts" in out
 
     def test_worst_margin_on_its_own_line(self, capsys):
         assert run(["verify", "reduction"]) == 0
@@ -135,6 +157,21 @@ class TestSuiteCounts:
                                                   ("reduction", 200)]] == [
             79852, 98850, 43750, 1956, 7868]
 
+    def test_weil_analyzes_each_modulus_once(self, monkeypatch):
+        # tau(q) of the Weil bound; inverse_table counts the units it builds instead
+        analyzed = count_calls(monkeypatch, arith.analyze_modulus)
+        assert verify.weil_suite(q_max=40).passed
+        assert [args[0] for args in analyzed] == list(range(1, 41))
+
+    def test_class_counts_build_one_case_per_checked_modulus(self, monkeypatch):
+        analyzed = count_calls(monkeypatch, arith.analyze_modulus)
+        cases = count_calls(monkeypatch, gauss_sums.modulus_case)
+        assert verify.class_count_suite(q_max=150).passed
+        checked = [q for q in range(3, 151)
+                   if q % 4 == 0 or (q % 2 == 1 and math.isqrt(q) ** 2 != q)]
+        assert len(checked) == 106 and [args[0] for args in cases] == checked
+        assert analyzed == []
+
 
 class TestBatchedSuiteFaults:
     """One wrong value at one known tuple gives exactly one violation, named by that tuple.
@@ -160,6 +197,10 @@ class TestBatchedSuiteFaults:
         assert run(["verify", suite]) == 1
         listed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
         assert len(listed) == 1 and listed[0].startswith(f"  {prefix}")
+
+    def test_class_counts(self, monkeypatch, capsys):
+        flip_one_class(monkeypatch, 12)  # one unit moves between the quarter classes of 12
+        self.check("class_counts", {"q_max": 20}, "q=12 quarter counts ", capsys)
 
     def test_closed_form(self, monkeypatch, capsys):
         real = verify.gauss_sum_closed
@@ -232,6 +273,16 @@ class TestFigureCommand:
         assert (out / "fig1_hist_re.csv").exists()
         assert (out / "fig1_hist_im.csv").exists()
         assert (out / "fig1_limit.csv").exists()
+
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+    def test_phi_is_the_number_of_samples(self, tmp_path, monkeypatch, which):
+        # the batch holds every unit of q, so phi(q) needs no factorization
+        analyzed = count_calls(monkeypatch, arith.analyze_modulus)
+        assert run(["figure", which, "--trunc", "20", "--samples", "100",
+                    "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / f"{which}_summary.json").read_text())
+        assert summary["phi_q"] == summary["total_samples"] == totients(summary["q"])[-1]
+        assert analyzed == []
 
     def test_samples_file_equals_row_wise_reference(self, tmp_path):
         out = tmp_path / "out"
@@ -845,30 +896,29 @@ class TestExitCodes:
         assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.startswith("error: ") and str(arith.INT64_ROOT) in done.stderr
 
-    def test_no_command_imports_numpy_random(self, tmp_path):
-        # numpy imports numpy.random lazily, and with it 11 extension modules and hashlib:
-        # every seeded draw goes through random.Random, so no command may load it
+    def test_no_command_imports_numpy_random_or_numpy_ma(self, tmp_path):
+        # numpy loads both lazily: numpy.random with 11 extension modules and hashlib,
+        # numpy.ma (about 0.5 MB and 15-30 ms per process) from np.unique.  Every seeded
+        # draw goes through random.Random, so no command may load either
+        commands = [["figure", which, "--trunc", "50", "--samples", "2000",
+                     "--out-dir", str(tmp_path)] for which in sorted(cli.FIGURES)]
+        commands += [
+            # k = 1 takes limit_moment's grid path
+            ["moments", "--q-range", "13..15", "--k-list", "0,1,2,4",
+             "--weight", "interval:0,0.3", "--trunc", "50"],
+            ["expsum", "--kind", "salie", "--m", "1", "--n", "1", "--sweep-q", "3..30"],
+            ["equidist", "--q", "101", "--t", "random:5", "--m", "1", "--n", "1"],
+        ]
         done = self.child("-c", "import sys\n"
                           "from gausslab import cli, verify\n"
-                          f"assert cli.main(['figure', 'fig1', '--samples', '500', '--trunc', '50',"
-                          f" '--out-dir', {str(tmp_path)!r}]) == 0\n"
-                          "assert cli.main(['equidist', '--q', '101', '--t', 'random:5',"
-                          " '--m', '1', '--n', '1']) == 0\n"
-                          "assert verify.run_suite('functional_eq', q_max=20, n_weights=2).passed\n"
-                          "assert verify.run_suite('reduction', q_max=20).passed\n"
-                          "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+                          f"for argv in {commands!r}:\n"
+                          "    assert cli.main(argv) == 0, argv\n"
+                          f"for name, sizes in {TestSuiteCounts.SIZES!r}.items():\n"
+                          "    assert verify.run_suite(name, **sizes).passed, name\n"
+                          "loaded = {'numpy.random', 'numpy.ma'} & set(sys.modules)\n"
+                          "assert not loaded, f'{sorted(loaded)} imported'\n")
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "fig1_limit.csv").exists()
-
-    def test_figure_does_not_import_numpy_ma(self, tmp_path):
-        # np.unique imports numpy.ma (about 0.5 MB and 15-30 ms per process); figure needs none
-        done = self.child("-c", "import sys\n"
-                          "from gausslab import cli\n"
-                          f"assert cli.main(['figure', 'fig3', '--trunc', '50', '--samples', '2000',"
-                          f" '--out-dir', {str(tmp_path)!r}]) == 0\n"
-                          "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-        assert done.returncode == 0, done.stderr
-        assert (tmp_path / "fig3_limit.csv").exists()
+        assert {f"{which}_limit.csv" for which in cli.FIGURES} <= set(os.listdir(tmp_path))
 
     def test_child_process_exit_codes(self):
         done = self.child("-m", "gausslab.cli", "equidist", "--q", "0", "--m", "1", "--n", "1")

@@ -534,7 +534,6 @@ class TestHistogram:
     def test_single_bin(self):
         h = distlab.histogram([0.5] * 100, bins=1)
         assert h.counts.tolist() == [100]
-        assert h.total == 100
 
     def test_uniform_grid(self):
         vals = np.arange(4000) / 4000
@@ -555,13 +554,23 @@ class TestHistogram:
     def test_constant_data_gets_unit_range(self):
         h = distlab.histogram([0.5] * 10, bins=4)
         assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0
-        assert h.total == 10 and h.counts.tolist() == [0, 0, 10, 0]
+        assert h.counts.tolist() == [0, 0, 10, 0]
 
     def test_nan_data_rejected(self):
         # infinite data too: an infinite maximum gave the edges [nan, inf, inf, inf, inf]
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="cannot bin NaN or infinite values"):
                 distlab.histogram([0.0, 1.0, bad], bins=4)
+
+    @pytest.mark.parametrize("values", [
+        [1e17],  # +-0.5 does not move 1e17: five equal edges, densities nan and inf
+        [-1e308, 1e308],  # the width overflows: edges [nan, inf, inf, inf, 1e308]
+        [0.0, 5e-324],  # bins below the least float: densities [nan, nan, inf, inf]
+        [0.0, 2e-323],  # increasing subnormal edges, but a density 1/(2 5e-324) overflows
+    ], ids=["constant-1e17", "width-overflows", "below-least-float", "subnormal-bins"])
+    def test_range_without_finite_bins_refused(self, values):
+        with pytest.raises(DomainError, match="bins of normal float width"):
+            distlab.histogram(values, bins=4)
 
 
 class TestKSDistance:

@@ -570,7 +570,7 @@ class TestWeightAxis:
         w = weights.fourier_weight({-2: 1.0, 0: 0.5j, 3: -0.25})
         q, ps = 12, np.array([1, 5, 7, 11])
         ev = gs.DirectEvaluator(w, q)
-        assert ev.q == q and ev.values.shape == (q,)
+        assert ev.q == q
         assert type(ev(7)) is complex
         assert ev(ps).shape == (4,) and ev(ps).dtype == np.complex128
         assert ev(ps.reshape(2, 2)).shape == (2, 2)
