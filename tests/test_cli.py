@@ -896,12 +896,16 @@ class TestExitCodes:
         assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.startswith("error: ") and str(arith.INT64_ROOT) in done.stderr
 
-    def test_no_command_imports_numpy_random_or_numpy_ma(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def lazy_imports(self, tmp_path_factory):
+        """(step, loaded) pairs from one child that runs every command and verify suite:
+        which of numpy.random and numpy.ma are in sys.modules after each step."""
         # numpy loads both lazily: numpy.random with 11 extension modules and hashlib,
         # numpy.ma (about 0.5 MB and 15-30 ms per process) from np.unique.  Every seeded
         # draw goes through random.Random, so no command may load either
+        out_dir = tmp_path_factory.mktemp("figures")
         commands = [["figure", which, "--trunc", "50", "--samples", "2000",
-                     "--out-dir", str(tmp_path)] for which in sorted(cli.FIGURES)]
+                     "--out-dir", str(out_dir)] for which in sorted(cli.FIGURES)]
         commands += [
             # k = 1 takes limit_moment's grid path
             ["moments", "--q-range", "13..15", "--k-list", "0,1,2,4",
@@ -909,16 +913,36 @@ class TestExitCodes:
             ["expsum", "--kind", "salie", "--m", "1", "--n", "1", "--sweep-q", "3..30"],
             ["equidist", "--q", "101", "--t", "random:5", "--m", "1", "--n", "1"],
         ]
-        done = self.child("-c", "import sys\n"
+        done = self.child("-c", "import io, json, sys\n"
+                          "from contextlib import redirect_stdout\n"
                           "from gausslab import cli, verify\n"
-                          f"for argv in {commands!r}:\n"
-                          "    assert cli.main(argv) == 0, argv\n"
-                          f"for name, sizes in {TestSuiteCounts.SIZES!r}.items():\n"
-                          "    assert verify.run_suite(name, **sizes).passed, name\n"
-                          "loaded = {'numpy.random', 'numpy.ma'} & set(sys.modules)\n"
-                          "assert not loaded, f'{sorted(loaded)} imported'\n")
+                          "log = []\n"
+                          "def note(step):\n"
+                          "    log.append([step, sorted({'numpy.random', 'numpy.ma'} & set(sys.modules))])\n"
+                          "with redirect_stdout(io.StringIO()):\n"
+                          f"    for argv in {commands!r}:\n"
+                          "        assert cli.main(argv) == 0, argv\n"
+                          "        note(' '.join(argv[:2]))\n"
+                          f"    for name, sizes in {TestSuiteCounts.SIZES!r}.items():\n"
+                          "        assert verify.run_suite(name, **sizes).passed, name\n"
+                          "        note('verify ' + name)\n"
+                          "print(json.dumps(log))\n")
         assert done.returncode == 0, done.stderr
-        assert {f"{which}_limit.csv" for which in cli.FIGURES} <= set(os.listdir(tmp_path))
+        assert {f"{which}_limit.csv" for which in cli.FIGURES} <= set(os.listdir(out_dir))
+        log = json.loads(done.stdout)
+        assert len(log) == len(commands) + len(TestSuiteCounts.SIZES)
+        return log
+
+    def test_no_command_imports_numpy_random(self, lazy_imports):
+        assert [(step, mods) for step, mods in lazy_imports if "numpy.random" in mods] == []
+
+    def test_figure_does_not_import_numpy_ma(self, lazy_imports):
+        figures = [(step, mods) for step, mods in lazy_imports if step.startswith("figure ")]
+        assert len(figures) == len(cli.FIGURES)
+        assert [(step, mods) for step, mods in figures if "numpy.ma" in mods] == []
+
+    def test_no_command_imports_numpy_ma(self, lazy_imports):
+        assert [(step, mods) for step, mods in lazy_imports if "numpy.ma" in mods] == []
 
     def test_child_process_exit_codes(self):
         done = self.child("-m", "gausslab.cli", "equidist", "--q", "0", "--m", "1", "--n", "1")
