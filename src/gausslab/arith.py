@@ -2,8 +2,8 @@
 
 Everything downstream (Gauss sums, Kloosterman sums, class statistics)
 reduces to the primitives in this module: modular inverses, the
-Jacobi symbol, the quartic unit factor of odd integers, and factored
-modulus metadata.  All functions are pure.
+Jacobi symbol, the quartic unit factor of odd integers, and the totient
+and divisor count of a modulus.  All functions are pure.
 
 The scalar functions take Python ints of any size.  The array forms
 (residues, inverses, jacobi_array) answer one Python or numpy int exactly
@@ -102,26 +102,24 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus q with its factorization, Euler's totient phi and divisor count tau.
+    """A modulus q with Euler's totient phi and its divisor count tau.
 
     Whether q is a square is is_perfect_square(q), the package's one squareness rule.
     """
 
     q: int
-    factorization: tuple[tuple[int, int], ...]
     phi: int
     tau: int
 
 
 def analyze_modulus(q: int) -> Modulus:
     """Factor q and derive its totient and divisor count."""
-    factors = factorize(q)
     phi = q
     tau = 1
-    for p, e in factors:
+    for p, e in factorize(q):
         phi -= phi // p
         tau *= e + 1
-    return Modulus(q, tuple(factors), phi, tau)
+    return Modulus(q, phi, tau)
 
 
 def units(q: int) -> np.ndarray:

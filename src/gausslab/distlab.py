@@ -102,12 +102,13 @@ def _check_input(q: int, window: tuple[float, float] | None) -> None:
 
 
 def _admissible_sums(q: int, w: WeightFunction, window: tuple[float, float] | None):
-    """Units p of q (in [1, q) for q >= 3) in the window, g(w, p, q) at each, and w on h/q."""
+    """Units p of q (in [1, q) for q >= 3) in the window, g(w, p, q) at each, w on h/q, phi(q)."""
     ps = arith.units(q)
+    phi = ps.size  # every unit, before the window
     if window is not None:
         ps = ps[grid_in_interval(ps, q, *window)]
     grid = evaluate_grid(w, q)
-    return ps, quadratic_grid(np.arange(q), grid, q)[ps], grid
+    return ps, quadratic_grid(np.arange(q), grid, q)[ps], grid, phi
 
 
 def empirical_batch(q: int, w: WeightFunction,
@@ -118,7 +119,7 @@ def empirical_batch(q: int, w: WeightFunction,
     Exact for indicators; as_fourier_series(w) gives the law of w's truncated series.
     """
     _check_input(q, window)
-    ps, numerators, grid = _admissible_sums(q, w, window)
+    ps, numerators, grid, _ = _admissible_sums(q, w, window)
     case = modulus_case(q, ps)
     return EmpiricalBatch(case, numerators / case.normalizers, float(grid.sum().real))
 
@@ -262,14 +263,14 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
                    ks) -> Callable[[int], list[MomentReport]]:
     """The function q -> [MomentReport for each k of ks]: empirical next to limit moments.
 
-    The empirical side at q is (1/(phi(q)(b - a))) sum |g(w,p,q)|^k over the
+    The empirical side at q is (1/(phi(q)(b - a))) sum |g(w,p,q)/D(p)|^k over the
     units p with p/q in the window [a, b) (every unit and b - a = 1 for window
-    None), divided by |D(p)|^k: (2q)^{k/2} for even q and q^{k/2} for odd q;
-    all k share one numerator grid.  The limit side is limit_moment of the
-    matching series variant (for indicator weights, their truncated series),
-    computed at the first modulus of each variant and reused for the later
-    ones.  A negative or non-finite k is refused here, a bad window or q
-    before any grid.
+    None), with |D(p)|^2 = 2q for even q and q for odd q; all k share one
+    numerator grid, and phi(q) counts the units it enumerates.  The limit side
+    is limit_moment of the matching series variant (for indicator weights, their
+    truncated series), computed at the first modulus of each variant and reused
+    for the later ones.  A negative or non-finite k is refused here, a bad
+    window or q before any grid.
     """
     ks, limits = _checked_orders(ks), {}  # limits: variant -> _limit_moments of ks
 
@@ -278,9 +279,10 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
         case = modulus_case(q)
         if case.variant not in limits:
             limits[case.variant] = _limit_moments(case.variant, w, ks)
-        mags = np.abs(_admissible_sums(q, w, window)[1])
-        measure = arith.analyze_modulus(q).phi * (1 if window is None else window[1] - window[0])
-        empirical = [float(np.sum(mags ** k)) / measure / case.norm_sq ** (k / 2) for k in ks]
+        _, sums, _, phi = _admissible_sums(q, w, window)
+        mags = np.abs(sums) / math.sqrt(case.norm_sq)  # |g|^k, |D|^k can overflow
+        measure = phi * (1 if window is None else window[1] - window[0])
+        empirical = [float(np.sum(mags ** k)) / measure for k in ks]
         return [MomentReport(k, e, lim, abs(e - lim) / max(lim, 1e-12))
                 for k, e, lim in zip(ks, empirical, limits[case.variant])]
 

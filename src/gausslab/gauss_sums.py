@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith
-from .errors import DomainError, IndicatorKind
+from .errors import DomainError, IndicatorKind, NotCoprime
 from .weights import WeightFunction, evaluate_grid, reduce_weight
 
 G_PLUS = "G_plus"
@@ -66,6 +66,8 @@ VARIANTS = (G_PLUS, G_FULL, G_MINUS)
 _EPS = np.array([0, 1, 0, 1j])
 _MINUS_ONE = np.array([0, 1, 0, -1])
 _TWO = np.array([0, 1, 0, -1, 0, -1, 0, 1])
+_LABELS = {(1, False): "g_phi(p,q)/g_1(p,q)", (1, True): "g_phi(p,q)/(eps_q sqrt(q))",
+           (2, False): "g_phi(p,q)/(2 g_1(2p,q/2))", (2, True): "g_phi(p,q)/(eps_{q/2} sqrt(2q))"}
 
 
 class ModulusCase(NamedTuple):
@@ -91,14 +93,13 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
 
     q = 0 mod 4:  G_plus,  D(p) = (1+i) eps_p^{-1} (q/p) sqrt(q),   x_p = -inv(p, q)/q,
                   class eps_p (q/p), or p mod 4 for square q
-    q odd:        G_full,  D(p) = eps_q (p/q) sqrt(q),              x_p = -inv(4p, q)/q,
-                  class (p/q), or none for square q
-    q = 2 mod 4:  G_minus, D(p) = 2 eps_{q/2} (2p/(q/2)) sqrt(q/2), x_p = -inv(8p, q/2)/(q/2),
-                  class (2p/(q/2)), or none for square q/2
+    q = two m, m odd, two = 1 (G_full) or 2 (G_minus):
+                  D(p) = two eps_m (two p/m) sqrt(m), |D|^2 = two q,   x_p = -inv(4 two p, m)/m,
+                  class (two p/m), or none for square m
 
     Every p must be a unit of q (NotCoprime otherwise).
     """
-    ps = arith.unit_residues(ps, q)
+    ps = arith.residues(ps, q)
     if q % 4 == 0:
         # (q/p) by reciprocity, with q = 2^k m and m odd: (2/p)^k (p/m) (-1)^((m-1)/2 (p-1)/2)
         k = (q & -q).bit_length() - 1
@@ -109,24 +110,22 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
         characters = eps * jac
         normalizers = (1 + 1j) * np.conj(eps) * jac * math.sqrt(q)
         classes = 2 * (ps % 4 == 1) - 1 if arith.is_perfect_square(q) else characters
-        return ModulusCase(G_PLUS, "g_phi(p,q)/g_1(p,q)", 2 * q, ps,
+        case = ModulusCase(G_PLUS, "g_phi(p,q)/g_1(p,q)", 2 * q, ps,
                            normalizers, characters, classes, (1, q))
-    if q % 2 == 1:
-        jac = arith.jacobi_array(ps, q)
-        normalizers = arith.epsilon(q) * jac * math.sqrt(q)
-        if arith.is_perfect_square(q):
-            label, classes = "g_phi(p,q)/(eps_q sqrt(q))", np.full(np.shape(ps), None)
-        else:
-            label, classes = "g_phi(p,q)/g_1(p,q)", jac
-        return ModulusCase(G_FULL, label, q, ps, normalizers, jac, classes, (4, q))
-    q0 = q // 2
-    jac = arith.jacobi_array(2 * ps, q0)
-    normalizers = 2.0 * (arith.epsilon(q0) * jac * math.sqrt(q0))
-    if arith.is_perfect_square(q0):
-        label, classes = "g_phi(p,q)/(eps_{q/2} sqrt(2q))", np.full(np.shape(ps), None)
     else:
-        label, classes = "g_phi(p,q)/(2 g_1(2p,q/2))", jac
-    return ModulusCase(G_MINUS, label, 2 * q, ps, normalizers, jac, classes, (8, q0))
+        two = 2 - q % 2
+        m = q // two
+        jac = arith.jacobi_array(two * ps, m)
+        normalizers = two * (arith.epsilon(m) * jac * math.sqrt(m))
+        square = arith.is_perfect_square(m)
+        classes = np.full(np.shape(ps), None) if square else jac
+        case = ModulusCase(G_FULL if two == 1 else G_MINUS, _LABELS[two, square], two * q, ps,
+                           normalizers, jac, classes, (4 * two, m))
+    # (p/m) and eps_p vanish exactly at the non-units, but for an even p at q = 2 mod 4
+    if not np.all(case.characters * (ps % 2 if q % 4 == 2 else 1)):
+        shared = math.gcd(ps, q) if isinstance(ps, int) else np.gcd(ps, q).max()
+        raise NotCoprime(f"a residue shares the factor {shared} with {q}")
+    return case
 
 
 # ---------------------------------------------------------------------------

@@ -137,26 +137,26 @@ def near_2_62(draw):
 class TestAnalyzeModulus:
     def test_5012(self):
         m = arith.analyze_modulus(5012)
-        assert m.factorization == ((2, 2), (7, 1), (179, 1))
+        assert arith.factorize(5012) == [(2, 2), (7, 1), (179, 1)]
         assert m.phi == 2136
         assert m.tau == 12
         assert not arith.is_perfect_square(m.q)
 
     def test_5013(self):
         m = arith.analyze_modulus(5013)
-        assert m.factorization == ((3, 2), (557, 1))
+        assert arith.factorize(5013) == [(3, 2), (557, 1)]
         assert m.phi == 3336
 
     def test_four(self):
         m = arith.analyze_modulus(4)
-        assert m.factorization == ((2, 2),)
+        assert arith.factorize(4) == [(2, 2)]
         assert m.phi == 2
         assert m.tau == 3
         assert arith.is_perfect_square(m.q)
 
     def test_one(self):
         m = arith.analyze_modulus(1)
-        assert m.factorization == ()
+        assert arith.factorize(1) == []
         assert m.phi == 1 and m.tau == 1 and arith.is_perfect_square(m.q)
 
     def test_phi_tau_against_direct_count(self):
@@ -169,7 +169,7 @@ class TestAnalyzeModulus:
     @given(n=st.integers(min_value=1, max_value=10**6) | near_2_62())
     def test_matches_sympy(self, n):
         m = arith.analyze_modulus(n)
-        assert m.factorization == tuple(sorted(sympy.factorint(n).items()))
+        assert arith.factorize(n) == sorted(sympy.factorint(n).items())
         assert m.phi == sympy.totient(n)
         assert m.tau == sympy.divisor_count(n)
         assert arith.is_perfect_square(n) == sympy.integer_nthroot(n, 2)[1]
@@ -178,7 +178,7 @@ class TestAnalyzeModulus:
         for q in (2, 36, 5012, 5013, 5014):
             m = arith.analyze_modulus(q)
             phi = q
-            for p, _ in m.factorization:
+            for p, _ in arith.factorize(q):
                 phi = phi // p * (p - 1)
             assert phi == m.phi
 

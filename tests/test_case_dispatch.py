@@ -132,6 +132,22 @@ class TestModulusCase:
         with pytest.raises(NotCoprime):
             gs.modulus_case(12, 9)
 
+    def test_refuses_exactly_the_non_units(self):
+        # the unit check is read from the twist, which is 0 exactly at the non-units but for
+        # an even p at q = 2 mod 4, where (2p/(q/2)) can be nonzero and p is refused on its own
+        exceptions = 0
+        for q in range(1, 201):
+            for p in range(q):
+                shared = math.gcd(p, q)
+                exceptions += q % 4 == 2 and p % 2 == 0 and arith.jacobi(2 * p, q // 2) != 0
+                for ps in (p, np.array([p])):
+                    if shared == 1:
+                        gs.modulus_case(q, ps)
+                        continue
+                    with pytest.raises(NotCoprime, match=f"shares the factor {shared} with {q}$"):
+                        gs.modulus_case(q, ps)
+        assert exceptions > 0
+
 
 class TestLargeModuli:
     """Scalar entry points stay exact in Python ints at any size."""

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -103,13 +104,22 @@ class TestVerifyCommand:
     def test_weil_worst_matches_scalar_reports(self):
         from gausslab.expsums import WEIL_SLACK, expsum_report
 
-        result = verify.weil_suite(q_max=40, mn_max=3)
+        result = verify.weil_suite(q_max=40)
         kinds = lambda q: ["kloosterman"] + ["twisted"] * (q % 4 == 0) + ["salie"] * (q % 2)
         reports = [expsum_report(kind, m, n, q) for q in range(1, 41) for kind in kinds(q)
-                   for m in range(4) for n in range(4)]
+                   for m in range(5) for n in range(5)]
+        ratios = [abs(r.value) / (r.weil_bound + WEIL_SLACK) for r in reports]
+        # every pair is checked, and the worst ratio is over (m, n) != (0, 0) mod q, which
+        # leaves out K(0, 0, 1) = 1 at its bound
         assert result.checked == len(reports)
         assert result.worst == pytest.approx(
-            max(abs(r.value) / (r.weil_bound + WEIL_SLACK) for r in reports), rel=1e-12)
+            max(x for x, r in zip(ratios, reports) if r.m % r.q or r.n % r.q), rel=1e-12)
+        assert max(ratios) == ratios[0] > result.worst
+
+    def test_weil_margin_line_at_cli_size(self, capsys):
+        # Salie at q = 997, m = n = 1; the trivial K(0, 0, 1) = 1 would read 0.999999
+        assert run(["verify", "weil"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "weil: worst gap/allowed 0.999921"
 
 
 def totients(n):
@@ -162,6 +172,22 @@ class TestSuiteCounts:
         analyzed = count_calls(monkeypatch, arith.analyze_modulus)
         assert verify.weil_suite(q_max=40).passed
         assert [args[0] for args in analyzed] == list(range(1, 41))
+
+    def test_trusted_callers_make_no_gcd_pass(self, monkeypatch, tmp_path):
+        # modulus_case reads the unit check from its characters, so these run with
+        # arith.unit_residues refusing every call; moments takes phi(q) from its units
+        def refuse(values, q):
+            raise AssertionError(f"unit_residues called at q = {q}")
+
+        monkeypatch.setattr(arith, "unit_residues", refuse)
+        analyzed = count_calls(monkeypatch, arith.analyze_modulus)
+        assert run(["moments", "--q-range", "5010..5015", "--weight", "interval:0,0.3",
+                    "--k-list", "0,2", "--trunc", "100", "--domain", "interval:0.1,0.6"]) == 0
+        assert analyzed == []
+        for which in sorted(cli.FIGURES):
+            assert run(["figure", which, "--trunc", "50", "--samples", "500",
+                        "--out-dir", str(tmp_path)]) == 0
+        assert verify.class_count_suite(q_max=300).passed
 
     def test_class_counts_build_one_case_per_checked_modulus(self, monkeypatch):
         analyzed = count_calls(monkeypatch, arith.analyze_modulus)
@@ -983,3 +1009,24 @@ class TestReadme:
         options = {s for p in subparsers.choices.values() for a in p._actions
                    for s in a.option_strings if s.startswith("--")} - {"--help"}
         assert named == options
+
+
+class TestOutputDigest:
+    TOOL = SRC.parent / "tools" / "output_digest.py"
+
+    def load(self):
+        spec = importlib.util.spec_from_file_location("output_digest", self.TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_command_lines_parse(self):
+        # every command line of the digest set is one the CLI accepts, without running it
+        commands = self.load().COMMANDS
+        parsed = [cli.build_parser().parse_args(argv) for _, argv in commands]
+        assert len({name for name, _ in commands}) == len(commands) == 14
+        assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
+                                                     "equidist"}
+        assert {args.suite for args in parsed if args.command == "verify"} == set(verify.SUITES)
+        assert sorted(args.which for args in parsed if args.command == "figure") == sorted(
+            cli.FIGURES)

@@ -511,6 +511,16 @@ class TestEmpiricalMoment:
             assert (rep.k, rep.empirical, rep.limit, rep.relative_gap) == \
                 (one.k, one.empirical, one.limit, one.relative_gap)
 
+    def test_large_order_against_per_p_oracle(self):
+        # |g|^190 and |D|^190 overflow a float at q = 5013, while (|g|/|D|)^190 does not
+        q, k = 5013, 190.0
+        w = weights.interval_indicator(0.0, 0.5, cutoff=50)
+        mags = np.abs(gauss_sums.DirectEvaluator(w, q)(arith.units(q))) / math.sqrt(q)
+        zero, large = distlab.moment_reports(w, None, [0.0, k])(q)
+        assert zero.empirical == 1.0
+        assert large.empirical == pytest.approx(float(np.mean(mags ** k)), rel=1e-9)
+        assert 0 < large.empirical < math.inf
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
     def test_bad_orders_rejected(self, k):
         # moment_reports refuses them itself, before its function meets any modulus
