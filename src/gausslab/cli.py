@@ -2,7 +2,7 @@
 
 Subcommands:
   verify    run a named identity suite; exit 1 on any violation
-  figure    reproduce one of the three reference experiments (CSV + JSON)
+  figure    reproduce one of the three reference experiments (CSV + JSON + .npy)
   moments   empirical vs limit moments over a range of moduli
   expsum    Kloosterman / twisted / Salie sums with Weil bounds
   equidist  Weyl equidistribution statistic over t
@@ -12,7 +12,9 @@ metadata is the config echo itself (no timestamps), and row order is
 canonical.  Every CSV table is streamed by _write_csv, _CSV_BLOCK rows
 per write, so no table is ever held as one string; every JSON text comes
 from _json_text.  A CSV cell is str of a Python scalar, so a float is its
-shortest round-trip repr, as in JSON.
+shortest round-trip repr, as in JSON.  The one binary file, a figure's
+<fig>_limit.npy, is np.save of the complex128 limit-law samples, bit for
+bit; its configuration is that of the <fig>_summary.json next to it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error (a DomainError).
 """
@@ -120,10 +122,12 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
         return interval_indicator(*_parse_interval(spec), cutoff)
     if spec.startswith("fourier:"):
         path = Path(spec[len("fourier:"):])
-        if not path.exists():
-            raise CommandError(f"coefficient file not found: {path}")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+            raise CommandError(f"cannot read coefficient file {path}: {exc}") from exc
         coeffs: dict[int, complex] = {}
-        for line in path.read_text().splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("k,"):
                 continue
@@ -232,7 +236,6 @@ def cmd_figure(args) -> int:
         "seed": args.seed,
         "bins": bins,
         "center": center,
-        "method": "direct",
     }
 
     def write(name: str, header: list[str], columns: list) -> None:
@@ -247,14 +250,10 @@ def cmd_figure(args) -> int:
         write(f"hist_{part}.csv", ["bin_lo", "bin_hi", "count", "density"],
               [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density])
 
-    # G_minus: real and imaginary parts share one law; one component suffices
-    if variant == G_MINUS:
-        limit_re = limit.imag
-        write("limit.csv", ["im"], [limit.imag])
-    else:
-        limit_re = limit.real
-        write("limit.csv", ["re", "im"], [limit.real, limit.imag])
-    ks_re = ks_distance(values.real, limit_re)
+    # the complex samples as they are, bit for bit; their configuration is the summary's
+    np.save(out_dir / f"{which}_limit.npy", limit)
+    # G_minus: real and imaginary parts share one law, that of the imaginary part
+    ks_re = ks_distance(values.real, limit.imag if variant == G_MINUS else limit.real)
     ks_im = ks_distance(values.imag, limit.imag)
 
     summary = {
@@ -286,7 +285,6 @@ def cmd_moments(args) -> int:
         "domain": args.domain,
         "trunc": args.trunc,
         "k_list": args.k_list,
-        "method": "direct",
     }
     # a range skips the moduli below 3 (no normalized law)
     reports = _per_modulus(args.q, args.q_range, moment_reports(weight, window, k_list))

@@ -227,13 +227,34 @@ def _limit_moments(variant: str, w: WeightFunction, ks: list, grid_size: int | N
     if grid_size is not None and grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
     ns, cs = series_terms(w.coefficients, variant, None)
-    exact = {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
-    if 4 in ks:
-        exact[4] = _fourth_moment(ns, cs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment out of range is refused below
+        exact = {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
+        if 4 in ks:
+            exact[4] = _fourth_moment(ns, cs)
     if any(k not in exact for k in ks):
         grid_size = grid_size or _next_prime(max(65537, 2 * int(ns.max(initial=0)) + 1))
         a = np.abs(quadratic_grid(ns, cs, grid_size))
-    return [exact[k] if k in exact else float(np.sum(a ** k)) / grid_size for k in ks]
+    return [_in_float_range(exact[k], k, "limit", cs.any()) if k in exact
+            else _power_mean(a, k, grid_size, "limit") for k in ks]
+
+
+def _power_mean(mags: np.ndarray, k: float, measure: float, side: str) -> float:
+    """sum(mags ** k) / measure, refused by _in_float_range."""
+    with np.errstate(over="ignore"):  # an overflow is refused there
+        mean = float(np.sum(mags ** k)) / measure
+    return _in_float_range(mean, k, side, mags.any())
+
+
+def _in_float_range(mean: float, k: float, side: str, nonzero: bool) -> float:
+    """mean, refused (DomainError) where it leaves the float range.
+
+    That is a mean that is not finite, or one below the least normal float
+    while the values it averages are not all zero: an overflow or an
+    underflow of |value|^k.
+    """
+    if not math.isfinite(mean) or (mean < np.finfo(np.float64).tiny and nonzero):
+        raise DomainError(f"the {side} moment of order k={k} leaves the float range: {mean!r}")
+    return mean
 
 
 def limit_moment(variant: str, w: WeightFunction, k: float,
@@ -246,7 +267,8 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
     one quadratic_grid of grid_size points, by default the least prime N >= 65537 above
     twice the largest index n_max.  A non-even k is a quadrature there, and an even
     k >= 6 aliases: |G|^k has frequencies up to (k/2) n_max^2, which fold mod N
-    (k = 6 at G_full, interval:0,0.3, trunc 600: 3.4e-3 relative).
+    (k = 6 at G_full, interval:0,0.3, trunc 600: 3.4e-3 relative).  A moment
+    that overflows, or underflows below the least normal float, is a DomainError.
     """
     return _limit_moments(variant, w, _checked_orders([k]), grid_size)[0]
 
@@ -270,7 +292,8 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
     is limit_moment of the matching series variant (for indicator weights, their
     truncated series), computed at the first modulus of each variant and reused
     for the later ones.  A negative or non-finite k is refused here, a bad
-    window or q before any grid.
+    window or q before any grid, and a moment that leaves the float range
+    (see _in_float_range) when it is computed.
     """
     ks, limits = _checked_orders(ks), {}  # limits: variant -> _limit_moments of ks
 
@@ -282,7 +305,7 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
         _, sums, _, phi = _admissible_sums(q, w, window)
         mags = np.abs(sums) / math.sqrt(case.norm_sq)  # |g|^k, |D|^k can overflow
         measure = phi * (1 if window is None else window[1] - window[0])
-        empirical = [float(np.sum(mags ** k)) / measure for k in ks]
+        empirical = [_power_mean(mags, k, measure, f"empirical (q={q})") for k in ks]
         return [MomentReport(k, e, lim, abs(e - lim) / max(lim, 1e-12))
                 for k, e, lim in zip(ks, empirical, limits[case.variant])]
 

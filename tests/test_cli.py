@@ -298,7 +298,10 @@ class TestFigureCommand:
         assert summary["q"] == 5012
         assert (out / "fig1_hist_re.csv").exists()
         assert (out / "fig1_hist_im.csv").exists()
-        assert (out / "fig1_limit.csv").exists()
+        limit = np.load(out / "fig1_limit.npy")
+        assert limit.dtype == np.complex128 and limit.shape == (2000,)
+        assert sorted(os.listdir(out)) == [f"fig1_{name}" for name in (
+            "hist_im.csv", "hist_re.csv", "limit.npy", "samples.csv", "summary.json")]
 
     @pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
     def test_phi_is_the_number_of_samples(self, tmp_path, monkeypatch, which):
@@ -349,22 +352,26 @@ class TestFigureCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_fig3_limit_is_single_column(self, tmp_path):
+        # one column of complex samples, as for the other variants: the KS reads its imag part
         out = tmp_path / "out"
         assert run(["figure", "fig3", "--trunc", "101", "--samples", "1500",
                     "--out-dir", str(out)]) == 0
-        lines = (out / "fig3_limit.csv").read_text().splitlines()
-        header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-        assert lines[header_idx] == "im"
+        limit = np.load(out / "fig3_limit.npy")
         summary = json.loads((out / "fig3_summary.json").read_text())
         assert summary["total_samples"] == 2376
         assert summary["variant"] == "G_minus"
+        w = weights.interval_indicator(0.0, 1 / math.sqrt(7), 101)
+        expected = distlab.sample_limit_law("G_minus", w, 101, 1500, 1)
+        assert limit.dtype == expected.dtype and limit.shape == (1500,)
+        assert limit.tobytes() == expected.tobytes()
+        batch = distlab.empirical_batch(5014, w)
+        assert summary["ks_re"] == distlab.ks_distance(batch.values.real, limit.imag)
 
     def test_sample_count_off_the_lattice(self, tmp_path):
         # 1000 is no multiple of the 31 shifts per base point: the draw keeps the first 1000
         assert run(["figure", "fig3", "--samples", "1000", "--trunc", "200",
                     "--out-dir", str(tmp_path)]) == 0
-        lines = (tmp_path / "fig3_limit.csv").read_text().splitlines()
-        assert len(lines) - lines.index("im") - 1 == 1000
+        assert np.load(tmp_path / "fig3_limit.npy").shape == (1000,)
 
     def test_histogram_counts_sum_to_total(self, tmp_path):
         out = tmp_path / "out"
@@ -407,7 +414,7 @@ class TestFigureCommand:
         assert not out.exists()
         assert run(argv) == 0
         summary = json.loads((out / "fig2_summary.json").read_text())
-        assert summary["method"] == "direct"
+        assert "method" not in summary
         assert summary["total_samples"] == 3336
 
     def test_determinism(self, tmp_path):
@@ -415,7 +422,7 @@ class TestFigureCommand:
         argv = ["figure", "fig1", "--trunc", "120", "--samples", "1000", "--seed", "3"]
         assert run(argv + ["--out-dir", str(a)]) == 0
         assert run(argv + ["--out-dir", str(b)]) == 0
-        for name in ("fig1_samples.csv", "fig1_limit.csv", "fig1_hist_re.csv",
+        for name in ("fig1_samples.csv", "fig1_limit.npy", "fig1_hist_re.csv",
                      "fig1_hist_im.csv", "fig1_summary.json"):
             assert file_hash(a / name) == file_hash(b / name), name
 
@@ -446,22 +453,56 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize("variant", ["G_plus", "G_minus"])
     def test_limit_lines_match_row_writer(self, tmp_path, monkeypatch, variant):
+        # every bit of every sample survives, the sign of -0.0 and the least subnormal too
         which = {"G_plus": "fig1", "G_minus": "fig3"}[variant]
         parts = [1e-05, 1e16, -0.0, 5e-324, 1.0, -1.0, 0.1, -2.5e-300, 123456.789]
         limit = np.array(parts) + 1j * np.array(parts[::-1])
         monkeypatch.setattr(cli, "sample_limit_law", lambda *args: limit)
         assert run(["figure", which, "--trunc", "8", "--samples", "9",
                     "--out-dir", str(tmp_path)]) == 0
-        lines = (tmp_path / f"{which}_limit.csv").read_text().splitlines()
-        assert f"# variant={variant}" in lines
-        if variant == "G_minus":
-            header, rows = "im", [(v,) for v in limit.imag.tolist()]
-        else:
-            header, rows = "re,im", list(zip(limit.real.tolist(), limit.imag.tolist()))
-        assert lines[lines.index(header) + 1:] == list(map(reference_line, rows))
+        summary = json.loads((tmp_path / f"{which}_summary.json").read_text())
+        assert summary["variant"] == variant
+        saved = np.load(tmp_path / f"{which}_limit.npy")
+        assert saved.dtype == np.complex128
+        assert np.array_equal(saved.view(np.uint64), limit.view(np.uint64))
+        assert saved.real.tolist() == parts and saved.imag.tolist() == parts[::-1]
+
+    @pytest.mark.parametrize("n_samples", [100, 5000])
+    def test_text_rows_do_not_grow_with_the_limit_samples(self, tmp_path, monkeypatch, n_samples):
+        # the units' values and the two histograms are text; the limit samples are not
+        rows = []
+        real = cli._write_csv
+
+        def counted(stream, meta, header, columns):
+            rows.append(len(columns[0]))
+            real(stream, meta, header, columns)
+
+        monkeypatch.setattr(cli, "_write_csv", counted)
+        assert run(["figure", "fig2", "--trunc", "20", "--samples", str(n_samples),
+                    "--bins", "7", "--out-dir", str(tmp_path)]) == 0
+        assert sum(rows) == totients(5013)[-1] + 2 * 7
+        assert np.load(tmp_path / "fig2_limit.npy").shape == (n_samples,)
 
 
 class TestMomentsCommand:
+    # |G| = 10 everywhere: 10^400 is no float, and inf - inf made the gap nan; the
+    # exact orders 2 and 4 of a coefficient 1e200 overflowed with a RuntimeWarning too
+    @pytest.mark.parametrize("row,k,mean", [("0,10,0", "400", "inf"), ("0,1e200,0", "2", "inf"),
+                                            ("0,1e200,0", "4", "nan")])
+    def test_overflowing_order_is_a_usage_error(self, tmp_path, capsys, row, k, mean):
+        path = tmp_path / "w.csv"
+        path.write_text(row + "\n")
+        assert run(["moments", "--q", "5013", "--k-list", k, "--weight", f"fourier:{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: the limit moment of order k={k}.0 leaves the float range: {mean}\n"
+
+    def test_underflowing_order_is_a_usage_error(self, capsys):
+        # max |g/D| = 0.507 at q = 5013: both moments read 0.0, a gap of 0.0
+        assert run(["moments", "--q", "5013", "--k-list", "2000", "--trunc", "50",
+                    "--weight", "interval:0,0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the limit moment of order k=2000.0 leaves the float range: 0.0\n"
+
     def test_constant_odd_q(self, capsys):
         assert run(["moments", "--q", "15", "--weight", "const", "--k-list", "0,2"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -502,7 +543,7 @@ class TestMomentsCommand:
         assert not path.exists()
         assert run(argv) == 0
         table = json.loads(path.read_text())
-        assert table["method"] == "direct" and len(table["rows"]) == 2
+        assert "method" not in table and len(table["rows"]) == 2
 
     @staticmethod
     def count_grids(monkeypatch):
@@ -708,8 +749,26 @@ class TestWeightParsing:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: series indices must be <= {2**63 - 1}, got {10**30}\n"
 
-    def test_missing_fourier_file(self):
-        assert run(["moments", "--q", "13", "--weight", "fourier:/nonexistent.csv"]) == 2
+    @staticmethod
+    def refused(argv, capsys):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: cannot read coefficient file ")
+
+    def test_missing_fourier_file(self, tmp_path, capsys):
+        self.refused(["moments", "--q", "13", "--weight", f"fourier:{tmp_path / 'missing.csv'}"],
+                     capsys)
+
+    def test_fourier_path_to_a_directory(self, tmp_path, capsys):
+        # was an IsADirectoryError traceback
+        self.refused(["moments", "--q", "13", "--weight", f"fourier:{tmp_path}"], capsys)
+
+    def test_fourier_file_not_utf8(self, tmp_path, capsys):
+        # was a UnicodeDecodeError traceback: 0xe9 is e-acute in Latin-1
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"# poids \xe9\n0,1,0\n")
+        self.refused(["moments", "--q", "13", "--weight", f"fourier:{path}"], capsys)
 
 
 class TestOutputFormats:
@@ -954,7 +1013,7 @@ class TestExitCodes:
                           "        note('verify ' + name)\n"
                           "print(json.dumps(log))\n")
         assert done.returncode == 0, done.stderr
-        assert {f"{which}_limit.csv" for which in cli.FIGURES} <= set(os.listdir(out_dir))
+        assert {f"{which}_limit.npy" for which in cli.FIGURES} <= set(os.listdir(out_dir))
         log = json.loads(done.stdout)
         assert len(log) == len(commands) + len(TestSuiteCounts.SIZES)
         return log

@@ -521,6 +521,21 @@ class TestEmpiricalMoment:
         assert large.empirical == pytest.approx(float(np.mean(mags ** k)), rel=1e-9)
         assert 0 < large.empirical < math.inf
 
+    def test_orders_out_of_float_range_refused(self):
+        # 10^400 overflows, 0.5^2000 underflows; values all zero have a true moment 0.0
+        ten, half, zero = np.full(3, 10.0), np.full(3, 0.5), np.zeros(3)
+        with pytest.raises(DomainError, match=r"the limit moment of order k=400 .* inf$"):
+            distlab._power_mean(ten, 400, 3, "limit")
+        with pytest.raises(DomainError, match=r"the empirical \(q=7\) moment of order k=2000 .* 0.0$"):
+            distlab._power_mean(half, 2000, 3, "empirical (q=7)")
+        with pytest.raises(DomainError, match="order k=1074 .* 5e-324$"):  # a subnormal mean
+            distlab._power_mean(half[:1], 1074, 1, "limit")
+        assert distlab._power_mean(zero, 2000, 3, "limit") == 0.0
+        assert distlab._power_mean(half, 1000, 3, "limit") == 0.5 ** 1000
+        # the sum 3.6e308 overflows, though the mean 1.2e308 is a float
+        with pytest.raises(DomainError, match="inf$"):
+            distlab._power_mean(np.full(3, 1.2e308), 1, 3, "limit")
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
     def test_bad_orders_rejected(self, k):
         # moment_reports refuses them itself, before its function meets any modulus
