@@ -10,7 +10,6 @@ from .arith import (
     analyze_modulus,
     epsilon,
     jacobi,
-    mod_inverse,
     units,
 )
 from .distlab import (

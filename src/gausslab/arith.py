@@ -1,14 +1,14 @@
 """Exact integer and residue arithmetic.
 
 Everything downstream (Gauss sums, Kloosterman sums, class statistics)
-reduces to the primitives in this module: modular inverses, the
-Jacobi symbol, the quartic unit factor of odd integers, and the totient
-and divisor count of a modulus.  All functions are pure.
+reduces to the primitives in this module: modular powers (and inverses by
+Euler's theorem), the Jacobi symbol, the quartic unit factor of odd
+integers, and the totient and divisor count of a modulus.  All pure.
 
-The scalar functions take Python ints of any size.  The array forms
-(residues, inverses, jacobi_array) answer one Python or numpy int exactly
-through them, and an integer array with int64 arithmetic and no per-entry
-loop; arrays refuse moduli above INT64_ROOT, whose products would wrap.
+The scalar functions take Python ints of any size.  residues and
+jacobi_array answer one int exactly through them; they and power_mod take
+an integer array in int64 with no per-entry loop, and refuse moduli above
+INT64_ROOT, whose products would wrap, and dtypes that are not integer.
 """
 
 from __future__ import annotations
@@ -24,18 +24,6 @@ from .errors import DomainError, EvenArgument, EvenModulus, NotCoprime
 INT64_ROOT = math.isqrt(2**63 - 1)
 # primes below this read Legendre symbols from a table of squares (at most 512 KiB)
 SQUARES_TABLE_MAX = 1 << 16
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m, in [1, m).
-
-    Raises NotCoprime if gcd(a, m) != 1.
-    """
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
-    if math.gcd(a, m) != 1:
-        raise NotCoprime(f"gcd({a}, {m}) = {math.gcd(a, m)} != 1")
-    return pow(a, -1, m)
 
 
 def jacobi(a: int, b: int) -> int:
@@ -137,18 +125,21 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     which is the correct exponent convention e(0) = 1.
     """
     ps = units(q)
-    return ps, _power_mod(ps, ps.size - 1, q)  # Euler's theorem; phi(q) = ps.size, all coprime to q
+    return ps, power_mod(ps, ps.size - 1, q)  # Euler's theorem; phi(q) = ps.size, all coprime to q
 
 
 def residues(values, q: int):
-    """values mod q: an exact int for a Python or numpy int, else an int64 array."""
+    """values mod q: exact for one int, else an int64 array; a non-integer dtype is refused."""
     if q < 1:
         raise DomainError(f"modulus must be positive, got {q}")
     if isinstance(values, (int, np.integer)):
         return int(values) % q
     if q > INT64_ROOT:
         raise DomainError(f"residue arrays need q <= {INT64_ROOT}, got {q}; pass one int at a time")
-    return (np.asarray(values) % q).astype(np.int64, copy=False)
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "biuO":  # a dtype test: O(1) on every hot path
+        raise DomainError(f"residues need integers, got an array of dtype {values.dtype}")
+    return (values % q).astype(np.int64, copy=False)
 
 
 def unit_residues(values, q: int):
@@ -160,19 +151,13 @@ def unit_residues(values, q: int):
     return ps
 
 
-def inverses(a, m: int):
-    """Inverses mod m, in [0, m), of a unit or an array of units of m.
-
-    An array uses Euler's theorem, a^-1 = a^(phi(m) - 1) mod m, by
-    square and multiply; m = 1 gives the zero residue.
-    """
-    if isinstance(a, (int, np.integer)):
-        return 0 if m == 1 else mod_inverse(int(a), m)
-    return _power_mod(unit_residues(a, m), analyze_modulus(m).phi - 1, m)
-
-
-def _power_mod(base: np.ndarray, exponent: int, m: int) -> np.ndarray:
-    """base ** exponent mod m entrywise, by square and multiply; needs m <= INT64_ROOT."""
+def power_mod(base, exponent: int, m: int) -> np.ndarray:
+    """base ** exponent mod m entrywise; needs 1 <= m <= INT64_ROOT and exponent >= 0."""
+    if not 1 <= m <= INT64_ROOT:
+        raise DomainError(f"power_mod needs 1 <= m <= {INT64_ROOT}, got {m}")
+    if exponent < 0:
+        raise DomainError(f"power_mod needs an exponent >= 0, got {exponent}")
+    base = residues(base, m)
     result = np.ones_like(base) % m
     while exponent:
         if exponent & 1:
@@ -205,6 +190,6 @@ def jacobi_array(a, n: int):
             table[0] = 0
             out *= table[r]
         else:
-            euler = _power_mod(r, (p - 1) // 2, p)  # 0, 1 or p - 1
+            euler = power_mod(r, (p - 1) // 2, p)  # 0, 1 or p - 1
             out *= np.where(euler == p - 1, -1, euler)
     return out

@@ -85,7 +85,10 @@ class ModulusCase(NamedTuple):
     def points(self):
         """The numerators t_p = -inv(a p mod q') mod q' of the fast-path points x_p = t_p/q'."""
         a, modulus = self.point_map
-        return -arith.inverses(a * self.units, modulus) % modulus
+        if isinstance(self.units, int):  # exact at any size; q' = 1 gives 0
+            return -pow(a * self.units, -1, modulus) % modulus
+        phi = arith.analyze_modulus(modulus).phi  # Euler: u^-1 = u^(phi - 1) for the checked units
+        return -arith.power_mod(a * self.units, phi - 1, modulus) % modulus
 
 
 def modulus_case(q: int, ps=()) -> ModulusCase:

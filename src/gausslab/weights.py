@@ -33,6 +33,10 @@ class WeightFunction:
 
 
 def fourier_weight(coefficients: dict[int, complex]) -> WeightFunction:
+    """The series sum_k c_k e(kx); a frequency k that is not an integer is a DomainError."""
+    for k in coefficients:
+        if k % 1:  # also NaN and +-inf, whose k % 1 is NaN
+            raise DomainError(f"frequencies must be integers, got {k}")
     return WeightFunction({int(k): complex(c) for k, c in coefficients.items()})
 
 
@@ -47,8 +51,8 @@ def indicator_coefficients(a: float, b: float, cutoff: int) -> dict[int, complex
     returned for all |k| <= cutoff.
     """
     check_interval(a, b)
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be positive, got {cutoff}")
+    if cutoff % 1 or cutoff < 1:
+        raise DomainError(f"cutoff must be a positive integer, got {cutoff}")
     ks = np.arange(1, cutoff + 1, dtype=np.float64)
     coeffs: dict[int, complex] = {0: complex(b - a)}
     for sign in (1.0, -1.0):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausslab import arith
-from gausslab.errors import EvenArgument, EvenModulus, NotCoprime
+from gausslab.errors import DomainError, EvenArgument, EvenModulus
 
 
 def legendre_by_squaring(a, p):
@@ -22,26 +22,69 @@ def legendre_by_squaring(a, p):
 
 
 class TestModInverse:
+    """arith.inverse_table, the inverse of a whole unit group, against hand values and its rule."""
+
+    @staticmethod
+    def inverse(m):
+        ps, invs = arith.inverse_table(m)
+        return dict(zip(ps.tolist(), invs.tolist()))
+
     def test_three_mod_seven(self):
-        assert arith.mod_inverse(3, 7) == 5
+        assert self.inverse(7)[3] == 5
 
     @pytest.mark.parametrize("m", [2, 5, 12, 97])
     def test_one(self, m):
-        assert arith.mod_inverse(1, m) == 1
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            arith.mod_inverse(2, 4)
+        assert self.inverse(m)[1] == 1
 
     @pytest.mark.parametrize("m", [5, 12, 97, 360])
     def test_involution(self, m):
-        for a in range(1, m):
-            if math.gcd(a, m) != 1:
-                continue
-            inv = arith.mod_inverse(a, m)
+        inverse = self.inverse(m)
+        assert sorted(inverse) == [a for a in range(1, m) if math.gcd(a, m) == 1]
+        for a, inv in inverse.items():
             assert 1 <= inv < m
             assert (a * inv) % m == 1
-            assert arith.mod_inverse(inv, m) == a % m
+            assert inverse[inv] == a
+
+
+class TestPowerMod:
+    @pytest.mark.parametrize("m", [1, 2, 12, 97, arith.INT64_ROOT])
+    def test_matches_pow(self, m):
+        # bases outside [0, m), negative or near 2**62, are reduced before any product
+        base = np.array([-7, 0, 1, 2, 5, 2**62, m - 1, m, m + 3], dtype=np.int64)
+        for e in (0, 1, 2, 7, 96, 2**40 + 3):
+            assert arith.power_mod(base, e, m).tolist() == [pow(int(b), e, m) for b in base]
+
+    @pytest.mark.parametrize("m", [0, -5, arith.INT64_ROOT + 1])
+    def test_refuses_moduli_whose_products_wrap(self, m):
+        with pytest.raises(DomainError, match=f"1 <= m <= {arith.INT64_ROOT}, got {m}$"):
+            arith.power_mod(np.arange(3), 2, m)
+
+    def test_refuses_a_negative_exponent(self):
+        # square and multiply would shift -1 right forever
+        with pytest.raises(DomainError, match="exponent >= 0, got -1$"):
+            arith.power_mod(np.arange(3), -1, 7)
+
+
+class TestResidues:
+    @pytest.mark.parametrize("values", [[1.5], np.array([2.0]), 2.5, np.float64(3.0),
+                                        [1 + 0j], ["3"], np.array([[1.0], [2.0]])])
+    def test_refuses_a_non_integer_dtype(self, values):
+        with pytest.raises(DomainError, match="residues need integers"):
+            arith.residues(values, 7)
+
+    def test_refuses_nan_without_a_warning(self):
+        # cast to int64 it read -2**63, after a RuntimeWarning
+        with pytest.raises(DomainError, match="dtype float64"):
+            arith.residues(np.array([3, np.nan]), 7)
+
+    def test_keeps_integer_inputs(self):
+        assert arith.residues(np.int64(-3), 7) == 4
+        assert arith.residues(2**70, 7) == 2**70 % 7
+        assert arith.residues(np.array([2**70, -1], dtype=object), 7).tolist() == [2**70 % 7, 6]
+        assert arith.residues(np.array([3, 9], dtype=np.uint8), 7).tolist() == [3, 2]
+        for empty in ([], (), np.array([], dtype=np.float64)):
+            got = arith.residues(empty, 7)
+            assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestJacobi:

@@ -68,13 +68,10 @@ class TestInverses:
         assert invs.tolist() == expected
 
     def test_large_modulus(self):
+        # the fast-path points invert 4p mod m by Euler's theorem at the int64 edge
         m = arith.INT64_ROOT - 2  # odd, so 2 is a unit
         ps = np.array([2, 3 if m % 3 else 5, m - 1], dtype=np.int64)
-        assert arith.inverses(ps, m).tolist() == [sympy.mod_inverse(int(p), m) for p in ps]
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            arith.inverses(np.array([1, 3, 4]), 12)
+        assert gs.modulus_case(m, ps).points().tolist() == [-pow(4 * int(p), -1, m) % m for p in ps]
 
 
 class TestModulusCase:
@@ -116,7 +113,8 @@ class TestModulusCase:
             assert gs.modulus_case(q, ps).points().tolist() == expected, q
 
     def test_int_and_array_agree(self):
-        for q in (5, 9, 12, 16, 18, 50, 98, 100, 5012, 5013, 5014):
+        # q = 1 and 2 have q' = 1, so every point is 0
+        for q in (1, 2, 5, 9, 12, 16, 18, 50, 98, 100, 5012, 5013, 5014):
             ps = arith.units(q)
             case = gs.modulus_case(q, ps)
             for i in (0, len(ps) // 2, len(ps) - 1):
@@ -125,6 +123,14 @@ class TestModulusCase:
                 assert np.asarray(one.classes).tolist() == case.classes.tolist()[i]
                 assert isinstance(one.points(), int)
                 assert one.points() == case.points()[i]
+
+    @pytest.mark.parametrize("q", [4 * 10**12 + 4, 10**13 + 37, 2 * (10**13 + 37), 4 * (2**89 - 1)])
+    def test_int_points_beyond_int64(self, q):
+        # one int p is inverted by pow in Python ints, where int64 products would wrap
+        a, modulus = {0: (1, q), 2: (8, q // 2)}.get(q % 4, (4, q))
+        for p in (7, 10**12 + 1, q - 1, 3 * q + 5):
+            if math.gcd(p, q) == 1:
+                assert gs.modulus_case(q, p).points() == -pow(a * p, -1, modulus) % modulus
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):

@@ -174,8 +174,9 @@ class TestSuiteCounts:
         assert [args[0] for args in analyzed] == list(range(1, 41))
 
     def test_trusted_callers_make_no_gcd_pass(self, monkeypatch, tmp_path):
-        # modulus_case reads the unit check from its characters, so these run with
-        # arith.unit_residues refusing every call; moments takes phi(q) from its units
+        # modulus_case reads the unit check from its characters and points() inverts the
+        # units it has checked, so these run with arith.unit_residues refusing every call;
+        # moments takes phi(q) from its units
         def refuse(values, q):
             raise AssertionError(f"unit_residues called at q = {q}")
 
@@ -188,6 +189,12 @@ class TestSuiteCounts:
             assert run(["figure", which, "--trunc", "50", "--samples", "500",
                         "--out-dir", str(tmp_path)]) == 0
         assert verify.class_count_suite(q_max=300).passed
+        assert verify.functional_eq_suite(q_max=60, n_weights=4).passed
+        w = weights.fourier_weight({-3: 0.5, 0: 1.0, 4: 0.25j, 9: -0.75})
+        for q in (5012, 5013, 5014):
+            ps = arith.units(q)
+            gaps = gauss_sums.gauss_sum_fast_batch(w, ps, q) - gauss_sums.DirectEvaluator(w, q)(ps)
+            assert np.abs(gaps).max() < 1e-10 * math.sqrt(q), q
 
     def test_class_counts_build_one_case_per_checked_modulus(self, monkeypatch):
         analyzed = count_calls(monkeypatch, arith.analyze_modulus)

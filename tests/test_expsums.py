@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gausslab import arith, expsums
-from gausslab.errors import BadModulus, NotCoprime
+from gausslab.errors import BadModulus, DomainError, NotCoprime
 from gausslab.gauss_sums import modulus_case, sigma_class
 
 
@@ -127,6 +127,11 @@ class TestKloosterman:
     def test_zero_frequencies_give_totient(self, q):
         assert expsums.kloosterman(0, 0, q) == pytest.approx(arith.analyze_modulus(q).phi)
 
+    def test_float_frequency_refused(self):
+        # it was truncated to K(1, 1, 7)
+        with pytest.raises(DomainError, match="residues need integers"):
+            expsums.kloosterman(1.5, 1, 7)
+
     def test_hand_value_q5(self):
         # inverses mod 5: 1<->1, 2<->3, 4<->4
         expected = 2 + 2 * math.cos(4 * math.pi / 5)
@@ -240,6 +245,10 @@ class TestWeylStatistic:
     def test_noncoprime_t_rejected(self):
         with pytest.raises(NotCoprime):
             expsums.weyl_statistics(12, [5, 4], 1, 1)
+
+    def test_no_t_gives_an_empty_array(self):
+        got = expsums.weyl_statistics(7, [], 1, 1)
+        assert got.shape == (0,)
 
     def test_class_decomposition(self):
         classes = {sigma_class(p, 20) for p in arith.units(20).tolist()}

@@ -71,6 +71,12 @@ class TestDirectArray:
         assert type(got) is complex
         assert got == pytest.approx(ev(17), abs=1e-12)
 
+    @pytest.mark.parametrize("p", [2.5, np.array([1, 2.5])])
+    def test_float_p_refused(self, p):
+        # it was truncated to the value at p = 2
+        with pytest.raises(DomainError, match="residues need integers"):
+            gs.DirectEvaluator(self.W, 7)(p)
+
     def test_python_int_exact_beyond_int64(self):
         ev = gs.DirectEvaluator(self.W, 1009)
         assert ev(2**70 + 3) == ev((2**70 + 3) % 1009)
@@ -107,6 +113,11 @@ class TestClosed:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             gs.gauss_sum_closed(2, 4)
+
+    def test_float_p_refused(self):
+        # it was truncated to the value at p = 2
+        with pytest.raises(DomainError, match="residues need integers"):
+            gs.gauss_sum_closed(2.5, 9)
 
     def test_matches_direct_sweep(self):
         for q in range(1, 129):

@@ -77,6 +77,12 @@ class TestIndicatorCoefficients:
         for k in range(-5, 6):
             assert coeffs[k] == pytest.approx(riemann_coefficient(a, b, k), abs=5e-5)
 
+    @pytest.mark.parametrize("cutoff", [2.5, 0.5, math.nan, 0, -3])
+    def test_cutoff_must_be_a_positive_integer(self, cutoff):
+        # 2.5 kept |k| <= 3
+        with pytest.raises(DomainError, match="cutoff must be a positive integer"):
+            weights.indicator_coefficients(0, 0.5, cutoff)
+
     def test_bad_interval(self):
         with pytest.raises(BadInterval):
             weights.indicator_coefficients(0.5, 0.5, 8)
@@ -188,6 +194,19 @@ class TestConversion:
         s = weights.as_fourier_series(w)
         assert s.interval is None
         assert s.coefficients is w.coefficients
+
+    @pytest.mark.parametrize("k", [1.5, -0.7, math.nan, math.inf])
+    def test_fourier_weight_refuses_non_integer_frequencies(self, k):
+        with pytest.raises(DomainError, match=f"frequencies must be integers, got {k}$"):
+            weights.fourier_weight({k: 1, 2: 2})
+
+    def test_fourier_weight_truncates_no_frequency(self):
+        # {1.5: 1, -0.7: 2} read {1: 1, 0: 2}
+        with pytest.raises(DomainError):
+            weights.fourier_weight({1.5: 1, -0.7: 2})
+        w = weights.fourier_weight({np.int64(3): 1, 2.0: 2, -1: 1j, 2**70: 0.5})
+        assert w.coefficients == {3: 1, 2: 2, -1: 1j, 2**70: 0.5}
+        assert all(type(k) is int for k in w.coefficients)
 
     def test_interval_marks_an_indicator(self):
         assert weights.interval_indicator(0.2, 0.7, 32).interval == (0.2, 0.7)
