@@ -8,7 +8,7 @@ integers, and the totient and divisor count of a modulus.  All pure.
 The scalar functions take Python ints of any size.  residues and
 jacobi_array answer one int exactly through them; they and power_mod take
 an integer array in int64 with no per-entry loop, and refuse moduli above
-INT64_ROOT, whose products would wrap, and dtypes that are not integer.
+INT64_ROOT, whose products would wrap, and entries that are not integers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvenArgument, EvenModulus, NotCoprime
+from .errors import DomainError, EvenArgument, EvenModulus
 
 # largest n with n * n < 2**63: residues below it multiply without leaving int64
 INT64_ROOT = math.isqrt(2**63 - 1)
@@ -129,7 +129,7 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def residues(values, q: int):
-    """values mod q: exact for one int, else an int64 array; a non-integer dtype is refused."""
+    """values mod q: exact for one int, else an int64 array; a non-integer entry is refused."""
     if q < 1:
         raise DomainError(f"modulus must be positive, got {q}")
     if isinstance(values, (int, np.integer)):
@@ -139,16 +139,11 @@ def residues(values, q: int):
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "biuO":  # a dtype test: O(1) on every hot path
         raise DomainError(f"residues need integers, got an array of dtype {values.dtype}")
+    if values.dtype.kind == "O":  # already one Python operation per entry, so check each
+        bad = [v for v in values.flat if not isinstance(v, (int, np.integer))]
+        if bad:
+            raise DomainError(f"residues need integers, got {bad[0]!r} in an object array")
     return (values % q).astype(np.int64, copy=False)
-
-
-def unit_residues(values, q: int):
-    """residues(values, q), each required to be a unit of q (NotCoprime otherwise)."""
-    ps = residues(values, q)
-    shared = math.gcd(ps, q) if isinstance(ps, int) else np.gcd(ps, q).max(initial=1)
-    if shared != 1:
-        raise NotCoprime(f"a residue shares the factor {shared} with {q}")
-    return ps
 
 
 def power_mod(base, exponent: int, m: int) -> np.ndarray:

@@ -57,10 +57,6 @@ FIGURES = {
 }
 
 
-class CommandError(DomainError):
-    """A command line the subcommand cannot run; maps to exit code 2."""
-
-
 # CSV label of a sigma-class value (modulus_case's classes; None for an odd square)
 SIGMA_LABELS = {1: "1", -1: "-1", 1j: "i", -1j: "-i", None: ""}
 
@@ -111,7 +107,7 @@ def _parse_interval(spec: str) -> tuple[float, float]:
         a, b = map(float, spec[len("interval:"):].split(","))
         weights.check_interval(a, b)
     except ValueError as exc:  # BadInterval too, so the message names the spec
-        raise CommandError(f"bad interval {spec!r}: {exc}") from exc
+        raise DomainError(f"bad interval {spec!r}: {exc}") from exc
     return a, b
 
 
@@ -125,7 +121,7 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
-            raise CommandError(f"cannot read coefficient file {path}: {exc}") from exc
+            raise DomainError(f"cannot read coefficient file {path}: {exc}") from exc
         coeffs: dict[int, complex] = {}
         for line in text.splitlines():
             line = line.strip()
@@ -135,15 +131,15 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
                 k_str, re_str, im_str = line.split(",")
                 k, c = int(k_str), complex(float(re_str), float(im_str))
             except ValueError as exc:
-                raise CommandError(f"bad coefficient row {line!r} in {path}") from exc
+                raise DomainError(f"bad coefficient row {line!r} in {path}") from exc
             if k in coeffs or not np.isfinite(c):
                 problem = f"repeats k={k}" if k in coeffs else "is not finite"
-                raise CommandError(f"coefficient row {line!r} in {path} {problem}")
+                raise DomainError(f"coefficient row {line!r} in {path} {problem}")
             coeffs[k] = c
         if not coeffs:
-            raise CommandError(f"no coefficients in {path}")
+            raise DomainError(f"no coefficients in {path}")
         return fourier_weight(coeffs)
-    raise CommandError(f"unknown weight spec {spec!r} (const | interval:a,b | fourier:PATH)")
+    raise DomainError(f"unknown weight spec {spec!r} (const | interval:a,b | fourier:PATH)")
 
 
 def _parse_domain(spec: str) -> tuple[float, float] | None:  # None for full
@@ -151,7 +147,7 @@ def _parse_domain(spec: str) -> tuple[float, float] | None:  # None for full
         return None
     if spec.startswith("interval:"):
         return _parse_interval(spec)
-    raise CommandError(f"unknown domain spec {spec!r} (full | interval:a,b)")
+    raise DomainError(f"unknown domain spec {spec!r} (full | interval:a,b)")
 
 
 def _parse_range(spec: str) -> range:
@@ -160,9 +156,9 @@ def _parse_range(spec: str) -> range:
         a_str, b_str = spec.split("..")
         a, b = int(a_str), int(b_str)
     except ValueError as exc:
-        raise CommandError(f"bad range {spec!r}, expected A..B") from exc
+        raise DomainError(f"bad range {spec!r}, expected A..B") from exc
     if a < 1 or b < a:
-        raise CommandError(f"bad range {spec!r}")
+        raise DomainError(f"bad range {spec!r}")
     return range(a, b + 1)
 
 
@@ -204,10 +200,10 @@ def cmd_figure(args) -> int:
     n_samples = samples_default if args.samples is None else args.samples
     bins = args.bins
     if trunc < 1 or n_samples < 1 or bins < 1:
-        raise CommandError(f"--trunc, --samples and --bins must be positive, "
-                           f"got {trunc}, {n_samples} and {bins}")
+        raise DomainError(f"--trunc, --samples and --bins must be positive, "
+                          f"got {trunc}, {n_samples} and {bins}")
     if args.seed < 0:
-        raise CommandError(f"--seed must be >= 0, got {args.seed}")
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     variant = modulus_case(q).variant
     # the even-index series at truncation K reads coefficients up to 2K
     coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
@@ -278,7 +274,7 @@ def cmd_moments(args) -> int:
     try:
         k_list = [float(k) for k in args.k_list.split(",")]
     except ValueError as exc:
-        raise CommandError(f"bad k list {args.k_list!r}") from exc
+        raise DomainError(f"bad k list {args.k_list!r}") from exc
     meta = {
         "command": "moments",
         "weight": args.weight,
@@ -306,13 +302,13 @@ def cmd_expsum(args) -> int:
 def cmd_equidist(args) -> int:
     q = args.q
     if args.seed < 0:  # refused for every --t, so no output echoes a seed no draw accepts
-        raise CommandError(f"--seed must be >= 0, got {args.seed}")
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if args.t == "all":
         ts = arith.units(q).tolist()
     elif args.t.startswith("random:"):
         count = args.t[len("random:"):]
         if not count.isdecimal() or int(count) < 1:
-            raise CommandError(f"bad --t value {args.t!r}: N must be a positive integer")
+            raise DomainError(f"bad --t value {args.t!r}: N must be a positive integer")
         units = arith.units(q)
         # ascending indices into the ascending units, drawn without a list of the pool
         picks = seeded_rng(args.seed).sample(range(units.size), min(int(count), units.size))
@@ -321,7 +317,7 @@ def cmd_equidist(args) -> int:
         try:
             ts = [int(args.t)]
         except ValueError as exc:
-            raise CommandError(f"bad --t value {args.t!r} (all | random:N | integer)") from exc
+            raise DomainError(f"bad --t value {args.t!r} (all | random:N | integer)") from exc
     vals = weyl_statistics(q, ts, args.m, args.n)
     rows = [(q, t, args.m, args.n, float(v.real), float(v.imag), float(abs(v)))
             for t, v in zip(ts, vals.tolist())]
@@ -394,10 +390,10 @@ def _check_outputs(args) -> None:
     """Refuse an --out or --out-dir that cannot be written, before any work."""
     out, out_dir = getattr(args, "out", None), getattr(args, "out_dir", None)
     if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-        raise CommandError(f"--out {out}: not a file in an existing directory")
+        raise DomainError(f"--out {out}: not a file in an existing directory")
     # mkdir starts at the nearest of out_dir and its parents that exists
     if out_dir and not next(filter(Path.exists, (Path(out_dir), *Path(out_dir).parents))).is_dir():
-        raise CommandError(f"--out-dir {out_dir}: it or a parent is an existing non-directory")
+        raise DomainError(f"--out-dir {out_dir}: it or a parent is an existing non-directory")
 
 
 def main(argv: list[str] | None = None) -> int:

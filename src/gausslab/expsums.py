@@ -114,7 +114,7 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     """
     if arith.residues(m, q) == arith.residues(n, q) == 0:
         raise DomainError(f"(m, n) = (0, 0) mod {q} is the trivial statistic")
-    ts = arith.unit_residues(np.asarray(ts), q)
+    ts = modulus_case(q, np.asarray(ts)).units  # NotCoprime unless every t is a unit
     return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
 
 

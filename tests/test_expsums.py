@@ -132,6 +132,11 @@ class TestKloosterman:
         with pytest.raises(DomainError, match="residues need integers"):
             expsums.kloosterman(1.5, 1, 7)
 
+    def test_float_in_an_object_array_refused(self):
+        # the object array of a value past int64 read its 1.5 as 1, giving K(1, 1, 7)
+        with pytest.raises(DomainError, match="residues need integers, got 1.5"):
+            expsums.kloosterman(np.array([2**70, 1.5], dtype=object), 1, 7)
+
     def test_hand_value_q5(self):
         # inverses mod 5: 1<->1, 2<->3, 4<->4
         expected = 2 + 2 * math.cos(4 * math.pi / 5)
@@ -245,6 +250,11 @@ class TestWeylStatistic:
     def test_noncoprime_t_rejected(self):
         with pytest.raises(NotCoprime):
             expsums.weyl_statistics(12, [5, 4], 1, 1)
+        # one modulus per class mod 4; an even t at q = 2 mod 4 has a nonzero twist
+        for q, ts, shared in [(20, [3, 10], 10), (21, [7, 2], 7), (14, [3, 2], 2),
+                              (15, [4, 5], 5)]:
+            with pytest.raises(NotCoprime, match=f"shares the factor {shared} with {q}$"):
+                expsums.weyl_statistics(q, ts, 1, 1)
 
     def test_no_t_gives_an_empty_array(self):
         got = expsums.weyl_statistics(7, [], 1, 1)

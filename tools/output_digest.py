@@ -40,6 +40,8 @@ COMMANDS = [
                         "--sweep-q", "1..400"]),
     ("equidist", ["equidist", "--q", "4001", "--t", "random:100", "--m", "1", "--n", "2",
                   "--seed", "7"]),
+    *[(f"equidist_{q}", ["equidist", "--q", q, "--t", "all", "--m", "1", "--n", "3"])
+      for q in ("4002", "4004")],
     *[(f"verify_{suite}", ["verify", suite])
       for suite in ("closed_form", "functional_eq", "weil", "class_counts", "reduction")],
 ]
