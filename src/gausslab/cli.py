@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -86,19 +87,14 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_table(args, meta: dict, header: list[str], rows: list[tuple]) -> None:
-    """Write rows as CSV or JSON to --out, or print them to stdout (CSV without the metadata)."""
-    def emit(stream) -> None:
+def _emit_table(args, meta: dict, header: list[str], columns) -> None:
+    """Write _write_csv's columns as CSV or JSON to --out, or to stdout (CSV without metadata)."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as stream:
         if args.format == "json":
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
             stream.write(_json_text({**meta, "rows": [dict(zip(header, row)) for row in rows]}))
         else:
-            _write_csv(stream, meta if args.out else {}, header, list(zip(*rows)))
-
-    if args.out:
-        with open(args.out, "w") as stream:
-            emit(stream)
-    else:
-        emit(sys.stdout)
+            _write_csv(stream, meta if args.out else {}, header, columns)
 
 
 def _parse_interval(spec: str) -> tuple[float, float]:
@@ -286,16 +282,17 @@ def cmd_moments(args) -> int:
     reports = _per_modulus(args.q, args.q_range, moment_reports(weight, window, k_list))
     rows = [(q, r.k, float(r.empirical), float(r.limit), float(r.relative_gap))
             for q, reps in reports for r in reps]
-    _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], rows)
+    _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], list(zip(*rows)))
     return 0
 
 
 def cmd_expsum(args) -> int:
     reports = _per_modulus(args.q, args.sweep_q, lambda q: expsum_report(args.kind, args.m, args.n, q))
-    rows = [(q, args.m, args.n, float(rep.value.real), float(rep.value.imag),
-             float(abs(rep.value)), float(rep.weil_bound), float(rep.ratio)) for q, rep in reports]
+    columns = list(zip(*[(q, args.m, args.n, float(rep.value.real), float(rep.value.imag),
+                          float(abs(rep.value)), float(rep.weil_bound), float(rep.ratio))
+                         for q, rep in reports]))
     meta = {"command": "expsum", "kind": args.kind, "m": args.m, "n": args.n}
-    _emit_table(args, meta, ["q", "m", "n", "re", "im", "abs", "weil_bound", "ratio"], rows)
+    _emit_table(args, meta, ["q", "m", "n", "re", "im", "abs", "weil_bound", "ratio"], columns)
     return 0
 
 
@@ -304,7 +301,7 @@ def cmd_equidist(args) -> int:
     if args.seed < 0:  # refused for every --t, so no output echoes a seed no draw accepts
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if args.t == "all":
-        ts = arith.units(q).tolist()
+        ts = arith.units(q)
     elif args.t.startswith("random:"):
         count = args.t[len("random:"):]
         if not count.isdecimal() or int(count) < 1:
@@ -312,19 +309,19 @@ def cmd_equidist(args) -> int:
         units = arith.units(q)
         # ascending indices into the ascending units, drawn without a list of the pool
         picks = seeded_rng(args.seed).sample(range(units.size), min(int(count), units.size))
-        ts = units[sorted(picks)].tolist()
+        ts = units[sorted(picks)]
     else:
         try:
             ts = [int(args.t)]
         except ValueError as exc:
             raise DomainError(f"bad --t value {args.t!r} (all | random:N | integer)") from exc
     vals = weyl_statistics(q, ts, args.m, args.n)
-    rows = [(q, t, args.m, args.n, float(v.real), float(v.imag), float(abs(v)))
-            for t, v in zip(ts, vals.tolist())]
-    max_abs = max((row[-1] for row in rows), default=0.0)
+    sizes = np.abs(vals)
     meta = {"command": "equidist", "q": q, "m": args.m, "n": args.n, "t": args.t, "seed": args.seed}
-    _emit_table(args, meta, ["q", "t", "m", "n", "re", "im", "abs"], rows)
-    print(f"max |statistic| = {max_abs!r}", file=sys.stderr)
+    n_ts = len(ts)  # q, m and n repeat as Python ints: m and n may exceed int64
+    _emit_table(args, meta, ["q", "t", "m", "n", "re", "im", "abs"],
+                [[q] * n_ts, ts, [args.m] * n_ts, [args.n] * n_ts, vals.real, vals.imag, sizes])
+    print(f"max |statistic| = {float(sizes.max(initial=0.0))!r}", file=sys.stderr)
     return 0
 
 

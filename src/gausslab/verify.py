@@ -3,9 +3,10 @@
 Each suite re-checks one family of identities over an exhaustive desk-
 scale range and reports every violation with the offending tuple.  The
 CLI `verify` command wraps these; the acceptance tests call them
-directly.  All suites are deterministic: the two that draw (functional_eq,
-reduction) take a seed >= 0 through distlab.seeded_rng, the package's
-seeded random.Random, and refuse a negative one with a DomainError.
+directly.  A suite takes only its size q_max, functional_eq also n_weights
+and a seed >= 0 (a negative one is a DomainError).  All suites are
+deterministic: the two that draw use distlab.seeded_rng, the package's
+seeded random.Random, reduction with the fixed seed 20260810.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .gauss_sums import (
     reduce_noncoprime,
 )
 from .weights import constant_weight, fourier_weight
+
+CLOSED_FORM_TOL = FUNCTIONAL_EQ_TOL = 1e-6  # gaps stay below TOL * sqrt(q); a test may tighten
+REDUCTION_TOL = 1e-8  # gaps stay below TOL * q
 
 
 @dataclass
@@ -53,54 +57,52 @@ class SuiteResult:
         self.failures.extend(describe(i) for i in np.flatnonzero(failed))
 
 
-def closed_form_suite(q_max: int = 512, tol: float = 1e-6) -> SuiteResult:
+def closed_form_suite(q_max: int = 512) -> SuiteResult:
     """Direct O(q) summation against the closed form, weight 1, all units."""
     res = SuiteResult("closed_form", 0)
     for q in range(1, q_max + 1):
         ps = arith.units(q)
         gaps = np.abs(DirectEvaluator(constant_weight(), q)(ps) - gauss_sum_closed(ps, q))
-        scale = tol * math.sqrt(q)
+        scale = CLOSED_FORM_TOL * math.sqrt(q)
         res.record(~(gaps < scale), gaps / scale,
                    lambda i: f"p={ps[i]} q={q} |direct-closed|={gaps[i]:.3e}")
     return res
 
 
-def functional_eq_suite(q_max: int = 400, n_weights: int = 50, n_p: int = 5,
-                        support: int = 8, tol: float = 1e-6,
-                        seed: int = 20260809) -> SuiteResult:
+def functional_eq_suite(q_max: int = 400, n_weights: int = 50, seed: int = 20260809) -> SuiteResult:
     """Fast functional-equation path against direct summation.
 
-    Random finite-series weights with the given support, every modulus
+    Random finite-series weights on the frequencies -8..8, every modulus
     up to q_max (all three classes mod 4), a few random units each.  All
     draws come from random.Random(seed), seed >= 0.  The weights are drawn
     first, each coefficient a complex of two gauss draws; then each modulus
     draws one uint64 key per (weight, unit) from uniform_words, and row w
-    checks the min(n_p, phi(q)) units of its smallest keys in ascending
+    checks the min(5, phi(q)) units of its smallest keys in ascending
     order.  One fast call and one direct call serve all weights, so
     violations are listed q by q.  The direct side stays the O(q)
     definition for every (weight, p).
     """
     rng = seeded_rng(seed)
     weights = [fourier_weight({k: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                               for k in range(-support, support + 1)})
+                               for k in range(-8, 9)})
                for _ in range(n_weights)]
     res = SuiteResult("functional_eq", 0)
     for q in range(3, q_max + 1):
         units = arith.units(q)
         keys = uniform_words(rng, n_weights * units.size).reshape(n_weights, units.size)
         order = np.argsort(keys, axis=1)
-        ps = np.sort(units[order[:, :n_p]], axis=1)
+        ps = np.sort(units[order[:, :5]], axis=1)
         gaps = np.abs(gauss_sum_fast_batch(weights, ps, q) - DirectEvaluator(weights, q)(ps))
-        scale = tol * math.sqrt(q)
+        scale = FUNCTIONAL_EQ_TOL * math.sqrt(q)
         res.record(~(gaps < scale), gaps / scale,
                    lambda j: f"p={ps.flat[j]} q={q} |fast-direct|={gaps.flat[j]:.3e}")
     return res
 
 
-def weil_suite(q_max: int = 1000, mn_max: int = 4) -> SuiteResult:
-    """Weil bound for all three sum kinds over a full (q, m, n) sweep."""
+def weil_suite(q_max: int = 1000) -> SuiteResult:
+    """Weil bound for all three sum kinds over every q <= q_max and 0 <= m, n <= 4."""
     res = SuiteResult("weil", 0)
-    ms, ns = np.divmod(np.arange((mn_max + 1) ** 2), mn_max + 1)
+    ms, ns = np.divmod(np.arange(25), 5)
     for q in range(1, q_max + 1):
         nontrivial = (ms % q != 0) | (ns % q != 0)  # K(0, 0, 1) = 1 would read 1 at any q_max
         bounds = weil_bound(ms, ns, q)
@@ -143,13 +145,12 @@ def class_count_suite(q_max: int = 2000) -> SuiteResult:
     return res
 
 
-def reduction_suite(q_max: int = 200, tol: float = 1e-8,
-                    seed: int = 20260810) -> SuiteResult:
+def reduction_suite(q_max: int = 200) -> SuiteResult:
     """Non-coprime reduction identity checked by direct summation twice.
 
-    The weight's coefficients are gauss draws of random.Random(seed), seed >= 0.
+    The weight's coefficients are gauss draws of random.Random(20260810).
     """
-    rng = seeded_rng(seed)
+    rng = seeded_rng(20260810)
     w = fourier_weight({k: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
                         for k in range(-6, 7)})
     res = SuiteResult("reduction", 0)
@@ -164,7 +165,7 @@ def reduction_suite(q_max: int = 200, tol: float = 1e-8,
             group = rs == r
             reduced[group] = DirectEvaluator(w2, q2)(ps[group] // r)
         gaps = np.abs(DirectEvaluator(w, q)(ps) - reduced)
-        res.record(~(gaps < tol * q), gaps / (tol * q),
+        res.record(~(gaps < REDUCTION_TOL * q), gaps / (REDUCTION_TOL * q),
                    lambda i: f"p={ps[i]} q={q} gap={gaps[i]:.3e}")
     return res
 

@@ -24,29 +24,28 @@ def report(ok: bool, label: str):
 
 
 def test_criterion_1_closed_form_equivalence():
-    result = verify.closed_form_suite(q_max=512, tol=1e-6)
+    result = verify.closed_form_suite(q_max=512)
     report(result.passed and result.checked > 75_000,
            f"criterion 1: closed form vs direct, q <= 512, "
            f"{result.checked} pairs, {len(result.failures)} violations")
 
 
 def test_criterion_2_functional_equation_equivalence():
-    result = verify.functional_eq_suite(q_max=400, n_weights=50, n_p=5,
-                                        support=8, tol=1e-6)
+    result = verify.functional_eq_suite(q_max=400, n_weights=50)
     report(result.passed,
            f"criterion 2: functional equations, 50 weights x q <= 400, "
            f"{result.checked} evaluations, {len(result.failures)} violations")
 
 
 def test_criterion_3_noncoprime_reduction():
-    result = verify.reduction_suite(q_max=200, tol=1e-8)
+    result = verify.reduction_suite(q_max=200)
     report(result.passed,
            f"criterion 3: non-coprime reduction, q <= 200, "
            f"{result.checked} pairs, {len(result.failures)} violations")
 
 
 def test_criterion_4_weil_bounds():
-    result = verify.weil_suite(q_max=1000, mn_max=4)
+    result = verify.weil_suite(q_max=1000)
     report(result.passed,
            f"criterion 4: Weil bounds, q <= 1000, m,n <= 4, "
            f"{result.checked} sums, {len(result.failures)} violations")

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -71,7 +72,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "0 violations" in out
 
-    @pytest.mark.parametrize("suite", ["functional_eq", "reduction"])
+    @pytest.mark.parametrize("suite", ["functional_eq"])
     def test_negative_seed_refused(self, suite):
         # random.Random would read it as |seed|, an alias of another seed's draws
         with pytest.raises(errors.DomainError, match="seed must be >= 0, got -1"):
@@ -89,6 +90,14 @@ class TestVerifyCommand:
         sizes = []
         monkeypatch.setattr(verify, "reduction_suite", lambda **kw: sizes.append(kw) or "traced")
         assert verify.run_suite("reduction", q_max=5) == "traced" and sizes == [{"q_max": 5}]
+
+    def test_suites_take_only_what_callers_set(self):
+        # q_max is run_suite's size override; the benchmark also sets functional_eq's
+        # n_weights and seed.  Tolerances and the other sizes are fixed in verify
+        params = {name: list(inspect.signature(suite).parameters)
+                  for name, suite in verify.SUITES.items()}
+        assert params == {name: ["q_max"] + ["n_weights", "seed"] * (name == "functional_eq")
+                          for name in verify.SUITES}
 
     def test_fault_injection_fails(self, monkeypatch, capsys):
         flip_one_class(monkeypatch, 15)  # one unit moves between the half classes of 15
@@ -136,9 +145,8 @@ def totients(n):
 class TestSuiteCounts:
     """Each suite makes the number of checks its definition gives, counted per modulus."""
 
-    SIZES = {"closed_form": {"q_max": 60}, "functional_eq": {"q_max": 40, "n_weights": 3, "n_p": 4},
-             "weil": {"q_max": 40, "mn_max": 3}, "class_counts": {"q_max": 150},
-             "reduction": {"q_max": 50}}
+    SIZES = {"closed_form": {"q_max": 60}, "functional_eq": {"q_max": 40, "n_weights": 3},
+             "weil": {"q_max": 40}, "class_counts": {"q_max": 150}, "reduction": {"q_max": 50}}
 
     @staticmethod
     def expected(suite, q_max, n_weights=50, n_p=5, mn_max=4):
@@ -1095,7 +1103,7 @@ class TestOutputDigest:
         # every command line of the digest set is one the CLI accepts, without running it
         commands = self.load().COMMANDS
         parsed = [cli.build_parser().parse_args(argv) for _, argv in commands]
-        assert len({name for name, _ in commands}) == len(commands) == 16
+        assert len({name for name, _ in commands}) == len(commands) == 17
         assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
                                                      "equidist"}
         assert {args.suite for args in parsed if args.command == "verify"} == set(verify.SUITES)

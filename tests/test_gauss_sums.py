@@ -568,10 +568,11 @@ class TestWeightAxis:
                 assert direct[i].tobytes() == gs.DirectEvaluator(w, q)(ps[i]).tobytes(), (q, i)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-14])  # 1e-14 makes hundreds of violations
-    def test_suite_equals_per_weight_loop(self, tol):
+    def test_suite_equals_per_weight_loop(self, tol, monkeypatch):
         from gausslab import verify
 
-        result = verify.functional_eq_suite(q_max=60, n_weights=4, tol=tol)
+        monkeypatch.setattr(verify, "FUNCTIONAL_EQ_TOL", tol)
+        result = verify.functional_eq_suite(q_max=60, n_weights=4)
         checked, worst, failures = functional_eq_reference(q_max=60, n_weights=4, tol=tol)
         assert (result.checked, result.worst) == (checked, worst)
         assert sorted(result.failures) == sorted(failures)

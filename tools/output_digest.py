@@ -42,6 +42,8 @@ COMMANDS = [
                   "--seed", "7"]),
     *[(f"equidist_{q}", ["equidist", "--q", q, "--t", "all", "--m", "1", "--n", "3"])
       for q in ("4002", "4004")],
+    ("equidist_4002_json", ["equidist", "--q", "4002", "--t", "all", "--m", "1", "--n", "3",
+                            "--format", "json"]),
     *[(f"verify_{suite}", ["verify", suite])
       for suite in ("closed_form", "functional_eq", "weil", "class_counts", "reduction")],
 ]
