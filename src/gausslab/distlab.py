@@ -49,17 +49,14 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import arith
 from .errors import BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
-    G_PLUS,
     ModulusCase,
     modulus_case,
     quadratic_grid,
@@ -378,16 +375,3 @@ def ks_distance(a, b) -> float:
             worst = max(worst, float(gap.max()))
     return worst
 
-
-def discrete_factor_counts(q: int) -> dict[complex, Fraction]:
-    """Exact frequencies of the normalized complete sum over the units.
-
-    These are the normalizers D(p) of modulus_case without their constant,
-    computed exactly from its characters: (1+i) eps_p^{-1} (q/p) =
-    g_1(p,q)/sqrt(q) for q = 0 mod 4, (p/q) for odd q and (2p/(q/2)) for
-    q = 2 mod 4.
-    """
-    case = modulus_case(q, arith.units(q))
-    factors = (1 + 1j) * np.conj(case.characters) if case.variant == G_PLUS else case.characters
-    counts = Counter(factors.astype(np.complex128).tolist())
-    return {v: Fraction(c, factors.size) for v, c in counts.items()}

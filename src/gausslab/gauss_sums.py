@@ -226,16 +226,17 @@ def series_terms(coefficients, variant: str, cutoff: int | None = None,
 
     Indices n and -n share e(n^2 x), so their coefficients are summed.
     cutoff bounds the series index |n| (not the coefficient index); a
-    negative one, which would keep no term, is a DomainError.  A
-    sequence of W maps gives a (W, terms) block over the union of their
-    terms, zero where a map has none.  An index above index_max is a
-    DomainError: the indices are int64, and series evaluated at float
-    points pass arith.INT64_ROOT (see quadratic_series).
+    negative one, which would keep no term, or one that is not a whole
+    number is a DomainError.  A sequence of W maps gives a (W, terms)
+    block over the union of their terms, zero where a map has none.  An
+    index above index_max is a DomainError: the indices are int64, and
+    series evaluated at float points pass arith.INT64_ROOT (see
+    quadratic_series).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    if cutoff is not None and cutoff < 0:
-        raise DomainError(f"series cutoff must be >= 0, got {cutoff}")
+    if cutoff is not None and (cutoff % 1 or cutoff < 0):  # NaN % 1 is NaN
+        raise DomainError(f"series cutoff must be >= 0 and whole, got {cutoff}")
     rows = [coefficients] if isinstance(coefficients, dict) else coefficients
     folded = [{} for _ in rows]
     for row, out in zip(rows, folded):
@@ -398,13 +399,14 @@ def _rader_grid(ks: np.ndarray, cs: np.ndarray, p: int) -> np.ndarray:
 def quadratic_grid(ns, cs, N: int) -> np.ndarray:
     """sum_j cs[j] e(ns[j]^2 t / N) for every grid point t = 0..N-1.
 
-    The terms are binned at n^2 mod N (in exact integer arithmetic), which
-    leaves one unnormalized inverse DFT of length N: Rader's for a prime
-    3 <= N < _RADER_BELOW, numpy's FFT otherwise.
+    The integer indices ns (a non-integer is a DomainError) are binned at
+    n^2 mod N in exact integer arithmetic, which leaves one unnormalized
+    inverse DFT of length N: Rader's for a prime 3 <= N < _RADER_BELOW,
+    numpy's FFT otherwise.
     """
     if N < 1:
         raise DomainError(f"grid size must be positive, got {N}")
-    r = np.asarray(ns, dtype=np.int64) % N
+    r = arith.residues(np.asarray(ns), N)
     squares = r * r % N
     cs = np.asarray(cs, dtype=np.complex128)
     if 3 <= N < _RADER_BELOW and arith.factorize(N) == [(N, 1)]:
@@ -412,21 +414,6 @@ def quadratic_grid(ns, cs, N: int) -> np.ndarray:
     binned = np.zeros(N, dtype=np.complex128)
     np.add.at(binned, squares, cs)
     return np.fft.ifft(binned, norm="forward")
-
-
-def limit_series(variant: str, w: WeightFunction, x, cutoff: int | None = None):
-    """Truncated quadratic series of the weight at x (scalar or array).
-
-    The truncation is on the series index: terms with |n| > cutoff are
-    dropped; cutoff None keeps the weight's full finite support.  Each
-    e(n^2 x) is read from an exact phase (quadratic_series), and a scalar
-    gives the same bits as the same x inside an array of any size.  NaN or
-    +-inf is a DomainError.
-    """
-    ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
-    xs = np.asarray(x, dtype=np.float64)
-    out = quadratic_series(ns, cs, np.atleast_1d(xs))
-    return complex(out[0]) if xs.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

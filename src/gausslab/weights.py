@@ -94,34 +94,13 @@ def grid_in_interval(r: np.ndarray, q: int, a: float, b: float) -> np.ndarray:
     return (math.ceil(Fraction(a) * q) <= r) & (r < math.ceil(Fraction(b) * q))
 
 
-def evaluate(w: WeightFunction, x):
-    """Value of the weight at x (scalar or array), period one.
-
-    A series: the exact finite sum.  An indicator: the exact 0/1
-    indicator of [a, b), not the truncated series.  NaN or +-inf is a DomainError.
-    """
-    xs = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(xs).all():
-        raise DomainError("a weight is evaluated at finite points only")
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs) % 1.0
-    if w.interval is not None:
-        a, b = w.interval
-        out = ((xs >= a) & (xs < b)).astype(np.complex128)
-    else:
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        for k, c in w.coefficients.items():
-            out += c * np.exp(2j * np.pi * k * xs)
-    return complex(out[0]) if scalar else out
-
-
 def evaluate_grid(w, q: int) -> np.ndarray:
     """Values at the rational grid h/q, h = 0..q-1.
 
     A series of any support is folded mod q (c_k added into bin k mod q)
-    and evaluated with one inverse FFT, in O(#coefficients + q log q);
-    evaluate() stays the pointwise reference at float x.  Indicators are
-    exact 0/1 by grid_in_interval, the rule domain windows use too.
+    and evaluated with one inverse FFT, in O(#coefficients + q log q).
+    Indicators are exact 0/1 by grid_in_interval, the rule domain windows
+    use too.
     A sequence of W weights gives a (W, q) array, one row per weight, with
     one row-wise inverse FFT for all of its series.  q < 1 is a DomainError.
     """

