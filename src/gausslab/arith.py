@@ -2,8 +2,8 @@
 
 Everything downstream (Gauss sums, Kloosterman sums, class statistics)
 reduces to the primitives in this module: modular powers (and inverses by
-Euler's theorem), the Jacobi symbol, the quartic unit factor of odd
-integers, and the totient and divisor count of a modulus.  All pure.
+Euler's theorem), the Jacobi symbol, and the totient and divisor count
+of a modulus.  All pure.
 
 The scalar functions take Python ints of any size.  residues and
 jacobi_array answer one int exactly through them; they and power_mod take
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvenArgument, EvenModulus
+from .errors import DomainError, EvenModulus
 
 # largest n with n * n < 2**63: residues below it multiply without leaving int64
 INT64_ROOT = math.isqrt(2**63 - 1)
@@ -52,13 +52,6 @@ def jacobi(a: int, b: int) -> int:
             j = -j
         a %= b
     return j if b == 1 else 0
-
-
-def epsilon(a: int) -> complex:
-    """Quartic unit of an odd integer: 1 if a = 1 mod 4, i if a = 3 mod 4."""
-    if a % 2 == 0:
-        raise EvenArgument(f"argument must be odd, got {a}")
-    return 1 + 0j if a % 4 == 1 else 1j
 
 
 def is_perfect_square(n: int) -> bool:

@@ -324,12 +324,20 @@ class Histogram:
     density: np.ndarray
 
 
+def _real_samples(values) -> np.ndarray:
+    """values as float64; a complex dtype is a DomainError, not cast to its real part."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":  # a dtype test: O(1) before any sort
+        raise DomainError("samples must be real; pass the .real or .imag of complex values")
+    return arr.astype(np.float64, copy=False)
+
+
 def histogram(values, bins: int = 40) -> Histogram:
-    """Bin finite values over their own range [min, max]; constant data gets [v - 0.5, v + 0.5].
+    """Bin finite real values over their range [min, max]; constant data gets [v - 0.5, v + 0.5].
 
     Edges not finite or closer than the least normal float (nan or inf densities) are a DomainError.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _real_samples(values)
     if arr.size == 0:
         raise EmptyInput("cannot bin an empty sample set")
     if bins < 1:
@@ -356,12 +364,13 @@ def histogram(values, bins: int = 40) -> Histogram:
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|; NaN is refused, +-inf is kept.
 
-    The supremum is attained at a sample point: both CDFs are evaluated at
-    the points of a, then of b, _KS_BLOCK at a time, with the quotients of
-    the merged grid of all points but without building that grid.
+    Complex samples are refused too: pass their .real or .imag.  The
+    supremum is attained at a sample point: both CDFs are evaluated at the
+    points of a, then of b, _KS_BLOCK at a time, with the quotients of the
+    merged grid of all points but without building that grid.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a = np.sort(_real_samples(a))
+    b = np.sort(_real_samples(b))
     if a.size == 0 or b.size == 0:
         raise EmptyInput("cannot compare empty sample sets")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last

@@ -13,10 +13,6 @@ class EvenModulus(DomainError):
     """Jacobi symbol requested with an even lower argument."""
 
 
-class EvenArgument(DomainError):
-    """The quartic unit factor is only defined for odd integers."""
-
-
 class BadInterval(DomainError):
     """Interval endpoints do not satisfy 0 <= a < b <= 1."""
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import arith
 from .errors import DomainError, IndicatorKind, NotCoprime
-from .weights import WeightFunction, evaluate_grid, reduce_weight
+from .weights import WeightFunction, evaluate_grid
 
 G_PLUS = "G_plus"
 G_FULL = "G_full"
@@ -119,7 +119,7 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
         two = 2 - q % 2
         m = q // two
         jac = arith.jacobi_array(two * ps, m)
-        normalizers = two * (arith.epsilon(m) * jac * math.sqrt(m))
+        normalizers = two * (_EPS[m % 4] * jac * math.sqrt(m))
         square = arith.is_perfect_square(m)
         classes = np.full(np.shape(ps), None) if square else jac
         case = ModulusCase(G_FULL if two == 1 else G_MINUS, _LABELS[two, square], two * q, ps,
@@ -202,18 +202,6 @@ def gauss_sum_closed(p, q: int):
     case = modulus_case(q, p)
     complete = np.zeros_like(case.normalizers) if case.variant == G_MINUS else case.normalizers
     return complex(complete) if np.ndim(complete) == 0 else complete
-
-
-def reduce_noncoprime(w: WeightFunction, p: int, q: int):
-    """Rewrite g(w, p, q) with a coprime pair.
-
-    For r = gcd(p, q): g(w, p, q) = g(w_r, p/r, q/r) where w_r is the
-    r-fold compressed weight.  Identity when r = 1.
-    """
-    r = math.gcd(p, q)
-    if r <= 1:
-        return w, p, q
-    return reduce_weight(w, r), p // r, q // r
 
 
 # ---------------------------------------------------------------------------
@@ -420,28 +408,20 @@ def quadratic_grid(ns, cs, N: int) -> np.ndarray:
 # functional-equation fast path
 # ---------------------------------------------------------------------------
 
-def gauss_sum_fast_batch(w, ps, q: int):
+def gauss_sum_fast_batch(w: WeightFunction, ps, q: int):
     """Functional-equation evaluation for an array of units p at once (or one int p).
 
-    w may also be a sequence of W weights, with ps a (W, n) array whose
-    row w goes with weight w: one modulus_case and one set of points for
-    all W n units, and one series call on the (W, terms) coefficient
-    block.  The rows of weights that share a support equal their
-    single-weight calls bit for bit.  Cost O(#coefficients + #p) after the
-    modular inverses; see gauss_sum_fast for the contract.
+    D(p) G(x_p) by one modulus_case, one series_terms fold and one
+    quadratic_series call: O(#coefficients + #p) after the modular
+    inverses.  See gauss_sum_fast for the contract.
     """
-    single = isinstance(w, WeightFunction)
-    weights = [w] if single else list(w)
-    if any(v.interval is not None for v in weights):
+    if w.interval is not None:
         raise IndicatorKind(
             "fast evaluation needs a finite Fourier series; "
             "convert indicators with as_fourier_series() first"
         )
-    if not single and (np.ndim(ps) != 2 or len(ps) != len(weights)):
-        raise DomainError(f"{len(weights)} weights need a p array with one row per weight")
     case = modulus_case(q, ps)
-    ns, cs = series_terms(w.coefficients if single else [v.coefficients for v in weights],
-                          case.variant)
+    ns, cs = series_terms(w.coefficients, case.variant)
     series = quadratic_series(ns, cs, case.points(), case.point_map[1])
     values = np.atleast_1d(case.normalizers) * series
     return values[0] if np.ndim(case.units) == 0 else values

@@ -2,7 +2,8 @@
 
 evaluate is the pointwise value of a weight, the reference for
 weights.evaluate_grid.  discrete_factor_counts gives the exact
-frequencies of acceptance criterion 6.
+frequencies of acceptance criterion 6.  epsilon is the quartic unit
+factor of the closed forms and the twists.
 """
 
 from collections import Counter
@@ -14,6 +15,13 @@ from gausslab import arith
 from gausslab.errors import DomainError
 from gausslab.gauss_sums import G_PLUS, modulus_case
 from gausslab.weights import WeightFunction
+
+
+def epsilon(a: int) -> complex:
+    """Quartic unit of an odd integer: 1 if a = 1 mod 4, i if a = 3 mod 4."""
+    if a % 2 == 0:
+        raise DomainError(f"argument must be odd, got {a}")
+    return 1 + 0j if a % 4 == 1 else 1j
 
 
 def evaluate(w: WeightFunction, x):

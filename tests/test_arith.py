@@ -8,8 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab import arith
-from gausslab.errors import DomainError, EvenArgument, EvenModulus
+from gausslab import arith, gauss_sums
+from gausslab.errors import DomainError, EvenModulus
+from reference import epsilon
 
 
 def legendre_by_squaring(a, p):
@@ -154,19 +155,23 @@ class TestJacobi:
 
 
 class TestEpsilon:
+    """The reference quartic unit, against the table modulus_case reads it from."""
+
     def test_values(self):
-        assert arith.epsilon(1) == 1
-        assert arith.epsilon(3) == 1j
-        assert arith.epsilon(7) == 1j
-        assert arith.epsilon(13) == 1
+        assert epsilon(1) == 1
+        assert epsilon(3) == 1j
+        assert epsilon(7) == 1j
+        assert epsilon(13) == 1
+        for a in range(-51, 52, 2):
+            assert epsilon(a) == gauss_sums._EPS[a % 4], a
 
     def test_even_rejected(self):
-        with pytest.raises(EvenArgument):
-            arith.epsilon(4)
+        with pytest.raises(DomainError):
+            epsilon(4)
 
     def test_square_is_plus_minus_one(self):
         for a in range(1, 50, 2):
-            assert arith.epsilon(a) ** 2 in (1 + 0j, -1 + 0j)
+            assert epsilon(a) ** 2 in (1 + 0j, -1 + 0j)
 
 
 SMALL_PRIMES = list(sympy.primerange(2, 10**5))

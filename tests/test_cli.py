@@ -201,6 +201,11 @@ class TestSuiteCounts:
             gaps = gauss_sums.gauss_sum_fast_batch(w, ps, q) - gauss_sums.DirectEvaluator(w, q)(ps)
             assert np.abs(gaps).max() < 1e-10 * math.sqrt(q), q
 
+    def test_functional_eq_folds_once_per_variant(self, monkeypatch):
+        folds = count_calls(monkeypatch, gauss_sums.series_terms)
+        assert verify.functional_eq_suite(q_max=60, n_weights=4).passed
+        assert sorted(args[1] for args in folds) == sorted(gauss_sums.VARIANTS)
+
     def test_class_counts_build_one_case_per_checked_modulus(self, monkeypatch):
         analyzed = count_calls(monkeypatch, arith.analyze_modulus)
         cases = count_calls(monkeypatch, gauss_sums.modulus_case)
@@ -246,16 +251,31 @@ class TestBatchedSuiteFaults:
                             lambda ps, q: self.bump(real(ps, q), ps, q, (5, 12)))
         self.check("closed_form", {"q_max": 20}, "p=5 q=12 |direct-closed|=", capsys)
 
-    def test_functional_eq(self, monkeypatch, capsys):
-        real = verify.gauss_sum_fast_batch
+    def test_closed_form_nan(self, monkeypatch, capsys):
+        # a NaN gap is a violation and an infinite margin, not a margin below 1
+        real = verify.gauss_sum_closed
 
-        def faulty(ws, ps, q):
-            # one call per modulus covers every weight; only row 0, the first weight, is hit
-            values = np.array(real(ws, ps, q))
-            values[0] = self.bump(values[0], ps[0], q, (7, 12))
+        def faulty(ps, q):
+            values = np.array(real(ps, q))
+            if q == 12:
+                values[ps == 5] = math.nan
             return values
 
-        monkeypatch.setattr(verify, "gauss_sum_fast_batch", faulty)
+        monkeypatch.setattr(verify, "gauss_sum_closed", faulty)
+        self.check("closed_form", {"q_max": 20}, "p=5 q=12 |direct-closed|=nan", capsys)
+        assert verify.run_suite("closed_form", q_max=20).worst == math.inf
+
+    def test_functional_eq(self, monkeypatch, capsys):
+        real = verify.modulus_case
+
+        def faulty(q, ps=()):
+            # one case per modulus covers every weight; only row 0, the first weight, is hit
+            case = real(q, ps)
+            normalizers = np.array(case.normalizers)
+            normalizers[0] = self.bump(normalizers[0], ps[0], q, (7, 12))
+            return case._replace(normalizers=normalizers)
+
+        monkeypatch.setattr(verify, "modulus_case", faulty)
         self.check("functional_eq", {"q_max": 20, "n_weights": 3}, "p=7 q=12 |fast-direct|=", capsys)
 
     def test_weil(self, monkeypatch, capsys):

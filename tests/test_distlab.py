@@ -636,6 +636,15 @@ class TestKSDistance:
         with pytest.raises(DomainError, match="NaN"):
             distlab.ks_distance(a, b)
 
+    @pytest.mark.parametrize("a, b", [(np.array([1 + 5j, 2, 3 - 4j]), [1.0, 2.0, 3.0]),
+                                      ([0.5], np.array([1j]))])
+    def test_complex_rejected(self, a, b):
+        # a float cast kept the real parts only: these read 0.0 and 1.0 before
+        with pytest.raises(DomainError, match="samples must be real"):
+            distlab.ks_distance(a, b)
+        with pytest.raises(DomainError, match="samples must be real"):
+            distlab.histogram(np.concatenate([a, b]))
+
     def test_infinite_values_keep_their_order(self):
         assert distlab.ks_distance([-math.inf, 0.0, math.inf], [-math.inf, 0.0, math.inf]) == 0.0
         assert distlab.ks_distance([0.0, math.inf], [0.0, 1.0]) == 0.5

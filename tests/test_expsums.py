@@ -9,6 +9,7 @@ import pytest
 from gausslab import arith, expsums
 from gausslab.errors import BadModulus, DomainError, NotCoprime
 from gausslab.gauss_sums import modulus_case, sigma_class
+from reference import epsilon
 
 
 def brute_kloosterman(m, n, q, twist=lambda p: 1):
@@ -38,7 +39,7 @@ def weyl_statistic(q, t, m, n, class_filter=None):
 # the twists of the twisted and Salie sums, from the scalar symbols
 BRUTE_TWISTS = {
     "kloosterman": lambda q: lambda p: 1,
-    "twisted": lambda q: lambda p: arith.epsilon(p) * arith.jacobi(q, p),
+    "twisted": lambda q: lambda p: epsilon(p) * arith.jacobi(q, p),
     "salie": lambda q: lambda p: arith.jacobi(p, q),
 }
 

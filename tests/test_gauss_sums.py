@@ -10,7 +10,7 @@ import pytest
 from gausslab import arith, weights
 from gausslab import gauss_sums as gs
 from gausslab.errors import DomainError, IndicatorKind, NotCoprime
-from reference import evaluate
+from reference import epsilon, evaluate
 
 ONE = weights.constant_weight()
 
@@ -141,20 +141,17 @@ class TestClosed:
                 z = gs.gauss_sum_closed(p, q) / math.sqrt(q)
                 assert min(abs(z - w) for w in (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)) < 1e-9
         for q in range(3, 201, 2):
-            eps_sqrt = arith.epsilon(q) * math.sqrt(q)
+            eps_sqrt = epsilon(q) * math.sqrt(q)
             for p in arith.units(q).tolist():
                 z = gs.gauss_sum_closed(p, q) / eps_sqrt
                 assert min(abs(z - s) for s in (1, -1)) < 1e-9
 
 
 class TestReduceNoncoprime:
-    def test_coprime_unchanged(self):
-        w = weights.fourier_weight({0: 1.0, 2: 1j})
-        assert gs.reduce_noncoprime(w, 3, 8) == (w, 3, 8)
+    """g(w, p, q) = g(w_r, p/r, q/r) for r = gcd(p, q), w_r = reduce_weight(w, r)."""
 
     def test_two_four(self):
-        w2, p2, q2 = gs.reduce_noncoprime(ONE, 2, 4)
-        assert (p2, q2) == (1, 2)
+        w2 = weights.reduce_weight(ONE, 2)
         assert w2.coefficients == {0: 2 + 0j}
         assert gs.gauss_sum_direct(ONE, 2, 4) == pytest.approx(
             gs.gauss_sum_direct(w2, 1, 2), abs=1e-12)
@@ -163,10 +160,8 @@ class TestReduceNoncoprime:
         rng = np.random.default_rng(23)
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-7, 8)})
-        w2, p2, q2 = gs.reduce_noncoprime(w, 6, 9)
-        assert (p2, q2) == (2, 3)
         lhs = gs.gauss_sum_direct(w, 6, 9)
-        rhs = gs.gauss_sum_direct(w2, p2, q2)
+        rhs = gs.gauss_sum_direct(weights.reduce_weight(w, 3), 2, 3)
         assert abs(lhs - rhs) < 1e-9
 
     def test_sweep(self):
@@ -176,10 +171,11 @@ class TestReduceNoncoprime:
         for q in range(2, 61):
             ev = gs.DirectEvaluator(w, q)
             for p in range(1, q + 1):
-                if math.gcd(p, q) == 1:
+                r = math.gcd(p, q)
+                if r == 1:
                     continue
-                w2, p2, q2 = gs.reduce_noncoprime(w, p, q)
-                assert abs(ev(p) - gs.gauss_sum_direct(w2, p2, q2)) < 1e-8 * q
+                rhs = gs.gauss_sum_direct(weights.reduce_weight(w, r), p // r, q // r)
+                assert abs(ev(p) - rhs) < 1e-8 * q
 
 
 class TestLimitSeries:
@@ -573,14 +569,19 @@ class TestWeightAxis:
     @pytest.mark.parametrize("support", [range(-8, 9), (-7, -3, 0, 2, 5, 11)],
                              ids=["progression", "sparse"])
     def test_rows_equal_single_weight_calls(self, support):
+        # the fast side of verify.functional_eq_suite: one fold per variant, then per
+        # modulus one case and one series call on the (W, terms) block
         rng = np.random.default_rng(len(support))
         ws = [weights.fourier_weight({k: complex(rng.normal(), rng.normal()) for k in support})
               for _ in range(3)]
+        terms = {v: gs.series_terms([w.coefficients for w in ws], v) for v in gs.VARIANTS}
         for q in range(3, 401):  # every class mod 4
             units = arith.units(q)
             ps = np.array([np.sort(rng.choice(units, min(len(units), 6), replace=False))
                            for _ in ws])
-            fast = gs.gauss_sum_fast_batch(ws, ps, q)
+            case = gs.modulus_case(q, ps)
+            fast = case.normalizers * gs.quadratic_series(*terms[case.variant], case.points(),
+                                                          case.point_map[1])
             direct = gs.DirectEvaluator(ws, q)(ps)
             assert fast.shape == direct.shape == ps.shape
             for i, w in enumerate(ws):
@@ -625,7 +626,5 @@ class TestWeightAxis:
     def test_p_needs_one_row_per_weight(self):
         ws = [weights.fourier_weight({1: 1.0}), weights.fourier_weight({2: 1.0})]
         for ps in (np.array([1, 2, 3, 4]), 3):
-            with pytest.raises(ValueError):
-                gs.gauss_sum_fast_batch(ws, ps, 7)
             with pytest.raises(ValueError):
                 gs.DirectEvaluator(ws, 7)(ps)

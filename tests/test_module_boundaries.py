@@ -8,7 +8,8 @@ must be empty.  Dunder names are exempt.
 Every public top-level function and class has a caller in the package: some
 package code outside its own definition reads it as a name or an attribute,
 or the package exports it, or the benchmark's tracer wraps it.  A reference
-that only the tests need lives in the tests.
+that only the tests need lives in the tests.  Every exception type of
+errors.py is named by some raise statement of the package.
 """
 
 import ast
@@ -99,3 +100,23 @@ def test_census_finds_both_reference_forms():
                      "class Idle: pass\n"),
                "b": "x = used_bare() + a.used_as_attribute()\n"}
     assert idle_names(sources, {"a.kept"}) == ["a.idle", "a.Idle"]
+
+
+def unraised(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes of errors_source that no raise statement of sources names."""
+    raised = set().union(*(references(node) for source in sources
+                           for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)))
+    return [node.name for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.name not in raised]
+
+
+def test_every_exception_type_is_raised():
+    errors = (PACKAGE / "errors.py").read_text()
+    assert unraised(errors, [path.read_text() for path in MODULES]) == []
+
+
+def test_exception_census_reads_raise_statements_only():
+    errors = "class Raised(ValueError): pass\nclass Caught(Raised): pass\nclass Bare: pass\n"
+    source = ("try:\n    raise errors.Raised('x')\nexcept Caught:\n    raise\n"
+              "def f():\n    raise Bare\n")
+    assert unraised(errors, [source]) == ["Caught"]
