@@ -160,7 +160,7 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     """
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
-    ns, cs = series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
+    ns, cs = series_terms(w, variant, cutoff, arith.INT64_ROOT)
     base = _points(uniform_words(seeded_rng(seed), -(-n_samples // _LATTICE))) / _LATTICE
     sums = np.zeros((base.size, _LATTICE), dtype=np.complex128)
     residues = ns % _LATTICE
@@ -223,7 +223,7 @@ def _limit_moments(variant: str, w: WeightFunction, ks: list, grid_size: int | N
     """limit_moment for each (checked) k of ks, with at most one quadratic_grid call, if any."""
     if grid_size is not None and grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
-    ns, cs = series_terms(w.coefficients, variant, None)
+    ns, cs = series_terms(w, variant, None)
     with np.errstate(over="ignore", invalid="ignore"):  # a moment out of range is refused below
         exact = {0: 1.0, 2: float(np.sum(np.abs(cs) ** 2))}
         if 4 in ks:
@@ -335,13 +335,15 @@ def _real_samples(values) -> np.ndarray:
 def histogram(values, bins: int = 40) -> Histogram:
     """Bin finite real values over their range [min, max]; constant data gets [v - 0.5, v + 0.5].
 
-    Edges not finite or closer than the least normal float (nan or inf densities) are a DomainError.
+    A bins that is not a positive integer is a DomainError, and so are edges not finite or
+    closer than the least normal float (nan or inf densities).
     """
     arr = _real_samples(values)
     if arr.size == 0:
         raise EmptyInput("cannot bin an empty sample set")
-    if bins < 1:
-        raise DomainError(f"need at least one bin, got {bins}")
+    if bins % 1 or bins < 1:  # NaN % 1 is NaN
+        raise DomainError(f"bins must be a positive integer, got {bins}")
+    bins = int(bins)
     if not np.isfinite(arr).all():  # NaN or +-inf: no finite range to split
         raise DomainError("cannot bin NaN or infinite values")
     lo, hi = float(arr.min()), float(arr.max())

@@ -136,11 +136,11 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
 # ---------------------------------------------------------------------------
 
 class DirectEvaluator:
-    """Reusable O(q) evaluator for one weight, or W weights, and one modulus: the per-p oracle.
+    """Reusable O(q) evaluator for one weight, or a batch of W, and one modulus: the per-p oracle.
 
     Precomputes the q-th roots of unity and, for each h <= q/2, the weight's
     values at h/q and (q - h)/q added up, since they share the phase
-    ((W, q//2 + 1) for W weights); each sum is a gather of roots[p h^2 mod q]
+    ((W, q//2 + 1) for a batch); each sum is a gather of roots[p h^2 mod q]
     times those, summed along h, with no transcendental calls.  numpy sums each
     row in an order fixed by q alone, so a value depends on (w, p, q) only,
     not on the p sharing its call.  It never goes through quadratic_grid or
@@ -161,7 +161,7 @@ class DirectEvaluator:
     def __call__(self, p):
         """g(w, p, q) for one p (a complex; exact for an int of any size) or an int64 array.
 
-        For W weights p is a (W, n) array, row w for weight w.
+        For a batch of W weights p is a (W, n) array, row w for weight w.
         """
         ps = arith.residues(p, self.q)
         if self._paired.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(self._paired)):
@@ -208,37 +208,34 @@ def gauss_sum_closed(p, q: int):
 # quadratic series kernel
 # ---------------------------------------------------------------------------
 
-def series_terms(coefficients, variant: str, cutoff: int | None = None,
+def series_terms(w: WeightFunction, variant: str, cutoff: int | None = None,
                  index_max: int = 2**63 - 1) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a coefficient map into series terms c_n e(n^2 x), n >= 0.
+    """Fold a weight's series into terms c_n e(n^2 x), n >= 0: ascending ns and their cs.
 
-    Indices n and -n share e(n^2 x), so their coefficients are summed.
-    cutoff bounds the series index |n| (not the coefficient index); a
-    negative one, which would keep no term, or one that is not a whole
-    number is a DomainError.  A sequence of W maps gives a (W, terms)
-    block over the union of their terms, zero where a map has none.  An
-    index above index_max is a DomainError: the indices are int64, and
-    series evaluated at float points pass arith.INT64_ROOT (see
-    quadratic_series).
+    Indices n and -n share e(n^2 x), so their coefficients are summed;
+    with distinct frequencies each n receives at most two, so the sum is
+    exact in either order.  A batch weight keeps its batch axes in front
+    of the terms.  cutoff bounds the series index |n| (not the coefficient
+    index); a negative one, which would keep no term, or one that is not a
+    whole number is a DomainError.  An index above index_max is a
+    DomainError: series evaluated at float points pass arith.INT64_ROOT
+    (see quadratic_series).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     if cutoff is not None and (cutoff % 1 or cutoff < 0):  # NaN % 1 is NaN
         raise DomainError(f"series cutoff must be >= 0 and whole, got {cutoff}")
-    rows = [coefficients] if isinstance(coefficients, dict) else coefficients
-    folded = [{} for _ in rows]
-    for row, out in zip(rows, folded):
-        for k, c in row.items():
-            if variant == G_FULL or (k % 2 == 1) == (variant == G_MINUS):
-                n = abs(k) // 2 if variant == G_PLUS else abs(k)
-                if cutoff is None or n <= cutoff:
-                    out[n] = out.get(n, 0j) + complex(c)
-    ns = sorted(set().union(*folded))
-    if ns and ns[-1] > index_max:
+    kept = np.full(w.ks.shape, True) if variant == G_FULL else w.ks % 2 == (variant == G_MINUS)
+    n = np.abs(w.ks) // (2 if variant == G_PLUS else 1)
+    if cutoff is not None:
+        kept &= n <= cutoff
+    # return_inverse keeps np.unique off the path that imports numpy.ma
+    ns, slots = np.unique(n[kept], return_inverse=True)
+    if ns.size and ns[-1] > index_max:
         raise DomainError(f"series indices must be <= {index_max}, got {ns[-1]}")
-    cs = np.array([[out.get(n, 0j) for n in ns] for out in folded], dtype=np.complex128)
-    cs = cs.reshape(len(rows), len(ns))
-    return np.array(ns, dtype=np.int64), cs[0] if isinstance(coefficients, dict) else cs
+    cs = np.zeros(w.cs.shape[:-1] + ns.shape, dtype=np.complex128)
+    np.add.at(cs, (..., slots), w.cs[..., kept])
+    return ns, cs
 
 
 # Exact phases.  A float point is split as x = hi / 2^26 + lo with hi an int64,
@@ -421,7 +418,7 @@ def gauss_sum_fast_batch(w: WeightFunction, ps, q: int):
             "convert indicators with as_fourier_series() first"
         )
     case = modulus_case(q, ps)
-    ns, cs = series_terms(w.coefficients, case.variant)
+    ns, cs = series_terms(w, case.variant)
     series = quadratic_series(ns, cs, case.points(), case.point_map[1])
     values = np.atleast_1d(case.normalizers) * series
     return values[0] if np.ndim(case.units) == 0 else values

@@ -29,7 +29,7 @@ from .gauss_sums import (
     quadratic_series,
     series_terms,
 )
-from .weights import constant_weight, fourier_weight, reduce_weight
+from .weights import WeightFunction, constant_weight, fourier_weight, reduce_weight
 
 CLOSED_FORM_TOL = FUNCTIONAL_EQ_TOL = 1e-6  # gaps stay below TOL * sqrt(q); a test may tighten
 REDUCTION_TOL = 1e-8  # gaps stay below TOL * q
@@ -77,7 +77,8 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, seed: int = 20260
     Random finite-series weights on the frequencies -8..8, every modulus
     up to q_max (all three classes mod 4), a few random units each.  All
     draws come from random.Random(seed), seed >= 0.  The weights are drawn
-    first, each coefficient a complex of two gauss draws; then each modulus
+    first, as the rows of one batch weight, each coefficient a complex of
+    two gauss draws; then each modulus
     draws one uint64 key per (weight, unit) from uniform_words, and row w
     checks the min(5, phi(q)) units of its smallest keys in ascending
     order.  The weights are folded once per series variant; per modulus
@@ -87,10 +88,9 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, seed: int = 20260
     (weight, p).
     """
     rng = seeded_rng(seed)
-    weights = [fourier_weight({k: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                               for k in range(-8, 9)})
-               for _ in range(n_weights)]
-    terms = {v: series_terms([w.coefficients for w in weights], v) for v in VARIANTS}
+    draws = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(17 * n_weights)]
+    weights = WeightFunction(np.arange(-8, 9), np.array(draws, dtype=np.complex128).reshape(-1, 17))
+    terms = {v: series_terms(weights, v) for v in VARIANTS}
     res = SuiteResult("functional_eq", 0)
     for q in range(3, q_max + 1):
         units = arith.units(q)

@@ -1,7 +1,9 @@
 """Reference oracles the tests check the package against; the package never calls them.
 
 evaluate is the pointwise value of a weight, the reference for
-weights.evaluate_grid.  discrete_factor_counts gives the exact
+weights.evaluate_grid.  series_terms_reference is the fold of a
+coefficient map {k: c_k} into quadratic series terms, one dict entry at a
+time, the reference for gauss_sums.series_terms.  discrete_factor_counts gives the exact
 frequencies of acceptance criterion 6.  epsilon is the quartic unit
 factor of the closed forms and the twists.
 """
@@ -13,7 +15,7 @@ import numpy as np
 
 from gausslab import arith
 from gausslab.errors import DomainError
-from gausslab.gauss_sums import G_PLUS, modulus_case
+from gausslab.gauss_sums import G_FULL, G_MINUS, G_PLUS, VARIANTS, modulus_case
 from gausslab.weights import WeightFunction
 
 
@@ -57,3 +59,36 @@ def discrete_factor_counts(q: int) -> dict[complex, Fraction]:
     factors = (1 + 1j) * np.conj(case.characters) if case.variant == G_PLUS else case.characters
     counts = Counter(factors.astype(np.complex128).tolist())
     return {v: Fraction(c, factors.size) for v, c in counts.items()}
+
+
+def series_terms_reference(coefficients, variant: str, cutoff: int | None = None,
+                           index_max: int = 2**63 - 1) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a coefficient map into series terms c_n e(n^2 x), n >= 0.
+
+    Indices n and -n share e(n^2 x), so their coefficients are summed.
+    cutoff bounds the series index |n| (not the coefficient index); a
+    negative one, which would keep no term, or one that is not a whole
+    number is a DomainError.  A sequence of W maps gives a (W, terms)
+    block over the union of their terms, zero where a map has none.  An
+    index above index_max is a DomainError: the indices are int64, and
+    series evaluated at float points pass arith.INT64_ROOT (see
+    quadratic_series).
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}")
+    if cutoff is not None and (cutoff % 1 or cutoff < 0):  # NaN % 1 is NaN
+        raise DomainError(f"series cutoff must be >= 0 and whole, got {cutoff}")
+    rows = [coefficients] if isinstance(coefficients, dict) else coefficients
+    folded = [{} for _ in rows]
+    for row, out in zip(rows, folded):
+        for k, c in row.items():
+            if variant == G_FULL or (k % 2 == 1) == (variant == G_MINUS):
+                n = abs(k) // 2 if variant == G_PLUS else abs(k)
+                if cutoff is None or n <= cutoff:
+                    out[n] = out.get(n, 0j) + complex(c)
+    ns = sorted(set().union(*folded))
+    if ns and ns[-1] > index_max:
+        raise DomainError(f"series indices must be <= {index_max}, got {ns[-1]}")
+    cs = np.array([[out.get(n, 0j) for n in ns] for out in folded], dtype=np.complex128)
+    cs = cs.reshape(len(rows), len(ns))
+    return np.array(ns, dtype=np.int64), cs[0] if isinstance(coefficients, dict) else cs

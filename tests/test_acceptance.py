@@ -105,7 +105,7 @@ def test_criterion_8_moment_convergence():
     # two oracles outside limit_moment: the folded Parseval sum of the analytic
     # coefficients, and the rectangle rule on a prime grid above 2 * 4000, where
     # n1^2 = n2^2 mod 65537 only for n1 = n2, so k = 2 does not alias
-    c = weights.indicator_coefficients(0.0, B7, 4000)
+    c = w.coefficients
     folded = [c[0]] + [c[n] + c[-n] for n in range(1, 4001)]  # c_n + c_{-n} share e(n^2 x)
     closed = sum(abs(x) ** 2 for x in folded)
     grid = gauss_sums.quadratic_grid(np.arange(4001), np.array(folded), 65537)

@@ -101,12 +101,11 @@ class TestDomainWindow:
         pairs = [(a, b) for i, a in enumerate(ends) for b in ends[i + 1:]]
         ws = [weights.interval_indicator(a, b, cutoff=1) for a, b in pairs]
         for q in range(1, 301):
-            rows = weights.evaluate_grid(ws + [ONE], q)  # the batched rows, next to a series
-            for (a, b), w, row in zip(pairs, ws, rows):
+            for (a, b), w in zip(pairs, ws):
                 lo, hi = Fraction(a) * q, Fraction(b) * q  # a <= h/q < b, scaled by q
                 want = [complex(lo <= h < hi) for h in range(q)]
                 assert weights.evaluate_grid(w, q).tolist() == want, (a, b, q)
-                assert row.tolist() == want, (a, b, q)
+                assert weights.grid_in_interval(np.arange(q), q, a, b).tolist() == want
         # fl(0.1) > 1/10, so [0, 0.1) holds 1/10 as well as 0/10
         grid = weights.evaluate_grid(weights.interval_indicator(0.0, 0.1, cutoff=1), 10)
         assert grid.real.tolist() == [1.0, 1.0] + [0.0] * 8
@@ -194,7 +193,7 @@ class TestEmpiricalBatch:
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-6, 7)})
         batch = distlab.empirical_batch(16, w)
-        ns, cs = gauss_sums.series_terms(w.coefficients, G_PLUS, None, arith.INT64_ROOT)
+        ns, cs = gauss_sums.series_terms(w, G_PLUS, None, arith.INT64_ROOT)
         for p, v in zip(batch.case.units.tolist(), batch.values.tolist()):
             x = (-pow(p, -1, 16)) % 16 / 16
             assert v == pytest.approx(gauss_sums.quadratic_series(ns, cs, np.atleast_1d(x))[0],
@@ -266,7 +265,7 @@ class TestSampleLimitLaw:
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
         vals = distlab.sample_limit_law(variant, w, trunc, 1000, seed=17)
         base = uniform_points(17, -(-1000 // m)) / m
-        ns, cs = gauss_sums.series_terms(w.coefficients, variant, trunc)
+        ns, cs = gauss_sums.series_terms(w, variant, trunc)
         squares = np.array([n * n for n in ns.tolist()], dtype=object)
         picked = range(0, 1000, 10)
         exact = np.empty(len(picked), dtype=complex)
@@ -337,7 +336,7 @@ class TestSampleLimitLaw:
         trunc, n = 200, 5000
         coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
         w = weights.as_fourier_series(weights.interval_indicator(0.0, B7, coeff_cutoff))
-        ns, cs = gauss_sums.series_terms(w.coefficients, variant, trunc)
+        ns, cs = gauss_sums.series_terms(w, variant, trunc)
         lattice, iid = [], []
         for seed in range(20):
             a, b = (distlab.sample_limit_law(variant, w, trunc, n, s) for s in (seed, seed + 20))
@@ -423,6 +422,17 @@ class TestLimitMoment:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+    def test_large_truncation_in_bounded_memory(self):
+        # an indicator of 160001 frequencies, built and folded: as a dict of Python
+        # complexes with a Python fold it peaked at 20.9 MiB, as two arrays 10.4 MiB
+        tracemalloc.start()
+        try:
+            distlab.limit_moment(G_PLUS, weights.interval_indicator(0.0, B7, 80_000), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20, peak
 
     @pytest.mark.parametrize("k", [2.0, 4.0])
     def test_composite_grid_against_independent_quadrature(self, k):
@@ -584,6 +594,15 @@ class TestHistogram:
         h = distlab.histogram([0.5] * 10, bins=4)
         assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0
         assert h.counts.tolist() == [0, 0, 10, 0]
+
+    @pytest.mark.parametrize("bins", [2.5, 0.5, math.nan, math.inf, 0, -3])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        # 2.5 raised numpy's TypeError and nan a ValueError
+        with pytest.raises(DomainError, match=f"bins must be a positive integer, got {bins}$"):
+            distlab.histogram([1.0, 2.0, 3.0], bins=bins)
+
+    def test_whole_float_bins(self):
+        assert distlab.histogram([1.0, 2.0, 3.0], bins=2.0).counts.tolist() == [1, 2]
 
     def test_nan_data_rejected(self):
         # infinite data too: an infinite maximum gave the edges [nan, inf, inf, inf, inf]

@@ -10,14 +10,14 @@ import pytest
 from gausslab import arith, weights
 from gausslab import gauss_sums as gs
 from gausslab.errors import DomainError, IndicatorKind, NotCoprime
-from reference import epsilon, evaluate
+from reference import epsilon, evaluate, series_terms_reference
 
 ONE = weights.constant_weight()
 
 
 def series_at(variant, w, x, cutoff=None):
     """The weight's quadratic series at the float points x, by sample_limit_law's route."""
-    terms = gs.series_terms(w.coefficients, variant, cutoff, arith.INT64_ROOT)
+    terms = gs.series_terms(w, variant, cutoff, arith.INT64_ROOT)
     return gs.quadratic_series(*terms, np.atleast_1d(x))
 
 
@@ -176,6 +176,56 @@ class TestReduceNoncoprime:
                     continue
                 rhs = gs.gauss_sum_direct(weights.reduce_weight(w, r), p // r, q // r)
                 assert abs(ev(p) - rhs) < 1e-8 * q
+
+
+class TestSeriesTermsOracle:
+    """series_terms folds bit for bit as the dict fold of reference.series_terms_reference."""
+
+    @staticmethod
+    def same(got, want):
+        (ns, cs), (ns_ref, cs_ref) = got, want
+        assert ns.dtype == ns_ref.dtype == np.int64 and ns.tolist() == ns_ref.tolist()
+        assert cs.shape == cs_ref.shape and cs.tobytes() == cs_ref.tobytes()
+
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+    def test_figure_weights(self, which):
+        # the weights of `figure`, at the coefficient cutoffs 8000, 4000 and 5000
+        from gausslab.cli import FIGURES
+
+        q, trunc, _ = FIGURES[which]
+        variant = gs.modulus_case(q).variant
+        w = weights.interval_indicator(0.0, 1 / math.sqrt(7),
+                                       2 * trunc if variant == gs.G_PLUS else trunc)
+        for cutoff in (trunc, None):
+            self.same(gs.series_terms(w, variant, cutoff, arith.INT64_ROOT),
+                      series_terms_reference(w.coefficients, variant, cutoff, arith.INT64_ROOT))
+
+    @pytest.mark.parametrize("variant", gs.VARIANTS)
+    def test_sparse_weight(self, variant):
+        # gaps, negative frequencies without their positive partner and a -0.0 coefficient
+        coeffs = {-403: 0.5j, -7: 1 - 2j, -2: -0.0, 0: 3.0, 2: -1j, 7: 0.25,
+                  400: 0.75 + 0.5j, 1203: -0.5, -1203: 2.0 + 1e-17j}
+        w = weights.fourier_weight(coeffs)
+        for cutoff in (None, 0, 3, 600):
+            self.same(gs.series_terms(w, variant, cutoff), series_terms_reference(coeffs, variant, cutoff))
+
+    def test_functional_eq_batch_rows(self, monkeypatch):
+        # the batch weight of verify.functional_eq_suite, caught at its fold, row by row
+        from gausslab import verify
+
+        folds = []
+
+        def caught(w, variant):
+            folds.append((w, variant))
+            return gs.series_terms(w, variant)
+
+        monkeypatch.setattr(verify, "series_terms", caught)
+        verify.functional_eq_suite(q_max=3, n_weights=50)
+        assert [v for _, v in folds] == list(gs.VARIANTS)
+        for w, variant in folds:
+            assert w.cs.shape == (50, 17)
+            rows = [dict(zip(w.ks.tolist(), row)) for row in w.cs.tolist()]
+            self.same(gs.series_terms(w, variant), series_terms_reference(rows, variant))
 
 
 class TestLimitSeries:
@@ -563,8 +613,13 @@ def functional_eq_reference(q_max, n_weights, n_p=5, support=8, tol=1e-6, seed=2
     return checked, worst, failures
 
 
+def batch(ws):
+    """The weights ws, all on the frequencies of ws[0], as one batch weight: row i is ws[i]."""
+    return weights.WeightFunction(ws[0].ks, np.stack([w.cs for w in ws]))
+
+
 class TestWeightAxis:
-    """A (W, terms) block of weights evaluates each row as that weight alone would."""
+    """A batch weight evaluates each row as that weight alone would."""
 
     @pytest.mark.parametrize("support", [range(-8, 9), (-7, -3, 0, 2, 5, 11)],
                              ids=["progression", "sparse"])
@@ -574,7 +629,7 @@ class TestWeightAxis:
         rng = np.random.default_rng(len(support))
         ws = [weights.fourier_weight({k: complex(rng.normal(), rng.normal()) for k in support})
               for _ in range(3)]
-        terms = {v: gs.series_terms([w.coefficients for w in ws], v) for v in gs.VARIANTS}
+        terms = {v: gs.series_terms(batch(ws), v) for v in gs.VARIANTS}
         for q in range(3, 401):  # every class mod 4
             units = arith.units(q)
             ps = np.array([np.sort(rng.choice(units, min(len(units), 6), replace=False))
@@ -582,7 +637,7 @@ class TestWeightAxis:
             case = gs.modulus_case(q, ps)
             fast = case.normalizers * gs.quadratic_series(*terms[case.variant], case.points(),
                                                           case.point_map[1])
-            direct = gs.DirectEvaluator(ws, q)(ps)
+            direct = gs.DirectEvaluator(batch(ws), q)(ps)
             assert fast.shape == direct.shape == ps.shape
             for i, w in enumerate(ws):
                 assert fast[i].tobytes() == gs.gauss_sum_fast_batch(w, ps[i], q).tobytes(), (q, i)
@@ -611,20 +666,24 @@ class TestWeightAxis:
         assert type(gs.gauss_sum_fast_batch(w, 7, q)) is np.complex128
         assert gs.gauss_sum_fast_batch(w, ps, q).shape == (4,)
         assert weights.evaluate_grid(w, q).shape == (q,)
-        ns, cs = gs.series_terms(w.coefficients, gs.G_FULL)
+        ns, cs = gs.series_terms(w, gs.G_FULL)
         assert ns.shape == cs.shape == (3,)
         assert series_at(gs.G_FULL, w, 0.25).shape == (1,)
         assert series_at(gs.G_FULL, w, np.array([0.1, 0.2])).shape == (2,)
 
     def test_grid_rows_of_either_kind(self):
-        # an indicator row stays the exact 0/1 indicator, not its truncated series
-        ws = [weights.interval_indicator(0.1, 0.4, 20), weights.fourier_weight({-3: 1j, 2: 0.5})]
-        grid = weights.evaluate_grid(ws, 30)
+        # a batch row is that series alone; an indicator is the exact 0/1
+        # indicator, not its truncated series
+        ws = [weights.fourier_weight({-3: c, 2: 0.5, 33: -c}) for c in (1j, 2.0, -0.5 + 1j)]
+        grid = weights.evaluate_grid(batch(ws), 30)
+        assert grid.shape == (3, 30)
         for row, w in zip(grid, ws):
             assert row.tobytes() == weights.evaluate_grid(w, 30).tobytes()
+        w = weights.interval_indicator(0.25, 0.5, 20)
+        assert weights.evaluate_grid(w, 32).tolist() == [8 <= h < 16 for h in range(32)]
 
     def test_p_needs_one_row_per_weight(self):
-        ws = [weights.fourier_weight({1: 1.0}), weights.fourier_weight({2: 1.0})]
+        ws = [weights.fourier_weight({1: 1.0, 2: 0.0}), weights.fourier_weight({1: 0.0, 2: 1.0})]
         for ps in (np.array([1, 2, 3, 4]), 3):
             with pytest.raises(ValueError):
-                gs.DirectEvaluator(ws, 7)(ps)
+                gs.DirectEvaluator(batch(ws), 7)(ps)

@@ -1,6 +1,8 @@
 """Weight functions: evaluation, analytic coefficients, r-fold reduction."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,12 +58,15 @@ class TestEvaluate:
 
 class TestIndicatorCoefficients:
     def test_full_interval(self):
-        coeffs = weights.indicator_coefficients(0.0, 1.0, 16)
+        w = weights.interval_indicator(0.0, 1.0, 16)
+        assert w.ks.dtype == np.int64 and w.cs.dtype == np.complex128
+        assert w.ks.tolist() == [0, *range(1, 17), *range(-1, -17, -1)]
+        coeffs = w.coefficients
         assert coeffs[0] == 1
         assert all(abs(coeffs[k]) < 1e-15 for k in coeffs if k != 0)
 
     def test_half_interval_formula(self):
-        coeffs = weights.indicator_coefficients(0.0, 0.5, 16)
+        coeffs = weights.interval_indicator(0.0, 0.5, 16).coefficients
         assert coeffs[0] == pytest.approx(0.5)
         for k in range(1, 17):
             expected = (1 - (-1) ** k) / (2j * math.pi * k)
@@ -69,12 +74,12 @@ class TestIndicatorCoefficients:
             assert coeffs[-k] == pytest.approx((1 - (-1) ** k) / (-2j * math.pi * k))
 
     def test_reference_interval_mean(self):
-        coeffs = weights.indicator_coefficients(0.0, 1 / math.sqrt(7), 8)
+        coeffs = weights.interval_indicator(0.0, 1 / math.sqrt(7), 8).coefficients
         assert coeffs[0] == pytest.approx(0.37796447300922720, abs=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.3), (0.2, 0.9), (0.125, 0.625)])
     def test_against_quadrature(self, a, b):
-        coeffs = weights.indicator_coefficients(a, b, 5)
+        coeffs = weights.interval_indicator(a, b, 5).coefficients
         for k in range(-5, 6):
             assert coeffs[k] == pytest.approx(riemann_coefficient(a, b, k), abs=5e-5)
 
@@ -82,13 +87,13 @@ class TestIndicatorCoefficients:
     def test_cutoff_must_be_a_positive_integer(self, cutoff):
         # 2.5 kept |k| <= 3
         with pytest.raises(DomainError, match="cutoff must be a positive integer"):
-            weights.indicator_coefficients(0, 0.5, cutoff)
+            weights.interval_indicator(0, 0.5, cutoff)
 
     def test_bad_interval(self):
         with pytest.raises(BadInterval):
-            weights.indicator_coefficients(0.5, 0.5, 8)
+            weights.interval_indicator(0.5, 0.5, 8)
         with pytest.raises(BadInterval):
-            weights.indicator_coefficients(0.9, 0.2, 8)
+            weights.interval_indicator(0.9, 0.2, 8)
 
     def test_truncation_error_bound(self):
         # L2 mass beyond the cutoff obeys the explicit 1/k^2 tail bound
@@ -175,6 +180,16 @@ class TestGridEvaluation:
         assert grid.shape == (q,)
         assert np.max(np.abs(grid - direct)) < 1e-11
 
+    def test_window_bounds_match_fractions(self):
+        # ceil(a q) = -(-n q // d) for a = n/d, against Fraction on random (a, b, q)
+        rng = random.Random(5)
+        for _ in range(2000):
+            a, b = sorted((rng.random(), rng.random()))
+            q = rng.randrange(1, 2**rng.randrange(1, 60))
+            r = np.array([max(0, int(x * q) + d) for x in (a, b) for d in (-1, 0, 1)])
+            want = [Fraction(a) * q <= x < Fraction(b) * q for x in r.tolist()]
+            assert weights.grid_in_interval(r, q, a, b).tolist() == want, (a, b, q)
+
     def test_indicator_grid(self):
         w = weights.interval_indicator(0.0, 0.5, cutoff=4)
         grid = weights.evaluate_grid(w, 4)
@@ -184,7 +199,7 @@ class TestGridEvaluation:
     def test_grid_size_below_1_refused(self, q):
         # a series raised ZeroDivisionError or "negative dimensions", an indicator gave []
         for w in (weights.interval_indicator(0.0, 0.3, 50), weights.fourier_weight({1: 1.0}),
-                  [weights.constant_weight()]):
+                  weights.WeightFunction(np.arange(2), np.ones((3, 2), dtype=np.complex128))):
             with pytest.raises(DomainError, match=f"grid size must be positive, got {q}"):
                 weights.evaluate_grid(w, q)
 
@@ -194,7 +209,7 @@ class TestConversion:
         w = weights.interval_indicator(0.2, 0.7, cutoff=32)
         s = weights.as_fourier_series(w)
         assert s.interval is None
-        assert s.coefficients is w.coefficients
+        assert s.ks is w.ks and s.cs is w.cs
 
     @pytest.mark.parametrize("k", [1.5, -0.7, math.nan, math.inf])
     def test_fourier_weight_refuses_non_integer_frequencies(self, k):
@@ -205,16 +220,20 @@ class TestConversion:
         # {1.5: 1, -0.7: 2} read {1: 1, 0: 2}
         with pytest.raises(DomainError):
             weights.fourier_weight({1.5: 1, -0.7: 2})
-        w = weights.fourier_weight({np.int64(3): 1, 2.0: 2, -1: 1j, 2**70: 0.5})
-        assert w.coefficients == {3: 1, 2: 2, -1: 1j, 2**70: 0.5}
+        w = weights.fourier_weight({np.int64(3): 1, 2.0: 2, -1: 1j, 2**62: 0.5})
+        assert w.coefficients == {3: 1, 2: 2, -1: 1j, 2**62: 0.5}
         assert all(type(k) is int for k in w.coefficients)
+        # int64 cannot hold 2**70, which series_terms refused only later
+        for k in (2**70, -2**63, 2**63):
+            with pytest.raises(DomainError, match=rf"must be below 2\*\*63 in size, got {k}$"):
+                weights.fourier_weight({k: 0.5})
 
     def test_interval_marks_an_indicator(self):
         assert weights.interval_indicator(0.2, 0.7, 32).interval == (0.2, 0.7)
         assert weights.fourier_weight({0: 1.0, 3: 0.5j}).interval is None
-        coeffs = weights.indicator_coefficients(0.0, 0.5, 8)
+        w = weights.interval_indicator(0.0, 0.5, 8)
         with pytest.raises(IndicatorKind):
-            gauss_sum_fast(weights.WeightFunction(coeffs, (0.0, 0.5)), 1, 7)
+            gauss_sum_fast(weights.WeightFunction(w.ks, w.cs, (0.0, 0.5)), 1, 7)
 
     def test_indicator_mean_is_interval_length(self):
         w = weights.interval_indicator(0.0, 0.5, cutoff=64)
