@@ -32,7 +32,7 @@ import numpy as np
 
 from . import arith, weights
 from .errors import BadModulus, DomainError
-from .expsums import expsum_report, weyl_statistics
+from .expsums import KINDS, expsum_report, weyl_statistics
 from .distlab import (
     empirical_batch,
     histogram,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("expsum", help="exponential sums with Weil bounds")
-    p.add_argument("--kind", choices=["kloosterman", "twisted", "salie"], required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     q_arg = p.add_mutually_exclusive_group(required=True)

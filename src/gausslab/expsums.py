@@ -8,11 +8,12 @@ All three run over the unit group of q with p-bar the inverse of p:
 
 Each satisfies |sum| <= gcd(m, n, q)^{1/2} q^{1/2} tau(q) (Iwaniec and
 Kowalski, Analytic Number Theory, ch. 11); the twists are the characters
-of gauss_sums.modulus_case.  All three, and the Weyl statistic
-K(m, n t, q)/phi(q), come from one transform: one length-q inverse FFT
-per distinct m, read at n mod q.  The statistic's decay in q is what
-makes the pairs (p/q, t p-bar/q) equidistribute, and the exact class
-counts here are the base case of that argument.
+of gauss_sums.modulus_case.  unit_sums computes every kind a modulus has
+from one table of inverses, at most one modulus_case for the twist and
+one row-wise inverse FFT per distinct m, read at n mod q; the Weyl
+statistic K(m, n t, q)/phi(q) reads the same transform.  The statistic's
+decay in q is what makes the pairs (p/q, t p-bar/q) equidistribute, and
+the exact class counts here are the base case of that argument.
 """
 
 from __future__ import annotations
@@ -47,45 +48,44 @@ class ExpSumReport:
 WEIL_SLACK = 1e-6  # float slack of the verify suite's Weil check: |value| <= bound + slack
 
 
-def _unit_transform(m, n, q: int, twisted: bool):
-    """sum_p chi(p) e((m p + n p-bar)/q) for every pair of the broadcast m, n; chi = 1 or the twist.
+KINDS = ("kloosterman", "twisted", "salie")
+# the kinds a modulus q has, by q mod 4
+_KINDS_OF = {0: ("kloosterman", "twisted"), 1: ("kloosterman", "salie"),
+             2: ("kloosterman",), 3: ("kloosterman", "salie")}
+_NEEDS = {"twisted": "twisted sum needs q = 0 mod 4", "salie": "Salie sum needs odd q"}
 
-    For each distinct m mod q, f_m[p-bar] = chi(p) e(m p / q) on the units
-    and 0 elsewhere; its unnormalized inverse DFT F_m holds the sum for
-    every n at once, so a pair reads F_m[n mod q].  One row-wise FFT covers
-    all distinct m.  m and n are reduced mod q before any int64 product.
+
+def unit_sums(m, n, q: int, kinds=None) -> dict:
+    """{kind: sum_p chi(p) e((m p + n p-bar)/q)} for every pair of the broadcast m, n.
+
+    kinds defaults to every kind q has (_KINDS_OF); one it lacks is a
+    BadModulus.  For each distinct m mod q a kind's row holds chi(p)
+    e(m p / q) at p-bar on the units and 0 elsewhere; its unnormalized
+    inverse DFT holds the sum for every n at once, so a pair reads it at
+    n mod q.  One row-wise FFT covers every kind and every distinct m.
+    m and n are reduced mod q before any int64 product.
     """
+    for kind in kinds or ():
+        if kind not in KINDS:
+            raise DomainError(f"unknown sum kind {kind!r}")
+        if kind not in _KINDS_OF[q % 4]:
+            raise BadModulus(f"{_NEEDS[kind]}, got {q}")
+    kinds = _KINDS_OF[q % 4] if kinds is None else kinds
     m, n = np.broadcast_arrays(arith.residues(m, q), arith.residues(n, q))
     ms, rows = np.unique(m, return_inverse=True)
     ps, invs = arith.inverse_table(q)
-    f = np.zeros((ms.size, q), dtype=np.complex128)
-    f[:, invs] = np.exp(2j * np.pi * (np.multiply.outer(ms, ps) % q) / q)
-    if twisted:
-        f[:, invs] *= modulus_case(q, ps).characters
-    total = np.fft.ifft(f, norm="forward")[rows.reshape(m.shape), n]
-    return complex(total) if total.ndim == 0 else total
+    f = np.zeros((len(kinds), ms.size, q), dtype=np.complex128)
+    f[..., invs] = np.exp(2j * np.pi * (np.multiply.outer(ms, ps) % q) / q)
+    for row, kind in zip(f, kinds):
+        if kind != "kloosterman":  # at most one: q has a twisted or a Salie sum, not both
+            row[:, invs] *= modulus_case(q, ps).characters
+    totals = np.fft.ifft(f, norm="forward")[:, rows.reshape(m.shape), n]
+    return {kind: complex(t) if t.ndim == 0 else t for kind, t in zip(kinds, totals)}
 
 
 def kloosterman(m, n, q: int):
     """K(m, n, q) for ints m, n, or for every pair of the broadcast arrays m, n."""
-    return _unit_transform(m, n, q, False)
-
-
-def twisted_kloosterman(m, n, q: int):
-    """Kloosterman sum twisted by eps_p (q/p); defined for q = 0 mod 4."""
-    if q % 4 != 0:
-        raise BadModulus(f"twisted sum needs q = 0 mod 4, got {q}")
-    return _unit_transform(m, n, q, True)
-
-
-def salie(m, n, q: int):
-    """Kloosterman sum twisted by (p/q); defined for odd q."""
-    if q % 2 == 0:
-        raise BadModulus(f"Salie sum needs odd q, got {q}")
-    return _unit_transform(m, n, q, True)
-
-
-SUMS = {"kloosterman": kloosterman, "twisted": twisted_kloosterman, "salie": salie}
+    return unit_sums(m, n, q, ["kloosterman"])["kloosterman"]
 
 
 def weil_bound(m, n, q: int):
@@ -99,9 +99,7 @@ def weil_bound(m, n, q: int):
 
 def expsum_report(kind: str, m: int, n: int, q: int) -> ExpSumReport:
     """Evaluate the named sum and attach its bound."""
-    if kind not in SUMS:
-        raise DomainError(f"unknown sum kind {kind!r}")
-    return ExpSumReport(kind, m, n, q, SUMS[kind](m, n, q), weil_bound(m, n, q))
+    return ExpSumReport(kind, m, n, q, unit_sums(m, n, q, [kind])[kind], weil_bound(m, n, q))
 
 
 def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
@@ -114,7 +112,9 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     """
     if arith.residues(m, q) == arith.residues(n, q) == 0:
         raise DomainError(f"(m, n) = (0, 0) mod {q} is the trivial statistic")
-    ts = modulus_case(q, np.asarray(ts)).units  # NotCoprime unless every t is a unit
+    ts = arith.residues(ts, q)
+    if np.any(np.gcd(ts, q) != 1):
+        modulus_case(q, ts)  # the package's unit check: NotCoprime, naming the shared factor
     return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
 
 

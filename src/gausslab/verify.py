@@ -19,8 +19,8 @@ import numpy as np
 
 from . import arith
 from .distlab import seeded_rng, uniform_words
-from .errors import BadModulus, DomainError
-from .expsums import SUMS, WEIL_SLACK, weil_bound
+from .errors import DomainError
+from .expsums import WEIL_SLACK, unit_sums, weil_bound
 from .gauss_sums import (
     VARIANTS,
     DirectEvaluator,
@@ -107,18 +107,15 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, seed: int = 20260
 
 
 def weil_suite(q_max: int = 1000) -> SuiteResult:
-    """Weil bound for all three sum kinds over every q <= q_max and 0 <= m, n <= 4."""
+    """Weil bound for every sum kind of each q <= q_max (unit_sums') and 0 <= m, n <= 4."""
     res = SuiteResult("weil", 0)
     ms, ns = np.divmod(np.arange(25), 5)
     for q in range(1, q_max + 1):
         nontrivial = (ms % q != 0) | (ns % q != 0)  # K(0, 0, 1) = 1 would read 1 at any q_max
         bounds = weil_bound(ms, ns, q)
         allowed = bounds + WEIL_SLACK
-        for kind, sum_kind in SUMS.items():
-            try:
-                sizes = np.abs(sum_kind(ms, ns, q))
-            except BadModulus:  # twisted sums need q = 0 mod 4, Salie sums odd q
-                continue
+        for kind, sums in unit_sums(ms, ns, q).items():
+            sizes = np.abs(sums)
             res.record(~(sizes <= allowed), (sizes / allowed)[nontrivial],
                        lambda i: f"{kind} m={ms[i]} n={ns[i]} q={q} "
                                  f"|value|={sizes[i]:.6f} bound={bounds[i]:.6f}")

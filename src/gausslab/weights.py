@@ -24,12 +24,16 @@ class WeightFunction:
 
     ks and cs are the finite Fourier series (cs may carry batch axes in
     front).  interval (a, b) marks the indicator of [a, b), whose arrays
-    are its truncated series; None marks a plain series.
+    are its truncated series; None marks a plain series.  A weight makes
+    the arrays it is given read-only, so weights sharing them stay equal.
     """
 
     ks: np.ndarray
     cs: np.ndarray
     interval: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        self.ks.flags.writeable = self.cs.flags.writeable = False
 
     @property
     def coefficients(self) -> dict[int, complex]:

@@ -206,6 +206,14 @@ class TestSuiteCounts:
         assert verify.functional_eq_suite(q_max=60, n_weights=4).passed
         assert sorted(args[1] for args in folds) == sorted(gauss_sums.VARIANTS)
 
+    def test_weil_builds_one_table_per_modulus(self, monkeypatch):
+        # all kinds of a modulus share one inverse table; the moduli with a twist add one case
+        tables = count_calls(monkeypatch, arith.inverse_table)
+        cases = count_calls(monkeypatch, gauss_sums.modulus_case)
+        assert verify.weil_suite(q_max=40).passed
+        assert [args[0] for args in tables] == list(range(1, 41))
+        assert [args[0] for args in cases] == [q for q in range(1, 41) if q % 4 != 2]
+
     def test_class_counts_build_one_case_per_checked_modulus(self, monkeypatch):
         analyzed = count_calls(monkeypatch, arith.analyze_modulus)
         cases = count_calls(monkeypatch, gauss_sums.modulus_case)
@@ -279,14 +287,15 @@ class TestBatchedSuiteFaults:
         self.check("functional_eq", {"q_max": 20, "n_weights": 3}, "p=7 q=12 |fast-direct|=", capsys)
 
     def test_weil(self, monkeypatch, capsys):
-        real = verify.SUMS["kloosterman"]
+        real = verify.unit_sums
 
-        def faulty(ms, ns, q):
-            values = real(ms, ns, q)
+        def faulty(ms, ns, q, kinds=None):
+            sums = real(ms, ns, q, kinds)
             pair = np.flatnonzero((ms == 2) & (ns == 3))
-            return self.bump(values, np.arange(len(ms)), q, (pair[0], 7))
+            sums["kloosterman"] = self.bump(sums["kloosterman"], np.arange(len(ms)), q, (pair[0], 7))
+            return sums
 
-        monkeypatch.setitem(verify.SUMS, "kloosterman", faulty)
+        monkeypatch.setattr(verify, "unit_sums", faulty)
         self.check("weil", {"q_max": 20}, "kloosterman m=2 n=3 q=7 |value|=", capsys)
 
     def test_reduction(self, monkeypatch, capsys):
@@ -1124,7 +1133,7 @@ class TestOutputDigest:
         # every command line of the digest set is one the CLI accepts, without running it
         commands = self.load().COMMANDS
         parsed = [cli.build_parser().parse_args(argv) for _, argv in commands]
-        assert len({name for name, _ in commands}) == len(commands) == 17
+        assert len({name for name, _ in commands}) == len(commands) == 18
         assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
                                                      "equidist"}
         assert {args.suite for args in parsed if args.command == "verify"} == set(verify.SUITES)

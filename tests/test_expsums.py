@@ -36,6 +36,11 @@ def weyl_statistic(q, t, m, n, class_filter=None):
     return complex(phases.sum() / ps.size)
 
 
+def sums(kind, m, n, q):
+    """The sum of one kind, through unit_sums."""
+    return expsums.unit_sums(m, n, q, [kind])[kind]
+
+
 # the twists of the twisted and Salie sums, from the scalar symbols
 BRUTE_TWISTS = {
     "kloosterman": lambda q: lambda p: 1,
@@ -78,17 +83,16 @@ class TestArrayForms:
                                         ("twisted", 36), ("twisted", 840), ("salie", 9),
                                         ("salie", 45), ("salie", 101), ("salie", 1155)])
     def test_matches_scalar_and_brute_force(self, kind, q):
-        fn = expsums.SUMS[kind]
-        got = fn(np.array(self.MS, dtype=object), np.array(self.NS, dtype=object), q)
+        got = sums(kind, np.array(self.MS, dtype=object), np.array(self.NS, dtype=object), q)
         assert got.shape == (len(self.MS),)
         for value, m, n in zip(got.tolist(), self.MS, self.NS):
-            assert value == pytest.approx(fn(m, n, q), abs=1e-9)
+            assert value == pytest.approx(sums(kind, m, n, q), abs=1e-9)
             assert value == pytest.approx(brute_kloosterman(m, n, q, BRUTE_TWISTS[kind](q)), abs=1e-9)
 
     @pytest.mark.parametrize("kind,q", [("kloosterman", 30), ("twisted", 24), ("salie", 45)])
     def test_column_and_row_broadcast_to_a_table(self, kind, q):
         ms, ns = [[0], [-3], [2**62]], [[1, 0, 10**19, -7]]
-        got = expsums.SUMS[kind](np.array(ms, dtype=object), np.array(ns, dtype=object), q)
+        got = sums(kind, np.array(ms, dtype=object), np.array(ns, dtype=object), q)
         assert got.shape == (3, 4)
         for i, (m,) in enumerate(ms):
             for j, n in enumerate(ns[0]):
@@ -103,8 +107,8 @@ class TestArrayForms:
             [brute_kloosterman(int(m), int(n), 97) for m, n in zip(ms, ns)], abs=1e-9)
 
     def test_broadcasts_one_int_against_an_array(self):
-        got = expsums.salie(3, np.arange(5), 15 * 7)
-        assert got.tolist() == pytest.approx([expsums.salie(3, n, 105) for n in range(5)], abs=1e-9)
+        got = sums("salie", 3, np.arange(5), 15 * 7)
+        assert got.tolist() == pytest.approx([sums("salie", 3, n, 105) for n in range(5)], abs=1e-9)
 
     @pytest.mark.parametrize("q", [1, 2, 12, 36, 105, 997])
     def test_weil_bound_matches_scalar(self, q):
@@ -164,38 +168,64 @@ class TestKloosterman:
 
 class TestTwisted:
     def test_modulus_requirement(self):
-        with pytest.raises(BadModulus):
-            expsums.twisted_kloosterman(1, 1, 6)
+        with pytest.raises(BadModulus, match="^twisted sum needs q = 0 mod 4, got 6$"):
+            sums("twisted", 1, 1, 6)
 
     def test_zero_sum_nonsquare(self):
         for q in (8, 12, 20, 24, 40, 200):
-            assert abs(expsums.twisted_kloosterman(0, 0, q)) < 1e-9
+            assert abs(sums("twisted", 0, 0, q)) < 1e-9
 
     def test_hand_value_q4(self):
         # p in {1, 3}: eps_1 (4/1) + eps_3 (4/3) = 1 + i
-        assert expsums.twisted_kloosterman(0, 0, 4) == pytest.approx(1 + 1j)
+        assert sums("twisted", 0, 0, 4) == pytest.approx(1 + 1j)
 
     def test_weil_bound_sweep(self):
         for q in range(4, 401, 4):
             tau = arith.analyze_modulus(q).tau
-            v = expsums.twisted_kloosterman(1, 1, q)
+            v = sums("twisted", 1, 1, q)
             assert abs(v) <= math.sqrt(q) * tau + 1e-6
 
 
 class TestSalie:
     def test_modulus_requirement(self):
-        with pytest.raises(BadModulus):
-            expsums.salie(1, 1, 4)
+        with pytest.raises(BadModulus, match="^Salie sum needs odd q, got 4$"):
+            sums("salie", 1, 1, 4)
 
     def test_zero_sum_nonsquare(self):
         for q in (3, 5, 15, 21, 105):
-            assert abs(expsums.salie(0, 0, q)) < 1e-9
+            assert abs(sums("salie", 0, 0, q)) < 1e-9
 
     def test_square_modulus_gives_totient(self):
-        assert expsums.salie(0, 0, 9) == pytest.approx(6)
+        assert sums("salie", 0, 0, 9) == pytest.approx(6)
 
     def test_hand_value_q3(self):
-        assert expsums.salie(1, 1, 3) == pytest.approx(-1j * math.sqrt(3), abs=1e-12)
+        assert sums("salie", 1, 1, 3) == pytest.approx(-1j * math.sqrt(3), abs=1e-12)
+
+
+class TestUnitSums:
+    MS, NS = np.divmod(np.arange(-24, 25), 7)  # m in -4..3, n in 0..6, both signs of m
+
+    @staticmethod
+    def kinds(q):
+        return ["kloosterman"] + ["twisted"] * (q % 4 == 0) + ["salie"] * (q % 2)
+
+    def test_every_kind_of_q_equals_its_single_kind_call(self):
+        for q in range(1, 65):
+            got = expsums.unit_sums(self.MS, self.NS, q)
+            assert list(got) == self.kinds(q), q
+            for kind, values in got.items():
+                assert values.tobytes() == sums(kind, self.MS, self.NS, q).tobytes(), (kind, q)
+
+    def test_scalar_pairs_give_complex_values(self):
+        got = expsums.unit_sums(1, 1, 15)
+        assert got == {"kloosterman": expsums.kloosterman(1, 1, 15), "salie": sums("salie", 1, 1, 15)}
+        assert all(type(v) is complex for v in got.values())
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(DomainError, match="^unknown sum kind 'foo'$"):
+            expsums.unit_sums(1, 1, 7, ["foo"])
+        with pytest.raises(DomainError, match="^unknown sum kind 'foo'$"):
+            expsums.expsum_report("foo", 1, 1, 7)
 
 
 class TestWeilCheck:
@@ -248,9 +278,23 @@ class TestWeylStatistic:
         with pytest.raises(ValueError, match="trivial"):
             expsums.weyl_statistics(7, [1, 2], m, n)
 
-    def test_noncoprime_t_rejected(self):
-        with pytest.raises(NotCoprime):
+    @staticmethod
+    def count_cases(monkeypatch):
+        """The q of every modulus_case call expsums makes."""
+        cases, real = [], expsums.modulus_case
+        monkeypatch.setattr(expsums, "modulus_case", lambda q, *args: cases.append(q) or real(q, *args))
+        return cases
+
+    def test_units_need_no_modulus_case(self, monkeypatch):
+        cases = self.count_cases(monkeypatch)
+        expsums.weyl_statistics(101, arith.units(101), 1, 1)
+        assert cases == []
+
+    def test_noncoprime_t_rejected(self, monkeypatch):
+        cases = self.count_cases(monkeypatch)
+        with pytest.raises(NotCoprime, match="^a residue shares the factor 4 with 12$"):
             expsums.weyl_statistics(12, [5, 4], 1, 1)
+        assert cases == [12]
         # one modulus per class mod 4; an even t at q = 2 mod 4 has a nonzero twist
         for q, ts, shared in [(20, [3, 10], 10), (21, [7, 2], 7), (14, [3, 2], 2),
                               (15, [4, 5], 5)]:

@@ -211,6 +211,16 @@ class TestConversion:
         assert s.interval is None
         assert s.ks is w.ks and s.cs is w.cs
 
+    def test_shared_arrays_are_read_only(self):
+        # a write through the series changed the indicator's coefficients too
+        a, b = 0.2, 0.7
+        w = weights.interval_indicator(a, b, cutoff=32)
+        s = weights.as_fourier_series(w)
+        for arr in (s.cs, s.ks):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+        assert w.cs[0] == b - a and w.ks[0] == 0
+
     @pytest.mark.parametrize("k", [1.5, -0.7, math.nan, math.inf])
     def test_fourier_weight_refuses_non_integer_frequencies(self, k):
         with pytest.raises(DomainError, match=f"frequencies must be integers, got {k}$"):

@@ -34,6 +34,8 @@ COMMANDS = [
     ("moments_window", ["moments", "--q-range", "1..20", "--k-list", "2,3",
                         "--weight", "interval:0.1,0.6", "--trunc", "50",
                         "--domain", "interval:0.2,0.9", "--format", "json"]),
+    ("expsum_kloosterman", ["expsum", "--kind", "kloosterman", "--m", "2", "--n", "3",
+                            "--sweep-q", "1..400"]),
     ("expsum_salie", ["expsum", "--kind", "salie", "--m", "1", "--n", "1",
                       "--sweep-q", "3..999"]),
     ("expsum_twisted", ["expsum", "--kind", "twisted", "--m", "1", "--n", "3",
