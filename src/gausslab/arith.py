@@ -2,8 +2,8 @@
 
 Everything downstream (Gauss sums, Kloosterman sums, class statistics)
 reduces to the primitives in this module: modular powers (and inverses by
-Euler's theorem), the Jacobi symbol, and the totient and divisor count
-of a modulus.  All pure.
+Euler's theorem), the Jacobi symbol (an even lower argument is a
+BadModulus), and the pair (totient, divisor count) of a modulus.  All pure.
 
 The scalar functions take Python ints of any size.  residues and
 jacobi_array answer one int exactly through them; they and power_mod take
@@ -14,11 +14,10 @@ INT64_ROOT, whose products would wrap, and entries that are not integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvenModulus
+from .errors import BadModulus, DomainError
 
 # largest n with n * n < 2**63: residues below it multiply without leaving int64
 INT64_ROOT = math.isqrt(2**63 - 1)
@@ -33,7 +32,7 @@ def jacobi(a: int, b: int) -> int:
     lower argument contributes the sign of a, and (0/+-1) = 1.
     """
     if b % 2 == 0:
-        raise EvenModulus(f"lower argument must be odd, got {b}")
+        raise BadModulus(f"lower argument must be odd, got {b}")
     if b < 0:
         if a == 0:
             return 1 if b == -1 else 0
@@ -55,7 +54,7 @@ def jacobi(a: int, b: int) -> int:
 
 
 def is_perfect_square(n: int) -> bool:
-    """Whether n is the square of an integer; False for negative n."""
+    """The package's one squareness rule: whether n is the square of an integer (False if n < 0)."""
     if n < 0:
         return False
     r = math.isqrt(n)
@@ -81,26 +80,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus q with Euler's totient phi and its divisor count tau.
-
-    Whether q is a square is is_perfect_square(q), the package's one squareness rule.
-    """
-
-    q: int
-    phi: int
-    tau: int
-
-
-def analyze_modulus(q: int) -> Modulus:
-    """Factor q and derive its totient and divisor count."""
+def analyze_modulus(q: int) -> tuple[int, int]:
+    """(phi(q), tau(q)): Euler's totient and the divisor count of q, from its factorization."""
     phi = q
     tau = 1
     for p, e in factorize(q):
         phi -= phi // p
         tau *= e + 1
-    return Modulus(q, phi, tau)
+    return phi, tau
 
 
 def units(q: int) -> np.ndarray:
@@ -163,7 +150,7 @@ def jacobi_array(a, n: int):
     Euler's criterion a^((p-1)/2) mod p.
     """
     if n % 2 == 0:
-        raise EvenModulus(f"modulus must be odd, got {n}")
+        raise BadModulus(f"modulus must be odd, got {n}")
     if isinstance(a, (int, np.integer)):
         return jacobi(int(a), n)
     a = residues(a, n)

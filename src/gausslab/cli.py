@@ -128,9 +128,8 @@ def _parse_weight(spec: str, cutoff: int) -> WeightFunction:
                 k, c = int(k_str), complex(float(re_str), float(im_str))
             except ValueError as exc:
                 raise DomainError(f"bad coefficient row {line!r} in {path}") from exc
-            if k in coeffs or not np.isfinite(c):
-                problem = f"repeats k={k}" if k in coeffs else "is not finite"
-                raise DomainError(f"coefficient row {line!r} in {path} {problem}")
+            if k in coeffs:
+                raise DomainError(f"coefficient row {line!r} in {path} repeats k={k}")
             coeffs[k] = c
         if not coeffs:
             raise DomainError(f"no coefficients in {path}")
@@ -288,9 +287,9 @@ def cmd_moments(args) -> int:
 
 def cmd_expsum(args) -> int:
     reports = _per_modulus(args.q, args.sweep_q, lambda q: expsum_report(args.kind, args.m, args.n, q))
-    columns = list(zip(*[(q, args.m, args.n, float(rep.value.real), float(rep.value.imag),
-                          float(abs(rep.value)), float(rep.weil_bound), float(rep.ratio))
-                         for q, rep in reports]))
+    columns = list(zip(*[(q, args.m, args.n, float(value.real), float(value.imag),
+                          float(abs(value)), float(bound), float(abs(value) / bound))
+                         for q, (value, bound) in reports]))
     meta = {"command": "expsum", "kind": args.kind, "m": args.m, "n": args.n}
     _emit_table(args, meta, ["q", "m", "n", "re", "im", "abs", "weil_bound", "ratio"], columns)
     return 0

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per kind of refused input, whoever refuses it."""
 
 
 class DomainError(ValueError):
@@ -7,10 +7,6 @@ class DomainError(ValueError):
 
 class NotCoprime(DomainError):
     """Arguments were required to be coprime but share a factor."""
-
-
-class EvenModulus(DomainError):
-    """Jacobi symbol requested with an even lower argument."""
 
 
 class BadInterval(DomainError):

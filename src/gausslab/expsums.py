@@ -20,32 +20,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import arith
 from .errors import BadModulus, DomainError
 from .gauss_sums import modulus_case
-
-
-@dataclass(frozen=True)
-class ExpSumReport:
-    """One evaluated sum next to its Weil bound."""
-
-    kind: str  # "kloosterman" | "twisted" | "salie"
-    m: int
-    n: int
-    q: int
-    value: complex
-    weil_bound: float
-
-    @property
-    def ratio(self) -> float:
-        return abs(self.value) / self.weil_bound if self.weil_bound else math.inf
-
-
-WEIL_SLACK = 1e-6  # float slack of the verify suite's Weil check: |value| <= bound + slack
 
 
 KINDS = ("kloosterman", "twisted", "salie")
@@ -90,16 +70,16 @@ def kloosterman(m, n, q: int):
 
 def weil_bound(m, n, q: int):
     """gcd(m, n, q)^{1/2} q^{1/2} tau(q), for integers m, n (Python or numpy) or arrays of them."""
-    tau = arith.analyze_modulus(q).tau
+    _, tau = arith.analyze_modulus(q)
     if isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer)):
         return math.sqrt(math.gcd(int(m), int(n), q)) * math.sqrt(q) * tau
     g = np.gcd(np.gcd(arith.residues(m, q), arith.residues(n, q)), q)
     return np.sqrt(g) * math.sqrt(q) * tau
 
 
-def expsum_report(kind: str, m: int, n: int, q: int) -> ExpSumReport:
-    """Evaluate the named sum and attach its bound."""
-    return ExpSumReport(kind, m, n, q, unit_sums(m, n, q, [kind])[kind], weil_bound(m, n, q))
+def expsum_report(kind: str, m: int, n: int, q: int) -> tuple[complex, float]:
+    """(value, bound): the named sum and its Weil bound, which is >= 1 for every q >= 1."""
+    return unit_sums(m, n, q, [kind])[kind], weil_bound(m, n, q)
 
 
 def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
@@ -115,7 +95,7 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
     ts = arith.residues(ts, q)
     if np.any(np.gcd(ts, q) != 1):
         modulus_case(q, ts)  # the package's unit check: NotCoprime, naming the shared factor
-    return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q).phi
+    return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q)[0]
 
 
 def class_counts(q: int) -> dict:

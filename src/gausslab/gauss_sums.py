@@ -87,7 +87,7 @@ class ModulusCase(NamedTuple):
         a, modulus = self.point_map
         if isinstance(self.units, int):  # exact at any size; q' = 1 gives 0
             return -pow(a * self.units, -1, modulus) % modulus
-        phi = arith.analyze_modulus(modulus).phi  # Euler: u^-1 = u^(phi - 1) for the checked units
+        phi, _ = arith.analyze_modulus(modulus)  # Euler: u^-1 = u^(phi - 1) for the checked units
         return -arith.power_mod(a * self.units, phi - 1, modulus) % modulus
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import arith
 from .distlab import seeded_rng, uniform_words
 from .errors import DomainError
-from .expsums import WEIL_SLACK, unit_sums, weil_bound
+from .expsums import unit_sums, weil_bound
 from .gauss_sums import (
     VARIANTS,
     DirectEvaluator,
@@ -33,6 +33,7 @@ from .weights import WeightFunction, constant_weight, fourier_weight, reduce_wei
 
 CLOSED_FORM_TOL = FUNCTIONAL_EQ_TOL = 1e-6  # gaps stay below TOL * sqrt(q); a test may tighten
 REDUCTION_TOL = 1e-8  # gaps stay below TOL * q
+WEIL_SLACK = 1e-6  # float slack of the Weil check: |value| <= bound + slack
 
 
 @dataclass

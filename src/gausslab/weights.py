@@ -42,14 +42,16 @@ class WeightFunction:
 
 
 def fourier_weight(coefficients: dict[int, complex]) -> WeightFunction:
-    """The series sum_k c_k e(kx); a non-integer k, or |k| >= 2^63, is a DomainError."""
+    """The series sum_k c_k e(kx); a non-integer k, |k| >= 2^63 or non-finite c_k is a DomainError."""
     for k in coefficients:
         if k % 1:  # also NaN and +-inf, whose k % 1 is NaN
             raise DomainError(f"frequencies must be integers, got {k}")
         if abs(k) >= 2**63:
             raise DomainError(f"frequencies must be below 2**63 in size, got {k}")
-    return WeightFunction(np.array([int(k) for k in coefficients], dtype=np.int64),
-                          np.array(list(coefficients.values()), dtype=np.complex128))
+    cs = np.array(list(coefficients.values()), dtype=np.complex128)
+    if not np.isfinite(cs).all():  # NaN or inf would turn every evaluated value into NaN
+        raise DomainError(f"coefficients must be finite, got {cs[~np.isfinite(cs)][0]}")
+    return WeightFunction(np.array([int(k) for k in coefficients], dtype=np.int64), cs)
 
 
 def constant_weight() -> WeightFunction:

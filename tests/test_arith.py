@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausslab import arith, gauss_sums
-from gausslab.errors import DomainError, EvenModulus
+from gausslab.errors import BadModulus, DomainError
 from reference import epsilon
 
 
@@ -110,7 +110,7 @@ class TestJacobi:
         assert arith.jacobi(3, -1) == 1
 
     def test_even_modulus_rejected(self):
-        with pytest.raises(EvenModulus):
+        with pytest.raises(BadModulus, match="^lower argument must be odd, got 4$"):
             arith.jacobi(3, 4)
 
     def test_zero_iff_common_factor_exhaustive(self):
@@ -189,51 +189,55 @@ def near_2_62(draw):
 
 class TestAnalyzeModulus:
     def test_5012(self):
-        m = arith.analyze_modulus(5012)
+        phi, tau = arith.analyze_modulus(5012)
         assert arith.factorize(5012) == [(2, 2), (7, 1), (179, 1)]
-        assert m.phi == 2136
-        assert m.tau == 12
-        assert not arith.is_perfect_square(m.q)
+        assert phi == 2136
+        assert tau == 12
+        assert not arith.is_perfect_square(5012)
 
     def test_5013(self):
-        m = arith.analyze_modulus(5013)
+        phi, _ = arith.analyze_modulus(5013)
         assert arith.factorize(5013) == [(3, 2), (557, 1)]
-        assert m.phi == 3336
+        assert phi == 3336
 
     def test_four(self):
-        m = arith.analyze_modulus(4)
+        phi, tau = arith.analyze_modulus(4)
         assert arith.factorize(4) == [(2, 2)]
-        assert m.phi == 2
-        assert m.tau == 3
-        assert arith.is_perfect_square(m.q)
+        assert phi == 2
+        assert tau == 3
+        assert arith.is_perfect_square(4)
 
     def test_one(self):
-        m = arith.analyze_modulus(1)
         assert arith.factorize(1) == []
-        assert m.phi == 1 and m.tau == 1 and arith.is_perfect_square(m.q)
+        assert arith.analyze_modulus(1) == (1, 1) and arith.is_perfect_square(1)
+
+    def test_result_is_a_pair_of_python_ints(self):
+        for q in (1, 12, 5013, 3**40, 2**70):
+            got = arith.analyze_modulus(q)
+            assert type(got) is tuple and len(got) == 2
+            assert all(type(v) is int for v in got), (q, got)
 
     def test_phi_tau_against_direct_count(self):
         for q in range(1, 2001):
-            m = arith.analyze_modulus(q)
-            assert m.phi == sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
-            assert m.tau == sum(1 for d in range(1, q + 1) if q % d == 0)
+            phi, tau = arith.analyze_modulus(q)
+            assert phi == sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
+            assert tau == sum(1 for d in range(1, q + 1) if q % d == 0)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(n=st.integers(min_value=1, max_value=10**6) | near_2_62())
     def test_matches_sympy(self, n):
-        m = arith.analyze_modulus(n)
+        phi, tau = arith.analyze_modulus(n)
         assert arith.factorize(n) == sorted(sympy.factorint(n).items())
-        assert m.phi == sympy.totient(n)
-        assert m.tau == sympy.divisor_count(n)
+        assert phi == sympy.totient(n)
+        assert tau == sympy.divisor_count(n)
         assert arith.is_perfect_square(n) == sympy.integer_nthroot(n, 2)[1]
 
     def test_phi_recomputable_from_factorization(self):
         for q in (2, 36, 5012, 5013, 5014):
-            m = arith.analyze_modulus(q)
             phi = q
             for p, _ in arith.factorize(q):
                 phi = phi // p * (p - 1)
-            assert phi == m.phi
+            assert phi == arith.analyze_modulus(q)[0]
 
 
 class TestUnits:

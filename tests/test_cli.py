@@ -22,6 +22,7 @@ import pytest
 
 import gausslab
 from gausslab import arith, cli, distlab, errors, gauss_sums, verify, weights
+from gausslab.expsums import expsum_report
 from test_expsums import weyl_statistic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,18 +114,16 @@ class TestVerifyCommand:
         assert 0 < float(lines[1].rsplit(" ", 1)[1]) < 1
 
     def test_weil_worst_matches_scalar_reports(self):
-        from gausslab.expsums import WEIL_SLACK, expsum_report
-
         result = verify.weil_suite(q_max=40)
         kinds = lambda q: ["kloosterman"] + ["twisted"] * (q % 4 == 0) + ["salie"] * (q % 2)
-        reports = [expsum_report(kind, m, n, q) for q in range(1, 41) for kind in kinds(q)
-                   for m in range(5) for n in range(5)]
-        ratios = [abs(r.value) / (r.weil_bound + WEIL_SLACK) for r in reports]
+        cases = [(m, n, q, *expsum_report(kind, m, n, q)) for q in range(1, 41)
+                 for kind in kinds(q) for m in range(5) for n in range(5)]
+        ratios = [abs(value) / (bound + verify.WEIL_SLACK) for *_, value, bound in cases]
         # every pair is checked, and the worst ratio is over (m, n) != (0, 0) mod q, which
         # leaves out K(0, 0, 1) = 1 at its bound
-        assert result.checked == len(reports)
+        assert result.checked == len(cases)
         assert result.worst == pytest.approx(
-            max(x for x, r in zip(ratios, reports) if r.m % r.q or r.n % r.q), rel=1e-12)
+            max(x for x, (m, n, q, *_) in zip(ratios, cases) if m % q or n % q), rel=1e-12)
         assert max(ratios) == ratios[0] > result.worst
 
     def test_weil_margin_line_at_cli_size(self, capsys):
@@ -667,6 +666,8 @@ class TestExpsumCommand:
         assert out[0] == "q,m,n,re,im,abs,weil_bound,ratio"
         cols = out[1].split(",")
         assert float(cols[5]) == pytest.approx(0.3819660112501051, abs=1e-9)
+        value, bound = expsum_report("kloosterman", 1, 1, 5)
+        assert [float(c) for c in cols[5:]] == [abs(value), bound, abs(value) / bound]
 
     def test_argument_beyond_int64(self, capsys):
         assert run(["expsum", "--kind", "kloosterman", "--m", "10000000000000000000",
@@ -1133,7 +1134,7 @@ class TestOutputDigest:
         # every command line of the digest set is one the CLI accepts, without running it
         commands = self.load().COMMANDS
         parsed = [cli.build_parser().parse_args(argv) for _, argv in commands]
-        assert len({name for name, _ in commands}) == len(commands) == 18
+        assert len({name for name, _ in commands}) == len(commands) == 19
         assert {args.command for args in parsed} == {"verify", "figure", "moments", "expsum",
                                                      "equidist"}
         assert {args.suite for args in parsed if args.command == "verify"} == set(verify.SUITES)

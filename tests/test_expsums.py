@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import arith, expsums
+from gausslab import arith, expsums, verify
 from gausslab.errors import BadModulus, DomainError, NotCoprime
 from gausslab.gauss_sums import modulus_case, sigma_class
 from reference import epsilon
@@ -54,10 +54,10 @@ class TestHugeArguments:
     @pytest.mark.parametrize("big", [2**62, 10**19])
     def test_sums_match_reduced(self, big):
         for kind, q in (("kloosterman", 7), ("salie", 7), ("twisted", 8)):
-            got = expsums.expsum_report(kind, big, 1, q).value
-            assert got == pytest.approx(expsums.expsum_report(kind, big % q, 1, q).value, abs=1e-12)
-            got = expsums.expsum_report(kind, 3, big + 1, q).value
-            assert got == pytest.approx(expsums.expsum_report(kind, 3, (big + 1) % q, q).value, abs=1e-12)
+            got, _ = expsums.expsum_report(kind, big, 1, q)
+            assert got == pytest.approx(expsums.expsum_report(kind, big % q, 1, q)[0], abs=1e-12)
+            got, _ = expsums.expsum_report(kind, 3, big + 1, q)
+            assert got == pytest.approx(expsums.expsum_report(kind, 3, (big + 1) % q, q)[0], abs=1e-12)
 
     def test_kloosterman_2_62_value(self):
         assert expsums.kloosterman(2**62, 1, 7) == pytest.approx(brute_kloosterman(2**62, 1, 7), abs=1e-12)
@@ -130,7 +130,7 @@ class TestArrayForms:
 class TestKloosterman:
     @pytest.mark.parametrize("q", [1, 2, 5, 12, 36, 101])
     def test_zero_frequencies_give_totient(self, q):
-        assert expsums.kloosterman(0, 0, q) == pytest.approx(arith.analyze_modulus(q).phi)
+        assert expsums.kloosterman(0, 0, q) == pytest.approx(arith.analyze_modulus(q)[0])
 
     def test_float_frequency_refused(self):
         # it was truncated to K(1, 1, 7)
@@ -161,7 +161,7 @@ class TestKloosterman:
 
     def test_reality(self):
         for q in range(1, 200):
-            phi = arith.analyze_modulus(q).phi
+            phi, _ = arith.analyze_modulus(q)
             v = expsums.kloosterman(2, 3, q)
             assert abs(v.imag) < 1e-9 * max(phi, 1)
 
@@ -181,7 +181,7 @@ class TestTwisted:
 
     def test_weil_bound_sweep(self):
         for q in range(4, 401, 4):
-            tau = arith.analyze_modulus(q).tau
+            _, tau = arith.analyze_modulus(q)
             v = sums("twisted", 1, 1, q)
             assert abs(v) <= math.sqrt(q) * tau + 1e-6
 
@@ -232,30 +232,37 @@ class TestWeilCheck:
     """The verify suite's one rule: |value| <= bound + WEIL_SLACK."""
 
     @staticmethod
-    def holds(rep):
-        return abs(rep.value) <= rep.weil_bound + expsums.WEIL_SLACK
+    def holds(value, bound):
+        return abs(value) <= bound + verify.WEIL_SLACK
 
     def test_small_kloosterman(self):
-        rep = expsums.expsum_report("kloosterman", 1, 1, 5)
-        assert rep.weil_bound == pytest.approx(math.sqrt(5) * 2)
-        assert self.holds(rep)
+        value, bound = expsums.expsum_report("kloosterman", 1, 1, 5)
+        assert bound == pytest.approx(math.sqrt(5) * 2)
+        assert self.holds(value, bound)
 
     def test_degenerate_gcd(self):
         # K(0, 0, 36) = phi(36) = 12 against gcd 36: the bound is 36 tau(36) = 324
-        rep = expsums.expsum_report("kloosterman", 0, 0, 36)
-        assert self.holds(rep)
+        assert self.holds(*expsums.expsum_report("kloosterman", 0, 0, 36))
 
     def test_synthetic_violation(self):
         q = 10
-        tau = arith.analyze_modulus(q).tau
-        fake = expsums.ExpSumReport("kloosterman", 1, 1, q,
-                                    10 * math.sqrt(q) * tau + 0j,
-                                    expsums.weil_bound(1, 1, q))
-        assert not self.holds(fake) and fake.ratio > 1
+        _, tau = arith.analyze_modulus(q)
+        value, bound = 10 * math.sqrt(q) * tau + 0j, expsums.weil_bound(1, 1, q)
+        assert not self.holds(value, bound) and abs(value) / bound > 1
 
     def test_ratio(self):
-        rep = expsums.expsum_report("kloosterman", 1, 1, 5)
-        assert rep.ratio == pytest.approx(abs(rep.value) / rep.weil_bound)
+        # the report is the sum and its bound; the expsum command's ratio is abs(value) / bound
+        value, bound = expsums.expsum_report("kloosterman", 1, 1, 5)
+        assert type(value) is complex and type(bound) is float
+        assert value == expsums.kloosterman(1, 1, 5) and bound == expsums.weil_bound(1, 1, 5)
+
+    def test_bound_is_at_least_one(self):
+        # every factor of gcd^{1/2} q^{1/2} tau(q) is >= 1, so |value| / bound is always finite
+        ms, ns = np.divmod(np.arange(25), 5)
+        for q in range(1, 301):
+            assert expsums.weil_bound(ms, ns, q).min() >= 1, q
+        for m, n in ((0, 0), (1, 1), (2**70, 3), (-5, 2**69)):
+            assert expsums.weil_bound(m, n, 2**70) >= 1
 
 
 class TestWeylStatistic:
@@ -314,13 +321,13 @@ class TestWeylStatistic:
     def test_decay_bound(self):
         rng = np.random.default_rng(9)
         for q in (101, 499, 997):
-            mod = arith.analyze_modulus(q)
+            _, tau = arith.analyze_modulus(q)
             if q <= 512:
                 ts = arith.units(q)
             else:
                 ts = np.sort(rng.choice(arith.units(q), 100, replace=False))
             mx = np.abs(expsums.weyl_statistics(q, ts, 1, 1)).max()
-            assert mx <= 4 * mod.tau / math.sqrt(q)
+            assert mx <= 4 * tau / math.sqrt(q)
 
 
 class TestClassCounts:
@@ -343,22 +350,22 @@ class TestClassCounts:
 
     def test_exactness_sweep(self):
         for q in range(3, 401):
-            mod = arith.analyze_modulus(q)
+            phi, _ = arith.analyze_modulus(q)
             if q % 4 == 0:
                 counts = expsums.class_counts(q)
                 if arith.is_perfect_square(q):
-                    assert counts == {1: mod.phi // 2, -1: mod.phi // 2}
+                    assert counts == {1: phi // 2, -1: phi // 2}
                 else:
-                    assert len(counts) == 4 and set(counts.values()) == {mod.phi // 4}
+                    assert len(counts) == 4 and set(counts.values()) == {phi // 4}
             elif q % 2 == 1 and not arith.is_perfect_square(q):
                 counts = expsums.class_counts(q)
-                assert len(counts) == 2 and set(counts.values()) == {mod.phi // 2}
+                assert len(counts) == 2 and set(counts.values()) == {phi // 2}
 
     def test_half_classes_for_2_mod_4(self):
         # the halved-modulus classes split the units evenly too
         for q in (6, 10, 14, 22, 30, 46):
-            mod = arith.analyze_modulus(q)
+            phi, _ = arith.analyze_modulus(q)
             if q % 4 != 2 or arith.is_perfect_square(q // 2):
                 continue
             counts = expsums.class_counts(q)
-            assert sorted(counts.values()) == [mod.phi // 2] * 2
+            assert sorted(counts.values()) == [phi // 2] * 2

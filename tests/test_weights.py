@@ -226,6 +226,14 @@ class TestConversion:
         with pytest.raises(DomainError, match=f"frequencies must be integers, got {k}$"):
             weights.fourier_weight({k: 1, 2: 2})
 
+    @pytest.mark.parametrize("coefficients, bad", [({1: math.nan}, "nan"),
+                                                   ({0: complex(0, math.inf)}, "infj"),
+                                                   ({0: 1.0, 2: -math.inf}, "-inf")])
+    def test_fourier_weight_refuses_non_finite_coefficients(self, coefficients, bad):
+        # every evaluator returned NaN for such a weight
+        with pytest.raises(DomainError, match=rf"coefficients must be finite, got .*{bad}"):
+            weights.fourier_weight(coefficients)
+
     def test_fourier_weight_truncates_no_frequency(self):
         # {1.5: 1, -0.7: 2} read {1: 1, 0: 2}
         with pytest.raises(DomainError):

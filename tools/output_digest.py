@@ -5,7 +5,8 @@
 Each command of COMMANDS runs as a child `python -m gausslab.cli` with
 OUT_DIR as its working directory and the current PYTHONPATH (relative
 entries made absolute).  Its stdout goes to OUT_DIR/NAME.stdout, and the
-three figures write their files under OUT_DIR/figures.  Then one line
+three figures write their files under OUT_DIR/figures; OUT_DIR/weight.csv
+holds FOURIER_WEIGHT for the `fourier:` weight spec.  Then one line
 `sha256  path` per file under OUT_DIR, sorted by path, goes to stdout, so
 two source trees are byte-identical on this set when the lines of their
 runs match.  OUT_DIR must be new or empty (exit 2 otherwise), so the
@@ -21,6 +22,8 @@ import sys
 from pathlib import Path
 
 FIGURE_WEIGHT = "interval:0,0.3779644730092272"  # the figures' [0, 1/sqrt(7))
+# a plain series, which takes evaluate_grid's FFT route where an interval takes the 0/1 grid
+FOURIER_WEIGHT = "k,re,im\n0,1,0\n1,0.5,0.25\n-3,0.125,-0.5\n4,0,0.75\n"
 
 # (name, command line after `gausslab`): every subcommand, all five verify suites
 COMMANDS = [
@@ -31,6 +34,8 @@ COMMANDS = [
                        "--k-list", "0,1,2,4", "--trunc", "600"]),
     ("moments_large_q", ["moments", "--q", "15013", "--weight", "interval:0,0.3",
                          "--k-list", "0,2", "--trunc", "500"]),
+    ("moments_fourier", ["moments", "--q-range", "3..60", "--weight", "fourier:weight.csv",
+                         "--k-list", "0,2,3,4"]),
     ("moments_window", ["moments", "--q-range", "1..20", "--k-list", "2,3",
                         "--weight", "interval:0.1,0.6", "--trunc", "50",
                         "--domain", "interval:0.2,0.9", "--format", "json"]),
@@ -60,6 +65,7 @@ def main(argv: list[str]) -> int:
     if any(out_dir.iterdir()):
         print(f"{out_dir} is not empty", file=sys.stderr)
         return 2
+    (out_dir / "weight.csv").write_text(FOURIER_WEIGHT)
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
     failed = 0
