@@ -33,25 +33,12 @@ import numpy as np
 from . import arith, weights
 from .errors import BadModulus, DomainError
 from .expsums import KINDS, expsum_report, weyl_statistics
-from .distlab import (
-    empirical_batch,
-    histogram,
-    ks_distance,
-    moment_reports,
-    sample_limit_law,
-    seeded_rng,
-)
-from .gauss_sums import G_MINUS, G_PLUS, modulus_case
+from .distlab import compare_laws, histogram, moment_reports, seeded_rng
 from .verify import SUITES, run_suite
-from .weights import (
-    WeightFunction,
-    constant_weight,
-    fourier_weight,
-    interval_indicator,
-)
+from .weights import WeightFunction, constant_weight, fourier_weight, interval_indicator
 
 FIGURES = {
-    # which: (q, series truncation, limit samples); the variant is modulus_case(q)'s
+    # which: (q, series truncation, limit samples); compare_laws picks q's series variant
     "fig1": (5012, 4000, 300_000),
     "fig2": (5013, 4000, 300_000),
     "fig3": (5014, 5000, 500_000),
@@ -199,34 +186,23 @@ def cmd_figure(args) -> int:
                           f"got {trunc}, {n_samples} and {bins}")
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
-    variant = modulus_case(q).variant
-    # the even-index series at truncation K reads coefficients up to 2K
-    coeff_cutoff = 2 * trunc if variant == G_PLUS else trunc
-    # the real part is shifted by t/q exactly when the series has the constant term c_0
-    center = "none" if variant == G_MINUS else "tq"
-    b = 1.0 / math.sqrt(7.0)
-
-    weight = interval_indicator(0.0, b, coeff_cutoff)
-    batch = empirical_batch(q, weight)
-    values = batch.values
-    t_over_q = batch.grid_mass / q
-
-    limit = sample_limit_law(variant, weight, trunc, n_samples, args.seed)
-    shift = t_over_q if center == "tq" else 0.0
+    interval = (0.0, 1.0 / math.sqrt(7.0))  # the figures' weight: the indicator of [0, 1/sqrt(7))
+    law = compare_laws(q, interval, trunc, n_samples, args.seed)
+    batch, values = law.batch, law.batch.values
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "command": f"figure {which}",
         "q": q,
-        "weight": f"interval:0,{b!r}",
-        "variant": variant,
+        "weight": f"interval:0,{interval[1]!r}",
+        "variant": law.variant,
         "trunc": trunc,
-        "coefficient_cutoff": coeff_cutoff,
+        "coefficient_cutoff": law.coefficient_cutoff,
         "samples": n_samples,
         "seed": args.seed,
         "bins": bins,
-        "center": center,
+        "center": law.center,
     }
 
     def write(name: str, header: list[str], columns: list) -> None:
@@ -236,16 +212,13 @@ def cmd_figure(args) -> int:
     labels = [SIGMA_LABELS[c] for c in batch.case.classes.tolist()]
     write("samples.csv", ["p", "sigma", "re", "im"],
           [batch.case.units, labels, values.real, values.imag])
-    for part, vals in (("re", values.real - shift), ("im", values.imag)):
+    for part, vals in (("re", values.real - law.shift), ("im", values.imag)):
         h = histogram(vals, bins=bins)
         write(f"hist_{part}.csv", ["bin_lo", "bin_hi", "count", "density"],
               [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density])
 
     # the complex samples as they are, bit for bit; their configuration is the summary's
-    np.save(out_dir / f"{which}_limit.npy", limit)
-    # G_minus: real and imaginary parts share one law, that of the imaginary part
-    ks_re = ks_distance(values.real, limit.imag if variant == G_MINUS else limit.real)
-    ks_im = ks_distance(values.imag, limit.imag)
+    np.save(out_dir / f"{which}_limit.npy", law.limit)
 
     summary = {
         **meta,
@@ -253,13 +226,13 @@ def cmd_figure(args) -> int:
         "total_samples": len(values),
         "phi_q": batch.case.units.size,
         "grid_mass": batch.grid_mass,
-        "t_over_q": t_over_q,
+        "t_over_q": batch.grid_mass / q,
         "mean_bin_count": len(values) / bins,
-        "ks_re": ks_re,
-        "ks_im": ks_im,
+        "ks_re": law.ks_re,
+        "ks_im": law.ks_im,
     }
     (out_dir / f"{which}_summary.json").write_text(_json_text(summary))
-    print(f"{which}: {len(values)} samples, KS re={ks_re:.4f} im={ks_im:.4f} -> {out_dir}")
+    print(f"{which}: {len(values)} samples, KS re={law.ks_re:.4f} im={law.ks_im:.4f} -> {out_dir}")
     return 0
 
 
@@ -279,8 +252,8 @@ def cmd_moments(args) -> int:
     }
     # a range skips the moduli below 3 (no normalized law)
     reports = _per_modulus(args.q, args.q_range, moment_reports(weight, window, k_list))
-    rows = [(q, r.k, float(r.empirical), float(r.limit), float(r.relative_gap))
-            for q, reps in reports for r in reps]
+    rows = [(q, k, e, lim, abs(e - lim) / max(lim, 1e-12))
+            for q, pairs in reports for k, (e, lim) in zip(k_list, pairs)]
     _emit_table(args, meta, ["q", "k", "empirical", "limit", "gap"], list(zip(*rows)))
     return 0
 

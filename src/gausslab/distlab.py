@@ -38,10 +38,11 @@ imports numpy.random; uniform_words reads one randbytes call as 64-bit
 words k, and a point is (k >> 11) 2^-53 (_points).  A seed gives the
 same points on every run.
 
-Histograms, moments, and the two-sample KS distance quantify the agreement;
-the KS distance evaluates both empirical CDFs in blocks of _KS_BLOCK
-points, so beside the two sorted samples it holds about 4 _KS_BLOCK
-words of temporaries.
+Histograms, moments and the two-sample KS distance quantify the agreement;
+compare_laws is a figure's whole comparison at one modulus, with the rules
+of its series variant.  The KS distance evaluates both empirical CDFs in
+blocks of _KS_BLOCK points, so beside the two sorted samples it holds
+about 4 _KS_BLOCK words of temporaries.
 """
 
 from __future__ import annotations
@@ -51,19 +52,28 @@ import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import arith
 from .errors import BadModulus, DomainError, EmptyInput
 from .gauss_sums import (
+    G_MINUS,
+    G_PLUS,
     ModulusCase,
     modulus_case,
     quadratic_grid,
     quadratic_series,
     series_terms,
 )
-from .weights import WeightFunction, check_interval, evaluate_grid, grid_in_interval
+from .weights import (
+    WeightFunction,
+    check_interval,
+    evaluate_grid,
+    grid_in_interval,
+    interval_indicator,
+)
 
 # shifts per base point of sample_limit_law: an odd prime, so n^2 mod M takes (M + 1)/2
 # classes (a power of 2 would only rotate the odd-n series); at the benchmark's figure
@@ -270,17 +280,9 @@ def limit_moment(variant: str, w: WeightFunction, k: float,
     return _limit_moments(variant, w, _checked_orders([k]), grid_size)[0]
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    k: float
-    empirical: float
-    limit: float
-    relative_gap: float
-
-
 def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
-                   ks) -> Callable[[int], list[MomentReport]]:
-    """The function q -> [MomentReport for each k of ks]: empirical next to limit moments.
+                   ks) -> Callable[[int], list[tuple[float, float]]]:
+    """The function q -> [(empirical, limit) for each k of ks]: the two moments side by side.
 
     The empirical side at q is (1/(phi(q)(b - a))) sum |g(w,p,q)/D(p)|^k over the
     units p with p/q in the window [a, b) (every unit and b - a = 1 for window
@@ -294,7 +296,7 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
     """
     ks, limits = _checked_orders(ks), {}  # limits: variant -> _limit_moments of ks
 
-    def reports(q: int) -> list[MomentReport]:
+    def reports(q: int) -> list[tuple[float, float]]:
         _check_input(q, window)
         case = modulus_case(q)
         if case.variant not in limits:
@@ -303,15 +305,14 @@ def moment_reports(w: WeightFunction, window: tuple[float, float] | None,
         mags = np.abs(sums) / math.sqrt(case.norm_sq)  # |g|^k, |D|^k can overflow
         measure = phi * (1 if window is None else window[1] - window[0])
         empirical = [_power_mean(mags, k, measure, f"empirical (q={q})") for k in ks]
-        return [MomentReport(k, e, lim, abs(e - lim) / max(lim, 1e-12))
-                for k, e, lim in zip(ks, empirical, limits[case.variant])]
+        return list(zip(empirical, limits[case.variant]))
 
     return reports
 
 
 def empirical_moment(q: int, w: WeightFunction, window: tuple[float, float] | None = None,
-                     k: float = 2.0) -> MomentReport:
-    """The MomentReport of the one order k at q: moment_reports(w, window, [k])(q)[0]."""
+                     k: float = 2.0) -> tuple[float, float]:
+    """The (empirical, limit) pair of one order k at q: moment_reports(w, window, [k])(q)[0]."""
     return moment_reports(w, window, [k])(q)[0]
 
 
@@ -386,3 +387,38 @@ def ks_distance(a, b) -> float:
             worst = max(worst, float(gap.max()))
     return worst
 
+
+class LawComparison(NamedTuple):
+    """compare_laws's result: the finite law at q next to its limit law."""
+
+    variant: str  # the series of modulus_case(q)
+    coefficient_cutoff: int  # of the indicator weight: 2 trunc for G_plus, else trunc
+    center: str  # "tq" where the real part is shifted by t/q, "none" for G_minus
+    batch: EmpiricalBatch
+    limit: np.ndarray  # sample_limit_law's complex samples
+    shift: float  # subtracted from the real part: t/q = grid_mass/q, or 0.0
+    ks_re: float
+    ks_im: float
+
+
+def compare_laws(q: int, interval: tuple[float, float], trunc: int,
+                 n_samples: int, seed: int) -> LawComparison:
+    """The normalized sums of the interval's indicator at q against n_samples of their limit law.
+
+    The limit is modulus_case(q)'s series truncated at trunc.  The three rules
+    of the comparison live here alone: G_plus reads c_2n, so the weight holds
+    coefficients up to 2 trunc; the real part is shifted by t/q exactly when
+    the series has c_0 (not G_minus); under G_minus the real part follows the
+    law of the limit's imaginary part, so ks_re compares it with that.
+    """
+    variant = modulus_case(q).variant
+    cutoff = 2 * trunc if variant == G_PLUS else trunc
+    weight = interval_indicator(*interval, cutoff)
+    batch = empirical_batch(q, weight)
+    limit = sample_limit_law(variant, weight, trunc, n_samples, seed)
+    center = "none" if variant == G_MINUS else "tq"
+    shift = batch.grid_mass / q if center == "tq" else 0.0
+    re_law = limit.imag if variant == G_MINUS else limit.real
+    return LawComparison(variant, cutoff, center, batch, limit, shift,
+                         ks_distance(batch.values.real, re_law),
+                         ks_distance(batch.values.imag, limit.imag))

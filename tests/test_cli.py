@@ -478,7 +478,7 @@ class TestFigureCommand:
             made.append((w, w.ks.copy(), w.cs.copy()))
             return w
 
-        monkeypatch.setattr(cli, "interval_indicator", recorded)
+        monkeypatch.setattr(distlab, "interval_indicator", recorded)
         tracemalloc.start()
         try:
             assert run(["figure", "fig3", "--trunc", "50", "--samples", "200000",
@@ -498,7 +498,7 @@ class TestFigureCommand:
         which = {"G_plus": "fig1", "G_minus": "fig3"}[variant]
         parts = [1e-05, 1e16, -0.0, 5e-324, 1.0, -1.0, 0.1, -2.5e-300, 123456.789]
         limit = np.array(parts) + 1j * np.array(parts[::-1])
-        monkeypatch.setattr(cli, "sample_limit_law", lambda *args: limit)
+        monkeypatch.setattr(distlab, "sample_limit_law", lambda *args: limit)
         assert run(["figure", which, "--trunc", "8", "--samples", "9",
                     "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / f"{which}_summary.json").read_text())

@@ -76,7 +76,7 @@ class TestDomainWindow:
 
     def test_full(self):
         assert distlab.empirical_batch(7, ONE, None).case.units.tolist() == [1, 2, 3, 4, 5, 6]
-        assert distlab.empirical_moment(7, ONE, None, k=0.0).empirical == 1.0
+        assert distlab.empirical_moment(7, ONE, None, k=0.0)[0] == 1.0
 
     def test_interval_membership_exact(self):
         # 1/8 is the left endpoint (kept), 3/8 the right one (dropped)
@@ -129,7 +129,7 @@ class TestDomainWindow:
     def test_windowed_zeroth_moment(self, q, a, b):
         kept = len(fraction_window(q, a, b))
         phi, _ = arith.analyze_modulus(q)
-        assert distlab.empirical_moment(q, ONE, (a, b), k=0.0).empirical == \
+        assert distlab.empirical_moment(q, ONE, (a, b), k=0.0)[0] == \
             pytest.approx(kept / (phi * (b - a)), rel=1e-15)
 
 
@@ -484,17 +484,23 @@ class TestNextPrime:
         assert sizes == [65537, sympy.nextprime(2 * 40000)]
 
 
+def relative_gap(pair):
+    """The gap column of the moments command for one (empirical, limit) pair."""
+    empirical, limit = pair
+    return abs(empirical - limit) / max(limit, 1e-12)
+
+
 class TestEmpiricalMoment:
     def test_constant_weight_odd_q(self):
-        rep = distlab.empirical_moment(15, ONE, k=2.0)
-        assert rep.empirical == pytest.approx(1.0, abs=1e-12)
-        assert rep.limit == pytest.approx(1.0)
-        assert rep.relative_gap < 1e-10
+        empirical, limit = distlab.empirical_moment(15, ONE, k=2.0)
+        assert empirical == pytest.approx(1.0, abs=1e-12)
+        assert limit == pytest.approx(1.0)
+        assert relative_gap((empirical, limit)) < 1e-10
 
     def test_k0(self):
-        rep = distlab.empirical_moment(12, ONE, k=0.0)
-        assert rep.empirical == pytest.approx(1.0)
-        assert rep.limit == pytest.approx(1.0)
+        empirical, limit = distlab.empirical_moment(12, ONE, k=0.0)
+        assert empirical == pytest.approx(1.0)
+        assert limit == pytest.approx(1.0)
 
     @pytest.mark.parametrize("q", [3, 4, 6, 9, 18, 101, 1009, 5012, 5013, 5014])
     def test_direct_route_matches_per_p_oracle(self, q):
@@ -504,8 +510,8 @@ class TestEmpiricalMoment:
         for k in (1.0, 2.0):
             normalizer = (2 * q) ** (k / 2) if q % 2 == 0 else q ** (k / 2)
             oracle = float(np.sum(np.abs(sums) ** k)) / (len(sums) * normalizer)
-            rep = distlab.empirical_moment(q, w, k=k)
-            assert rep.empirical == pytest.approx(oracle, rel=1e-12)
+            empirical, _ = distlab.empirical_moment(q, w, k=k)
+            assert empirical == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("q", [9, 12, 18, 101, 5012, 5013, 5014])
     # the indicator, exact on the grid ("direct"), or its truncated series, the fast path's input
@@ -519,21 +525,20 @@ class TestEmpiricalMoment:
         ks = (0, 1, 2, 4)
         reports = distlab.moment_reports(w, window, ks)(q)
         assert isinstance(reports, list) and len(reports) == len(ks)
-        for k, rep in zip(ks, reports):
+        for k, pair in zip(ks, reports):
             one = distlab.empirical_moment(q, w, window, float(k))
-            assert isinstance(one, distlab.MomentReport)
-            assert (rep.k, rep.empirical, rep.limit, rep.relative_gap) == \
-                (one.k, one.empirical, one.limit, one.relative_gap)
+            assert isinstance(one, tuple) and len(one) == 2
+            assert pair == one
 
     def test_large_order_against_per_p_oracle(self):
         # |g|^190 and |D|^190 overflow a float at q = 5013, while (|g|/|D|)^190 does not
         q, k = 5013, 190.0
         w = weights.interval_indicator(0.0, 0.5, cutoff=50)
         mags = np.abs(gauss_sums.DirectEvaluator(w, q)(arith.units(q))) / math.sqrt(q)
-        zero, large = distlab.moment_reports(w, None, [0.0, k])(q)
-        assert zero.empirical == 1.0
-        assert large.empirical == pytest.approx(float(np.mean(mags ** k)), rel=1e-9)
-        assert 0 < large.empirical < math.inf
+        (zero, _), (large, _) = distlab.moment_reports(w, None, [0.0, k])(q)
+        assert zero == 1.0
+        assert large == pytest.approx(float(np.mean(mags ** k)), rel=1e-9)
+        assert 0 < large < math.inf
 
     def test_orders_out_of_float_range_refused(self):
         # 10^400 overflows, 0.5^2000 underflows; values all zero have a true moment 0.0
@@ -563,10 +568,41 @@ class TestEmpiricalMoment:
         rng = np.random.default_rng(73)
         w = weights.fourier_weight({int(k): complex(rng.normal(), rng.normal())
                                     for k in range(-5, 6)})
-        small = distlab.empirical_moment(101, w, k=2.0)
-        large = distlab.empirical_moment(1009, w, k=2.0)
-        assert large.relative_gap < small.relative_gap
-        assert large.relative_gap < 0.05
+        small = relative_gap(distlab.empirical_moment(101, w, k=2.0))
+        large = relative_gap(distlab.empirical_moment(1009, w, k=2.0))
+        assert large < small
+        assert large < 0.05
+
+
+class TestCompareLaws:
+    # the figure moduli and the rules of their series: (variant, coefficient cutoff per
+    # unit of trunc, center); G_plus reads c_2n, so its weight needs coefficients up to 2K,
+    # and the real part is shifted by t/q exactly when the series has c_0 (not G_minus)
+    @pytest.mark.parametrize("q, variant, cutoff_per_trunc, center", [
+        pytest.param(5012, G_PLUS, 2, "tq", id="fig1"),
+        pytest.param(5013, G_FULL, 1, "tq", id="fig2"),
+        pytest.param(5014, G_MINUS, 1, "none", id="fig3"),
+    ])
+    def test_rules_of_each_variant(self, q, variant, cutoff_per_trunc, center):
+        interval, trunc, n_samples, seed = (0.0, B7), 12, 700, 3
+        law = distlab.compare_laws(q, interval, trunc, n_samples, seed)
+        w = weights.interval_indicator(*interval, cutoff_per_trunc * trunc)
+        batch = distlab.empirical_batch(q, w)
+        limit = distlab.sample_limit_law(variant, w, trunc, n_samples, seed)
+        assert law.variant == variant
+        assert law.coefficient_cutoff == cutoff_per_trunc * trunc
+        assert law.center == center
+        assert law.batch.case.units.tolist() == batch.case.units.tolist()
+        assert law.batch.case.label == batch.case.label
+        assert law.batch.values.tobytes() == batch.values.tobytes()
+        assert law.batch.grid_mass == batch.grid_mass
+        assert law.limit.dtype == limit.dtype and law.limit.tobytes() == limit.tobytes()
+        assert law.shift == (batch.grid_mass / q if center == "tq" else 0.0)
+        # under G_minus the real part follows the law of the limit's imaginary part
+        re_law = limit.imag if variant == G_MINUS else limit.real
+        assert law.ks_re == distlab.ks_distance(batch.values.real, re_law)
+        assert law.ks_im == distlab.ks_distance(batch.values.imag, limit.imag)
+        assert len(law) == 8  # every field is checked above
 
 
 class TestHistogram:
@@ -784,7 +820,7 @@ class TestDistributionShapes:
         w = weights.interval_indicator(0.0, B7, cutoff=2000)
         norm_sq = B7  # integral of the squared indicator
         for q in (5012, 5013, 5014):
-            rep = distlab.empirical_moment(q, w, k=2.0)
+            empirical, _ = distlab.empirical_moment(q, w, k=2.0)
             normalizer = (2 * q) if q % 2 == 0 else q
-            m2_over_q = rep.empirical * normalizer / q
+            m2_over_q = empirical * normalizer / q
             assert m2_over_q <= 10 * norm_sq

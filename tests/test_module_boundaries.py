@@ -11,7 +11,8 @@ or the package exports it, or the benchmark's tracer wraps it.  A reference
 that only the tests need lives in the tests.  Every exception type of
 errors.py is named by some raise statement of the package.  Importing
 the CLI, which every command does, loads none of fractions, decimal or
-numpy.ma.
+numpy.ma.  The CLI imports nothing from gauss_sums and reads neither G_PLUS
+nor G_MINUS: distlab.compare_laws holds a figure's series-variant rules.
 """
 
 import ast
@@ -105,6 +106,36 @@ def test_census_finds_both_reference_forms():
                      "class Idle: pass\n"),
                "b": "x = used_bare() + a.used_as_attribute()\n"}
     assert idle_names(sources, {"a.kept"}) == ["a.idle", "a.Idle"]
+
+
+def series_rule_reads(source: str) -> list[str]:
+    """A module's gauss_sums imports, in any import form, then the G_PLUS and G_MINUS it reads."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").endswith("gauss_sums"):  # from .gauss_sums import x
+                found += [f"gauss_sums.{name}" for name in names]
+            else:  # from . import gauss_sums
+                found += [name for name in names if name == "gauss_sums"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.endswith("gauss_sums")]
+    return found + sorted(references(tree) & {"G_PLUS", "G_MINUS"})
+
+
+def test_cli_holds_no_series_variant_rule():
+    # distlab.compare_laws picks a figure's series variant and applies its rules
+    assert series_rule_reads((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_series_rule_census_finds_every_form():
+    source = ("from .gauss_sums import G_PLUS, modulus_case\n"
+              "from . import arith, gauss_sums\n"
+              "import gausslab.gauss_sums\n"
+              "x = law.variant == distlab.G_MINUS\n")
+    assert series_rule_reads(source) == ["gauss_sums.G_PLUS", "gauss_sums.modulus_case",
+                                         "gauss_sums", "gausslab.gauss_sums", "G_MINUS"]
 
 
 def unraised(errors_source: str, sources: list[str]) -> list[str]:
