@@ -23,6 +23,8 @@ from .errors import BadModulus, DomainError
 INT64_ROOT = math.isqrt(2**63 - 1)
 # primes below this read Legendre symbols from a table of squares (at most 512 KiB)
 SQUARES_TABLE_MAX = 1 << 16
+# factorize's largest trial divisor: a cofactor up to its square, 2**40, is then prime
+TRIAL_DIVISOR_MAX = 1 << 20
 
 
 def jacobi(a: int, b: int) -> int:
@@ -62,12 +64,17 @@ def is_perfect_square(n: int) -> bool:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, as sorted (prime, exponent) pairs."""
+    """Prime factorization by trial division, as sorted (prime, exponent) pairs.
+
+    A cofactor above 2**40 with no prime factor up to TRIAL_DIVISOR_MAX is a BadModulus.
+    """
     if n < 1:
         raise DomainError(f"need a positive integer, got {n}")
     factors = []
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISOR_MAX:
+            raise BadModulus(f"cannot factor {n}: above 2**40, no prime factor up to 2**20")
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -94,8 +101,10 @@ def units(q: int) -> np.ndarray:
     """Residues in [1, q] coprime to q, ascending; q <= INT64_ROOT, as for residues."""
     if not 1 <= q <= INT64_ROOT:
         raise DomainError(f"units need 1 <= q <= {INT64_ROOT}, got {q}")
-    r = np.arange(1, q + 1, dtype=np.int64)
-    return r[np.gcd(r, q) == 1]
+    coprime = np.full(q, True)  # coprime[r - 1] for the residue r
+    for p, _ in factorize(q):
+        coprime[p - 1::p] = False
+    return np.flatnonzero(coprime) + 1
 
 
 def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:

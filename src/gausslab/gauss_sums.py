@@ -410,7 +410,8 @@ def gauss_sum_fast_batch(w: WeightFunction, ps, q: int):
 
     D(p) G(x_p) by one modulus_case, one series_terms fold and one
     quadratic_series call: O(#coefficients + #p) after the modular
-    inverses.  See gauss_sum_fast for the contract.
+    inverses.  A batch of W weights takes a (W, n) array of p, row w for
+    weight w.  See gauss_sum_fast for the contract.
     """
     if w.interval is not None:
         raise IndicatorKind(

@@ -21,14 +21,7 @@ from . import arith
 from .distlab import seeded_rng, uniform_words
 from .errors import DomainError
 from .expsums import unit_sums, weil_bound
-from .gauss_sums import (
-    VARIANTS,
-    DirectEvaluator,
-    gauss_sum_closed,
-    modulus_case,
-    quadratic_series,
-    series_terms,
-)
+from .gauss_sums import DirectEvaluator, gauss_sum_closed, gauss_sum_fast_batch, modulus_case
 from .weights import WeightFunction, constant_weight, fourier_weight, reduce_weight
 
 CLOSED_FORM_TOL = FUNCTIONAL_EQ_TOL = 1e-6  # gaps stay below TOL * sqrt(q); a test may tighten
@@ -82,25 +75,20 @@ def functional_eq_suite(q_max: int = 400, n_weights: int = 50, seed: int = 20260
     two gauss draws; then each modulus
     draws one uint64 key per (weight, unit) from uniform_words, and row w
     checks the min(5, phi(q)) units of its smallest keys in ascending
-    order.  The weights are folded once per series variant; per modulus
-    the fast side takes gauss_sum_fast_batch's steps on that (weights,
-    terms) block and one direct call serves all weights, so violations are
-    listed q by q.  The direct side stays the O(q) definition for every
-    (weight, p).
+    order.  Per modulus one gauss_sum_fast_batch call, the library's fast
+    path, and one direct call serve all weights, so violations are listed
+    q by q.  The direct side stays the O(q) definition for every (weight, p).
     """
     rng = seeded_rng(seed)
     draws = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(17 * n_weights)]
     weights = WeightFunction(np.arange(-8, 9), np.array(draws, dtype=np.complex128).reshape(-1, 17))
-    terms = {v: series_terms(weights, v) for v in VARIANTS}
     res = SuiteResult("functional_eq", 0)
     for q in range(3, q_max + 1):
         units = arith.units(q)
         keys = uniform_words(rng, n_weights * units.size).reshape(n_weights, units.size)
         order = np.argsort(keys, axis=1)
         ps = np.sort(units[order[:, :5]], axis=1)
-        case = modulus_case(q, ps)
-        series = quadratic_series(*terms[case.variant], case.points(), case.point_map[1])
-        gaps = np.abs(case.normalizers * series - DirectEvaluator(weights, q)(ps))
+        gaps = np.abs(gauss_sum_fast_batch(weights, ps, q) - DirectEvaluator(weights, q)(ps))
         scale = FUNCTIONAL_EQ_TOL * math.sqrt(q)
         res.record(~(gaps < scale), gaps / scale,
                    lambda j: f"p={ps.flat[j]} q={q} |fast-direct|={gaps.flat[j]:.3e}")

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab import arith, gauss_sums
+from gausslab import arith, expsums, gauss_sums
 from gausslab.errors import BadModulus, DomainError
 from reference import epsilon
 
@@ -239,11 +239,27 @@ class TestAnalyzeModulus:
                 phi = phi // p * (p - 1)
             assert phi == arith.analyze_modulus(q)[0]
 
+    def test_refuses_a_large_cofactor_without_small_factors(self):
+        # a prime near 2**61 took about 111 s of trial division up to its square root
+        with pytest.raises(BadModulus, match=r"2\*\*40"):
+            arith.analyze_modulus(2**61 - 1)
+        with pytest.raises(BadModulus, match=r"2\*\*40"):
+            expsums.weil_bound(1, 1, 2**61 - 1)
+        largest = sympy.prevprime(2**40)  # the largest cofactor trial division still proves prime
+        assert arith.factorize(largest) == [(largest, 1)]
+
 
 class TestUnits:
     def test_small(self):
         assert arith.units(8).tolist() == [1, 3, 5, 7]
         assert arith.units(1).tolist() == [1]
+
+    def test_matches_gcd_definition(self):
+        for q in range(1, 2001):
+            r = np.arange(1, q + 1, dtype=np.int64)
+            expected = r[np.gcd(r, q) == 1]
+            got = arith.units(q)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), q
 
     def test_inverse_table(self):
         ps, invs = arith.inverse_table(12)

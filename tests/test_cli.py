@@ -200,10 +200,15 @@ class TestSuiteCounts:
             gaps = gauss_sums.gauss_sum_fast_batch(w, ps, q) - gauss_sums.DirectEvaluator(w, q)(ps)
             assert np.abs(gaps).max() < 1e-10 * math.sqrt(q), q
 
-    def test_functional_eq_folds_once_per_variant(self, monkeypatch):
+    def test_functional_eq_makes_one_fast_call_per_modulus(self, monkeypatch):
+        # the library's fast path on all weights at once: one call and one fold per modulus
+        fast = count_calls(monkeypatch, gauss_sums.gauss_sum_fast_batch)
         folds = count_calls(monkeypatch, gauss_sums.series_terms)
         assert verify.functional_eq_suite(q_max=60, n_weights=4).passed
-        assert sorted(args[1] for args in folds) == sorted(gauss_sums.VARIANTS)
+        assert [args[2] for args in fast] == list(range(3, 61))
+        assert all(args[0].cs.shape == (4, 17) and len(args[1]) == 4 for args in fast)
+        assert [args[1] for args in folds] == [gauss_sums.modulus_case(q).variant
+                                              for q in range(3, 61)]
 
     def test_weil_builds_one_table_per_modulus(self, monkeypatch):
         # all kinds of a modulus share one inverse table; the moduli with a twist add one case
@@ -273,7 +278,7 @@ class TestBatchedSuiteFaults:
         assert verify.run_suite("closed_form", q_max=20).worst == math.inf
 
     def test_functional_eq(self, monkeypatch, capsys):
-        real = verify.modulus_case
+        real = gauss_sums.modulus_case
 
         def faulty(q, ps=()):
             # one case per modulus covers every weight; only row 0, the first weight, is hit
@@ -282,7 +287,7 @@ class TestBatchedSuiteFaults:
             normalizers[0] = self.bump(normalizers[0], ps[0], q, (7, 12))
             return case._replace(normalizers=normalizers)
 
-        monkeypatch.setattr(verify, "modulus_case", faulty)
+        monkeypatch.setattr(gauss_sums, "modulus_case", faulty)  # gauss_sum_fast_batch's lookup
         self.check("functional_eq", {"q_max": 20, "n_weights": 3}, "p=7 q=12 |fast-direct|=", capsys)
 
     def test_weil(self, monkeypatch, capsys):

@@ -210,22 +210,24 @@ class TestSeriesTermsOracle:
             self.same(gs.series_terms(w, variant, cutoff), series_terms_reference(coeffs, variant, cutoff))
 
     def test_functional_eq_batch_rows(self, monkeypatch):
-        # the batch weight of verify.functional_eq_suite, caught at its fold, row by row
+        # the batch weight of verify.functional_eq_suite, caught at the fast path's fold,
+        # row by row; q = 3..6 reach every variant
         from gausslab import verify
 
         folds = []
+        fold = gs.series_terms
 
         def caught(w, variant):
             folds.append((w, variant))
-            return gs.series_terms(w, variant)
+            return fold(w, variant)
 
-        monkeypatch.setattr(verify, "series_terms", caught)
-        verify.functional_eq_suite(q_max=3, n_weights=50)
-        assert [v for _, v in folds] == list(gs.VARIANTS)
+        monkeypatch.setattr(gs, "series_terms", caught)
+        verify.functional_eq_suite(q_max=6, n_weights=50)
+        assert [v for _, v in folds] == [gs.G_FULL, gs.G_PLUS, gs.G_FULL, gs.G_MINUS]
         for w, variant in folds:
             assert w.cs.shape == (50, 17)
             rows = [dict(zip(w.ks.tolist(), row)) for row in w.cs.tolist()]
-            self.same(gs.series_terms(w, variant), series_terms_reference(rows, variant))
+            self.same(fold(w, variant), series_terms_reference(rows, variant))
 
 
 class TestLimitSeries:
@@ -624,19 +626,16 @@ class TestWeightAxis:
     @pytest.mark.parametrize("support", [range(-8, 9), (-7, -3, 0, 2, 5, 11)],
                              ids=["progression", "sparse"])
     def test_rows_equal_single_weight_calls(self, support):
-        # the fast side of verify.functional_eq_suite: one fold per variant, then per
-        # modulus one case and one series call on the (W, terms) block
+        # the fast side of verify.functional_eq_suite: one gauss_sum_fast_batch call per
+        # modulus on the batch weight and one row of units per weight
         rng = np.random.default_rng(len(support))
         ws = [weights.fourier_weight({k: complex(rng.normal(), rng.normal()) for k in support})
               for _ in range(3)]
-        terms = {v: gs.series_terms(batch(ws), v) for v in gs.VARIANTS}
         for q in range(3, 401):  # every class mod 4
             units = arith.units(q)
             ps = np.array([np.sort(rng.choice(units, min(len(units), 6), replace=False))
                            for _ in ws])
-            case = gs.modulus_case(q, ps)
-            fast = case.normalizers * gs.quadratic_series(*terms[case.variant], case.points(),
-                                                          case.point_map[1])
+            fast = gs.gauss_sum_fast_batch(batch(ws), ps, q)
             direct = gs.DirectEvaluator(batch(ws), q)(ps)
             assert fast.shape == direct.shape == ps.shape
             for i, w in enumerate(ws):
@@ -653,6 +652,15 @@ class TestWeightAxis:
         assert (result.checked, result.worst) == (checked, worst)
         assert sorted(result.failures) == sorted(failures)
         assert (len(failures) > 0) == (tol < 1e-6)
+
+    def test_suite_runs_the_library_fast_path(self, monkeypatch):
+        # a fault in a stage that gauss_sum_fast_batch looks up in gauss_sums must reach
+        # the suite; a suite running its own copy of the steps would stay clean
+        from gausslab import verify
+
+        series = gs.quadratic_series
+        monkeypatch.setattr(gs, "quadratic_series", lambda *args: np.conj(series(*args)))
+        assert verify.functional_eq_suite(q_max=30, n_weights=2).failures
 
     def test_single_weight_shapes_and_types(self):
         w = weights.fourier_weight({-2: 1.0, 0: 0.5j, 3: -0.25})

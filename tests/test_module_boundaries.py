@@ -13,6 +13,8 @@ errors.py is named by some raise statement of the package.  Importing
 the CLI, which every command does, loads none of fractions, decimal or
 numpy.ma.  The CLI imports nothing from gauss_sums and reads neither G_PLUS
 nor G_MINUS: distlab.compare_laws holds a figure's series-variant rules.
+The verify suites import from gauss_sums only the evaluators they check and
+the case dispatch, so functional_eq runs the library's fast path, not a copy.
 """
 
 import ast
@@ -127,6 +129,14 @@ def series_rule_reads(source: str) -> list[str]:
 def test_cli_holds_no_series_variant_rule():
     # distlab.compare_laws picks a figure's series variant and applies its rules
     assert series_rule_reads((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_verify_imports_the_fast_path_not_its_stages():
+    # functional_eq checks gauss_sum_fast_batch itself; importing quadratic_series,
+    # series_terms or VARIANTS would let the suite re-spell the path it checks
+    assert series_rule_reads((PACKAGE / "verify.py").read_text()) == [
+        "gauss_sums.DirectEvaluator", "gauss_sums.gauss_sum_closed",
+        "gauss_sums.gauss_sum_fast_batch", "gauss_sums.modulus_case"]
 
 
 def test_series_rule_census_finds_every_form():
