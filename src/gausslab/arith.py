@@ -8,7 +8,7 @@ BadModulus), and the pair (totient, divisor count) of a modulus.  All pure.
 The scalar functions take Python ints of any size.  residues and
 jacobi_array answer one int exactly through them; they and power_mod take
 an integer array in int64 with no per-entry loop, and refuse moduli above
-INT64_ROOT, whose products would wrap, and entries that are not integers.
+INT64_ROOT, whose products would wrap, and non-integer moduli or entries.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     A cofactor above 2**40 with no prime factor up to TRIAL_DIVISOR_MAX is a BadModulus.
     """
-    if n < 1:
+    if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"need a positive integer, got {n}")
     factors = []
     d = 2
@@ -101,8 +101,9 @@ def units(q: int) -> np.ndarray:
     """Residues in [1, q] coprime to q, ascending; q <= INT64_ROOT, as for residues."""
     if not 1 <= q <= INT64_ROOT:
         raise DomainError(f"units need 1 <= q <= {INT64_ROOT}, got {q}")
+    primes = factorize(q)  # refuses a non-integer q before the mask is allocated
     coprime = np.full(q, True)  # coprime[r - 1] for the residue r
-    for p, _ in factorize(q):
+    for p, _ in primes:
         coprime[p - 1::p] = False
     return np.flatnonzero(coprime) + 1
 
@@ -118,9 +119,9 @@ def inverse_table(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def residues(values, q: int):
-    """values mod q: exact for one int, else an int64 array; a non-integer entry is refused."""
-    if q < 1:
-        raise DomainError(f"modulus must be positive, got {q}")
+    """values mod q: one int exactly, else an int64 array; refuses a non-integer q or entry."""
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise DomainError(f"modulus must be a positive integer, got {q}")
     if isinstance(values, (int, np.integer)):
         return int(values) % q
     if q > INT64_ROOT:
@@ -160,9 +161,9 @@ def jacobi_array(a, n: int):
     """
     if n % 2 == 0:
         raise BadModulus(f"modulus must be odd, got {n}")
-    if isinstance(a, (int, np.integer)):
-        return jacobi(int(a), n)
     a = residues(a, n)
+    if isinstance(a, int):
+        return jacobi(a, n)
     out = np.ones(a.shape, dtype=np.int64)
     for p, e in factorize(n):
         r = a % p

@@ -89,7 +89,7 @@ def _parse_interval(spec: str) -> tuple[float, float]:
     try:
         a, b = map(float, spec[len("interval:"):].split(","))
         weights.check_interval(a, b)
-    except ValueError as exc:  # BadInterval too, so the message names the spec
+    except ValueError as exc:  # check_interval's DomainError too, so the message names the spec
         raise DomainError(f"bad interval {spec!r}: {exc}") from exc
     return a, b
 

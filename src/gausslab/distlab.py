@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith
-from .errors import BadModulus, DomainError, EmptyInput
+from .errors import BadModulus, DomainError
 from .gauss_sums import (
     G_MINUS,
     G_PLUS,
@@ -101,7 +101,7 @@ class EmpiricalBatch:
 
 
 def _check_input(q: int, window: tuple[float, float] | None) -> None:
-    """Refuse a bad window (BadInterval), then a modulus below 3 (BadModulus)."""
+    """Refuse a bad window (DomainError), then a modulus below 3 (BadModulus)."""
     if window is not None:
         check_interval(*window)
     if q < 3:
@@ -341,7 +341,7 @@ def histogram(values, bins: int = 40) -> Histogram:
     """
     arr = _real_samples(values)
     if arr.size == 0:
-        raise EmptyInput("cannot bin an empty sample set")
+        raise DomainError("cannot bin an empty sample set")
     if bins % 1 or bins < 1:  # NaN % 1 is NaN
         raise DomainError(f"bins must be a positive integer, got {bins}")
     bins = int(bins)
@@ -375,7 +375,7 @@ def ks_distance(a, b) -> float:
     a = np.sort(_real_samples(a))
     b = np.sort(_real_samples(b))
     if a.size == 0 or b.size == 0:
-        raise EmptyInput("cannot compare empty sample sets")
+        raise DomainError("cannot compare empty sample sets")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
         raise DomainError("cannot compare samples holding NaN")
     worst = 0.0

@@ -94,7 +94,7 @@ def weyl_statistics(q: int, ts, m: int, n: int) -> np.ndarray:
         raise DomainError(f"(m, n) = (0, 0) mod {q} is the trivial statistic")
     ts = arith.residues(ts, q)
     if np.any(np.gcd(ts, q) != 1):
-        modulus_case(q, ts)  # the package's unit check: NotCoprime, naming the shared factor
+        modulus_case(q, ts)  # the package's unit check: a DomainError naming the shared factor
     return kloosterman(m, arith.residues(n, q) * ts % q, q) / arith.analyze_modulus(q)[0]
 
 

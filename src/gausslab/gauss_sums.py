@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith
-from .errors import DomainError, IndicatorKind, NotCoprime
+from .errors import DomainError, IndicatorKind
 from .weights import WeightFunction, evaluate_grid
 
 G_PLUS = "G_plus"
@@ -100,7 +100,7 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
                   D(p) = two eps_m (two p/m) sqrt(m), |D|^2 = two q,   x_p = -inv(4 two p, m)/m,
                   class (two p/m), or none for square m
 
-    Every p must be a unit of q (NotCoprime otherwise).
+    Every p must be a unit of q (a DomainError naming the shared factor otherwise).
     """
     ps = arith.residues(ps, q)
     if q % 4 == 0:
@@ -127,13 +127,19 @@ def modulus_case(q: int, ps=()) -> ModulusCase:
     # (p/m) and eps_p vanish exactly at the non-units, but for an even p at q = 2 mod 4
     if not np.all(case.characters * (ps % 2 if q % 4 == 2 else 1)):
         shared = math.gcd(ps, q) if isinstance(ps, int) else np.gcd(ps, q).max()
-        raise NotCoprime(f"a residue shares the factor {shared} with {q}")
+        raise DomainError(f"a residue shares the factor {shared} with {q}")
     return case
 
 
 # ---------------------------------------------------------------------------
 # direct summation
 # ---------------------------------------------------------------------------
+
+def _check_rows(values: np.ndarray, ps) -> None:
+    """Refuse ps unless a batch of W weights (values of shape (W, m)) gets W rows of p."""
+    if values.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(values)):
+        raise DomainError(f"{len(values)} weights need a p array with one row per weight")
+
 
 class DirectEvaluator:
     """Reusable O(q) evaluator for one weight, or a batch of W, and one modulus: the per-p oracle.
@@ -164,8 +170,7 @@ class DirectEvaluator:
         For a batch of W weights p is a (W, n) array, row w for weight w.
         """
         ps = arith.residues(p, self.q)
-        if self._paired.ndim == 2 and (np.ndim(ps) != 2 or len(ps) != len(self._paired)):
-            raise DomainError(f"{len(self._paired)} weights need a p array with one row per weight")
+        _check_rows(self._paired, ps)
         block = ps if self._paired.ndim == 2 else np.reshape(ps, (1, -1))
         values = self._paired.reshape(-1, 1, len(self.h2))
         out = np.empty(block.shape, dtype=np.complex128)
@@ -285,12 +290,14 @@ def quadratic_series(ns: np.ndarray, cs: np.ndarray, x, N: int | None = None) ->
     numpy multiplies a one-element array in place through another loop,
     which can round differently.  So a point gets the same bits alone as in
     any batch, and a row of a block the same bits as its weight alone.
-    At float points each phase k must fit int64, so the indices must be at
-    most arith.INT64_ROOT, and the step 2 d^2 is taken only from three terms
-    on, where d <= n_max / 2.
+    At float points each phase k must fit int64, so an index above
+    arith.INT64_ROOT is a DomainError, and the step 2 d^2 is taken only from
+    three terms on, where d <= n_max / 2.
     """
-    phase = _phases(x, N)
     terms = ns.tolist()
+    if N is None and (top := max(map(abs, terms), default=0)) > arith.INT64_ROOT:
+        raise DomainError(f"series indices must be <= {arith.INT64_ROOT}, got {top}")
+    phase = _phases(x, N)
     coeffs = cs.tolist() if cs.ndim == 1 else list(cs.T[:, :, None])
     nonzero = np.any(np.atleast_2d(cs) != 0, axis=0).tolist()
     d = terms[1] - terms[0] if len(terms) > 1 else 1
@@ -418,6 +425,7 @@ def gauss_sum_fast_batch(w: WeightFunction, ps, q: int):
             "fast evaluation needs a finite Fourier series; "
             "convert indicators with as_fourier_series() first"
         )
+    _check_rows(w.cs, ps)
     case = modulus_case(q, ps)
     ns, cs = series_terms(w, case.variant)
     series = quadratic_series(ns, cs, case.points(), case.point_map[1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInterval, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
@@ -85,9 +85,9 @@ def as_fourier_series(w: WeightFunction) -> WeightFunction:
 
 
 def check_interval(a: float, b: float) -> None:
-    """Refuse [a, b) with BadInterval unless 0 <= a < b <= 1."""
+    """Refuse [a, b) with a DomainError unless 0 <= a < b <= 1."""
     if not (0.0 <= a < b <= 1.0):
-        raise BadInterval(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+        raise DomainError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
 
 
 def grid_in_interval(r: np.ndarray, q: int, a: float, b: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab import arith, expsums, gauss_sums
+from gausslab import arith, distlab, expsums, gauss_sums, weights
 from gausslab.errors import BadModulus, DomainError
 from reference import epsilon
 
@@ -91,6 +91,32 @@ class TestResidues:
         for empty in ([], (), np.array([], dtype=np.float64)):
             got = arith.residues(empty, 7)
             assert got.dtype == np.int64 and got.shape == (0,)
+
+
+NON_INTEGER_MODULUS_CALLS = {
+    "factorize": arith.factorize,
+    "analyze_modulus": arith.analyze_modulus,
+    "units": arith.units,
+    "residues-int": lambda m: arith.residues(9, m),
+    "residues-array": lambda m: arith.residues(np.array([3, 9]), m),
+    "power_mod": lambda m: arith.power_mod(np.array([2, 3]), 3, m),
+    "jacobi_array-int": lambda m: arith.jacobi_array(3, m),
+    "jacobi_array-array": lambda m: arith.jacobi_array(np.array([3, 9]), m),
+    "modulus_case": lambda m: gauss_sums.modulus_case(m, 1),
+    "quadratic_grid": lambda m: gauss_sums.quadratic_grid([1, 2], [1, 1j], m),
+    "limit_moment": lambda m: distlab.limit_moment(
+        gauss_sums.G_FULL, weights.fourier_weight({1: 1.0, 2: 0.5}), 3, grid_size=m),
+}
+
+
+@pytest.mark.parametrize("m", [7.5, 12.0])
+@pytest.mark.parametrize("call", NON_INTEGER_MODULUS_CALLS.values(),
+                         ids=NON_INTEGER_MODULUS_CALLS.keys())
+def test_non_integer_modulus_refused(call, m):
+    # it was reduced silently: analyze_modulus(7.5) read (6.5, 2), factorize(12.0) ended
+    # in (3.0, 1) and residues(9, 7.5) read 1.5; a float grid size reached pow()
+    with pytest.raises(DomainError):
+        call(m)
 
 
 class TestJacobi:

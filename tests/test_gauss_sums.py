@@ -9,7 +9,7 @@ import pytest
 
 from gausslab import arith, weights
 from gausslab import gauss_sums as gs
-from gausslab.errors import DomainError, IndicatorKind, NotCoprime
+from gausslab.errors import DomainError, IndicatorKind
 from reference import epsilon, evaluate, series_terms_reference
 
 ONE = weights.constant_weight()
@@ -118,7 +118,7 @@ class TestClosed:
         assert gs.gauss_sum_closed(1, 6) == 0
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(DomainError, match="^a residue shares the factor 2 with 4$"):
             gs.gauss_sum_closed(2, 4)
 
     def test_float_p_refused(self):
@@ -282,6 +282,17 @@ class TestLimitSeries:
         assert two == pytest.approx(1 + one, abs=1e-12)
         with pytest.raises(DomainError, match=f"series indices must be <= {arith.INT64_ROOT},"):
             series_at(gs.G_FULL, weights.fourier_weight({2**40: 1.0}), 0.3)
+
+    def test_only_float_points_refuse_an_index_above_int64_root(self):
+        # a float point overflowed a C long in the phase product; a rational point t/N
+        # reduces k t mod N in Python ints, so it stays exact
+        n = arith.INT64_ROOT + 1
+        for ns in ([1, n], [-n]):
+            with pytest.raises(DomainError,
+                               match=f"^series indices must be <= {arith.INT64_ROOT}, got {n}$"):
+                gs.quadratic_series(np.array(ns), np.ones(len(ns), dtype=complex), np.array([0.1]))
+        got = gs.quadratic_series(np.array([n]), np.array([1 + 0j]), 3, 7)
+        assert got.tobytes() == np.exp(2j * np.pi * np.array([n * n * 3 % 7 / 7])).tobytes()
 
     def test_plus_uses_even_indices(self):
         w = weights.fourier_weight({2: 1.0, 3: 5.0})
@@ -510,7 +521,7 @@ class TestFast:
         assert isinstance(approx, complex)
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(DomainError, match="^a residue shares the factor 2 with 4$"):
             gs.gauss_sum_fast(ONE, 2, 4)
 
 
@@ -539,7 +550,7 @@ class TestSigmaClass:
         assert gs.sigma_class(1, 18) is None and self.values(18) == {None}
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(DomainError, match="^a residue shares the factor 2 with 8$"):
             gs.sigma_class(2, 8)
 
     def test_labels(self):
@@ -691,7 +702,11 @@ class TestWeightAxis:
         assert weights.evaluate_grid(w, 32).tolist() == [8 <= h < 16 for h in range(32)]
 
     def test_p_needs_one_row_per_weight(self):
+        # the fast path broadcast [1, 2] and [[1, 2]] into numpy's own ValueError
         ws = [weights.fourier_weight({1: 1.0, 2: 0.0}), weights.fourier_weight({1: 0.0, 2: 1.0})]
-        for ps in (np.array([1, 2, 3, 4]), 3):
-            with pytest.raises(ValueError):
-                gs.DirectEvaluator(batch(ws), 7)(ps)
+        for ps in (np.array([1, 2, 3, 4]), 3, [1, 2], [[1, 2]]):
+            for evaluate_batch in (gs.DirectEvaluator(batch(ws), 7),
+                                   lambda ps: gs.gauss_sum_fast_batch(batch(ws), ps, 7)):
+                with pytest.raises(DomainError,
+                                   match="^2 weights need a p array with one row per weight$"):
+                    evaluate_batch(ps)

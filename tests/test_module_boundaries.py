@@ -9,7 +9,9 @@ Every public top-level function and class has a caller in the package: some
 package code outside its own definition reads it as a name or an attribute,
 or the package exports it, or the benchmark's tracer wraps it.  A reference
 that only the tests need lives in the tests.  Every exception type of
-errors.py is named by some raise statement of the package.  Importing
+errors.py is named by some raise statement of the package, and every
+DomainError subclass by some except clause: a subclass nothing catches
+is handled as a plain DomainError and says nothing more.  Importing
 the CLI, which every command does, loads none of fractions, decimal or
 numpy.ma.  The CLI imports nothing from gauss_sums and reads neither G_PLUS
 nor G_MINUS: distlab.compare_laws holds a figure's series-variant rules.
@@ -166,6 +168,35 @@ def test_exception_census_reads_raise_statements_only():
     source = ("try:\n    raise errors.Raised('x')\nexcept Caught:\n    raise\n"
               "def f():\n    raise Bare\n")
     assert unraised(errors, [source]) == ["Caught"]
+
+
+def uncaught(errors_source: str, sources: list[str]) -> list[str]:
+    """The DomainError subclasses of errors_source, at any depth, that no except clause names."""
+    caught = set().union(*(references(node.type) for source in sources
+                           for node in ast.walk(ast.parse(source))
+                           if isinstance(node, ast.ExceptHandler) and node.type))
+    domain, found = {"DomainError"}, []
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and domain & set().union(*map(references, node.bases)):
+            domain.add(node.name)
+            if node.name not in caught:
+                found.append(node.name)
+    return found
+
+
+def test_every_domain_error_subclass_is_caught():
+    # the CLI exits 2 on any DomainError; a subclass is kept only where some code acts on it
+    errors = (PACKAGE / "errors.py").read_text()
+    assert uncaught(errors, [path.read_text() for path in MODULES]) == []
+
+
+def test_catch_census_reads_except_clauses_only():
+    errors = ("class DomainError(ValueError): pass\nclass Caught(DomainError): pass\n"
+              "class Deeper(Caught): pass\nclass Raised(errors.DomainError): pass\n"
+              "class Other(TypeError): pass\n")
+    source = ("try:\n    raise Raised('x')\nexcept (errors.Caught, KeyError):\n    pass\n"
+              "except Other:\n    pass\nexcept:\n    pass\n")
+    assert uncaught(errors, [source]) == ["Deeper", "Raised"]
 
 
 def test_cli_import_loads_no_fractions_decimal_or_numpy_ma():
