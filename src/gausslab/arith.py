@@ -138,11 +138,9 @@ def residues(values, q: int):
 
 def power_mod(base, exponent: int, m: int) -> np.ndarray:
     """base ** exponent mod m entrywise; needs 1 <= m <= INT64_ROOT and exponent >= 0."""
-    if not 1 <= m <= INT64_ROOT:
-        raise DomainError(f"power_mod needs 1 <= m <= {INT64_ROOT}, got {m}")
     if exponent < 0:
         raise DomainError(f"power_mod needs an exponent >= 0, got {exponent}")
-    base = residues(base, m)
+    base = residues(np.asarray(base), m)
     result = np.ones_like(base) % m
     while exponent:
         if exponent & 1:

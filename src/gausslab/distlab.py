@@ -168,6 +168,10 @@ def sample_limit_law(variant: str, w: WeightFunction, cutoff: int | None,
     The sums F become the samples in place, _DFT_BLOCK base points at a
     time, so no second full-size array is made: the result is a view of F.
     """
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise DomainError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
     ns, cs = series_terms(w, variant, cutoff, arith.INT64_ROOT)

@@ -45,13 +45,13 @@ def unit_sums(m, n, q: int, kinds=None) -> dict:
     n mod q.  One row-wise FFT covers every kind and every distinct m.
     m and n are reduced mod q before any int64 product.
     """
+    m, n = np.broadcast_arrays(arith.residues(m, q), arith.residues(n, q))
     for kind in kinds or ():
         if kind not in KINDS:
             raise DomainError(f"unknown sum kind {kind!r}")
         if kind not in _KINDS_OF[q % 4]:
             raise BadModulus(f"{_NEEDS[kind]}, got {q}")
     kinds = _KINDS_OF[q % 4] if kinds is None else kinds
-    m, n = np.broadcast_arrays(arith.residues(m, q), arith.residues(n, q))
     ms, rows = np.unique(m, return_inverse=True)
     ps, invs = arith.inverse_table(q)
     f = np.zeros((len(kinds), ms.size, q), dtype=np.complex128)

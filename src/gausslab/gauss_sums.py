@@ -154,13 +154,11 @@ class DirectEvaluator:
     """
 
     def __init__(self, w, q: int):
-        if q < 1:
-            raise DomainError(f"modulus must be positive, got {q}")
+        values = evaluate_grid(w, q)
         self.q = q
         h = np.arange(q // 2 + 1, dtype=np.int64)
         self.h2 = (h * h) % q
         self.roots = np.exp(2j * np.pi * np.arange(q) / q)
-        values = evaluate_grid(w, q)
         self._paired = values[..., :len(h)].copy()  # 0 < h < q/2 also takes q - h
         self._paired[..., 1:(q + 1) // 2] += values[..., :q // 2:-1]
 
@@ -396,8 +394,6 @@ def quadratic_grid(ns, cs, N: int) -> np.ndarray:
     inverse DFT of length N: Rader's for a prime 3 <= N < _RADER_BELOW,
     numpy's FFT otherwise.
     """
-    if N < 1:
-        raise DomainError(f"grid size must be positive, got {N}")
     r = arith.residues(np.asarray(ns), N)
     squares = r * r % N
     cs = np.asarray(cs, dtype=np.complex128)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arith
 from .errors import DomainError
 
 
@@ -108,15 +109,14 @@ def evaluate_grid(w: WeightFunction, q: int) -> np.ndarray:
     A series of any support is folded mod q (c_k added into bin k mod q,
     in the order of ks) and evaluated with one inverse FFT along the last
     axis, in O(#coefficients + q log q).  Indicators are exact 0/1 by
-    grid_in_interval, the rule domain windows use too.  q < 1 is a
-    DomainError.
+    grid_in_interval, the rule domain windows use too.  arith.residues
+    refuses a q that is not a positive integer.
     """
-    if q < 1:
-        raise DomainError(f"grid size must be positive, got {q}")
+    ks = arith.residues(w.ks, q)
     if w.interval is not None:
         return grid_in_interval(np.arange(q), q, *w.interval).astype(np.complex128)
     binned = np.zeros(w.cs.shape[:-1] + (q,), dtype=np.complex128)
-    np.add.at(binned, (..., w.ks % q), w.cs)
+    np.add.at(binned, (..., ks), w.cs)
     # value at h/q is sum_k c_k e(kh/q) = q * ifft(binned)[h]
     return np.fft.ifft(binned) * q
 
@@ -127,10 +127,10 @@ def reduce_weight(w: WeightFunction, r: int) -> WeightFunction:
     Its coefficients are r * c_{rn}; only indices divisible by r survive,
     and where none does the result is the empty (zero) series.
     Returned as a Fourier series (for an indicator this reduces the
-    stored truncated series).  r = 1 returns the weight unchanged.
+    stored truncated series).  r = 1 returns the weight unchanged; r must be an int >= 1.
     """
-    if r < 1:
-        raise DomainError(f"r must be positive, got {r}")
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise DomainError(f"r must be a positive integer, got {r}")
     if r == 1:
         return w
     kept = w.ks % r == 0

@@ -57,7 +57,9 @@ class TestPowerMod:
 
     @pytest.mark.parametrize("m", [0, -5, arith.INT64_ROOT + 1])
     def test_refuses_moduli_whose_products_wrap(self, m):
-        with pytest.raises(DomainError, match=f"1 <= m <= {arith.INT64_ROOT}, got {m}$"):
+        # residues' array rule: a positive integer modulus, at most INT64_ROOT
+        rule = "modulus must be a positive integer" if m < 1 else f"need q <= {arith.INT64_ROOT}"
+        with pytest.raises(DomainError, match=f"{rule}, got {m}"):
             arith.power_mod(np.arange(3), 2, m)
 
     def test_refuses_a_negative_exponent(self):
@@ -117,6 +119,29 @@ def test_non_integer_modulus_refused(call, m):
     # in (3.0, 1) and residues(9, 7.5) read 1.5; a float grid size reached pow()
     with pytest.raises(DomainError):
         call(m)
+
+
+MODULUS_RULE_CALLS = {
+    "evaluate_grid-indicator": lambda q: weights.evaluate_grid(
+        weights.interval_indicator(0.0, 0.3, 50), q),
+    "evaluate_grid-series": lambda q: weights.evaluate_grid(weights.fourier_weight({1: 1.0}), q),
+    "DirectEvaluator": lambda q: gauss_sums.DirectEvaluator(weights.constant_weight(), q),
+    "gauss_sum_direct": lambda q: gauss_sums.gauss_sum_direct(weights.constant_weight(), 3, q),
+    "quadratic_grid": lambda q: gauss_sums.quadratic_grid([1, 2], [1, 1j], q),
+    "power_mod": lambda q: arith.power_mod(np.array([2, 3]), 3, q),
+    "kloosterman": lambda q: expsums.kloosterman(1, 1, q),
+    "unit_sums": lambda q: expsums.unit_sums(1, 1, q),
+    "expsum_report": lambda q: expsums.expsum_report("kloosterman", 1, 1, q),
+}
+
+
+@pytest.mark.parametrize("q", [7.5, 12.0, 0, -3])
+@pytest.mark.parametrize("call", MODULUS_RULE_CALLS.values(), ids=MODULUS_RULE_CALLS.keys())
+def test_every_modulus_is_refused_by_the_residues_rule(call, q):
+    # the grid, the evaluator and power_mod kept their own checks: evaluate_grid(w, 7.5)
+    # gave 8 values, DirectEvaluator(w, 7.5) a TypeError and kloosterman(1, 1, 7.5) KeyError
+    with pytest.raises(DomainError, match=f"^modulus must be a positive integer, got {q}$"):
+        call(q)
 
 
 class TestJacobi:

@@ -230,6 +230,13 @@ class TestSampleLimitLaw:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             distlab.sample_limit_law(G_FULL, ONE, None, 10, seed=seed)
 
+    @pytest.mark.parametrize("n_samples", [37500.0, 2.5])
+    def test_non_integer_sample_count_refused(self, monkeypatch, n_samples):
+        # randbytes ended it in an untyped TypeError; refused before any point is drawn
+        monkeypatch.setattr(distlab, "uniform_words", lambda *args: pytest.fail("drew points"))
+        with pytest.raises(DomainError, match=f"n_samples must be an integer, got {n_samples}$"):
+            distlab.sample_limit_law(G_FULL, ONE, None, n_samples, seed=1)
+
     def test_index_beyond_float_phases_refused(self, monkeypatch):
         # n^2 of a series index above INT64_ROOT would not fit the int64 phase product;
         # the weight is refused before any point is drawn

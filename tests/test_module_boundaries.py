@@ -150,6 +150,38 @@ def test_series_rule_census_finds_every_form():
                                          "gauss_sums", "gausslab.gauss_sums", "G_MINUS"]
 
 
+def modulus_checks(source: str) -> list[str]:
+    """The comparisons `x < 1` and `1 <= x` of a name x in q, N, m, as source text."""
+    def modulus(node):
+        return isinstance(node, ast.Name) and node.id in {"q", "N", "m"}
+
+    def one(node):
+        return isinstance(node, ast.Constant) and node.value == 1
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(op, ast.Lt) and modulus(lhs) and one(rhs)
+                   or isinstance(op, ast.LtE) and one(lhs) and modulus(rhs)
+                   for lhs, op, rhs in zip(sides, node.ops, sides[1:])):
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "arith.py"],
+                         ids=[p.name for p in MODULES if p.name != "arith.py"])
+def test_modulus_rule_lives_in_arith(path):
+    # arith.residues is the one rule a modulus passes; a copy elsewhere drifts from it
+    assert modulus_checks(path.read_text()) == []
+
+
+def test_modulus_census_finds_both_forms():
+    source = ("if q < 1: pass\nif not 1 <= m <= top: pass\nif N < 1 or p < 1: pass\n"
+              "if 1 < q or q <= 1 or n < 1 or q < 2: pass\n")
+    assert modulus_checks(source) == ["q < 1", "1 <= m <= top", "N < 1"]
+
+
 def unraised(errors_source: str, sources: list[str]) -> list[str]:
     """The classes of errors_source that no raise statement of sources names."""
     raised = set().union(*(references(node) for source in sources

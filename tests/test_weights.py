@@ -153,6 +153,13 @@ class TestReduceWeight:
             direct = sum(evaluate(w, (x + k) / r) for k in range(r))
             assert abs(evaluate(reduced, float(x)) - direct) < 1e-10
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, np.float64(3.0), 0, -2])
+    def test_refuses_an_r_that_is_not_a_positive_integer(self, r):
+        # 2.5 read k = 5 as 5 % 2.5 == 0 and made frequency 2.0; 2.0 gave float frequencies
+        w = weights.fourier_weight({0: 1, 1: .5, -3: .25, 5: 1j})
+        with pytest.raises(DomainError, match=f"r must be a positive integer, got {r}$"):
+            weights.reduce_weight(w, r)
+
     def test_annihilated_support(self):
         # no index divisible by 2: the compressed weight vanishes identically
         w = weights.fourier_weight({1: 1.0, -3: 2.0})
@@ -200,7 +207,7 @@ class TestGridEvaluation:
         # a series raised ZeroDivisionError or "negative dimensions", an indicator gave []
         for w in (weights.interval_indicator(0.0, 0.3, 50), weights.fourier_weight({1: 1.0}),
                   weights.WeightFunction(np.arange(2), np.ones((3, 2), dtype=np.complex128))):
-            with pytest.raises(DomainError, match=f"grid size must be positive, got {q}"):
+            with pytest.raises(DomainError, match=f"modulus must be a positive integer, got {q}"):
                 weights.evaluate_grid(w, q)
 
 
